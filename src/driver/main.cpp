@@ -21,8 +21,6 @@
 #include "eval/PairRunner.h"
 #include "parser/Parser.h"
 #include "server/VerifyServer.h"
-#include "solver/BoundedSolver.h"
-#include "solver/CachingSolver.h"
 #include "solver/Portfolio.h"
 #include "solver/RemotePool.h"
 #include "solver/ShardPool.h"
@@ -38,11 +36,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include <signal.h>
 #include <unistd.h>
@@ -53,30 +50,17 @@ namespace {
 
 struct CliOptions {
   std::string Command;
-  std::string File;
-  std::string SolverName = "z3";
+  /// The input file (FileName) and every verify knob, exactly as the
+  /// verify session runs them and `--connect=` ships them. `run`,
+  /// `monitor` and `dump-vcs` read the knobs they share with `verify`
+  /// (the backend, --no-safety) from here too.
+  VerifyWireRequest Verify;
   std::string OracleName = "solver";
   std::string Semantics = "relaxed";
-  /// Tier chain for the portfolio discharge pipeline (empty = the
-  /// classic single --solver= backend).
-  std::vector<TierKind> Pipeline;
-  /// Per-query quantifier-step budget of the budgeted bounded tier.
-  uint64_t BoundedSteps = 200'000;
-  bool BoundedStepsSet = false; ///< --bounded-steps= was passed explicitly
-  /// Conflict-driven-search knobs of the bounded backend/tier. All three
-  /// are verdict-irrelevant (learning only skips refuted candidates) but
-  /// fingerprint-relevant: runs differing in any of them never share
-  /// persistent-cache entries.
-  bool BoundedLearning = true;
-  bool BoundedRestarts = true;
-  uint64_t BoundedMaxNogoods = 10'000;
   /// Obligation id ("o:3" / "r:5") to explain after a verify run.
   std::string Explain;
-  bool SolverStats = false;
   uint64_t Seed = 1;
   unsigned Runs = 16;
-  unsigned Jobs = 1;
-  unsigned SolverJobs = 1;
   /// Worker processes of the sharded discharge tier (0 = in-process).
   unsigned Shards = 0;
   /// Remote discharge worker endpoints (`--remote-workers=host:port,...`);
@@ -88,12 +72,6 @@ struct CliOptions {
   /// This executable's path — respawned as the shard workers.
   std::string ExePath;
   size_t ArrayLen = 8;
-  /// Global wall-clock budget for `verify` in milliseconds (< 0 = none).
-  /// Obligations past it settle as gave-ups with reason "deadline", so an
-  /// expired run exits 3, never hangs.
-  int64_t TimeoutMs = -1;
-  /// Per-VC budget in milliseconds (< 0 = none).
-  int64_t VcTimeoutMs = -1;
   /// Directory of the persistent verdict cache ("" = off).
   std::string CacheDir;
   /// Verify-on-hit sampling rate in parts per million (0 = off).
@@ -102,9 +80,6 @@ struct CliOptions {
   /// Hidden fault-injection spec (see support/FaultInjection.h); also
   /// exported as RELAXC_FAULTS so shard workers inherit it.
   std::string Faults;
-  bool Verbose = false;
-  bool NoSafety = false;
-  bool OriginalOnly = false;
   bool SmtLib = false;
 };
 
@@ -120,7 +95,9 @@ void printUsage() {
       "                            (tiers: simplify, bounded, z3; e.g.\n"
       "                            --pipeline=simplify,bounded,z3)\n"
       "  --bounded-steps=<n>       per-query quantifier-step budget of the\n"
-      "                            budgeted bounded tier (default 200000)\n"
+      "                            bounded search, as a pipeline tier and\n"
+      "                            as --solver=bounded (default 200000;\n"
+      "                            0 = unlimited)\n"
       "  --bounded-learning=<on|off>\n"
       "                            conflict-driven nogood learning in the\n"
       "                            bounded search (default on; verdicts\n"
@@ -223,7 +200,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   if (Argc < 3)
     return false;
   Opts.Command = Argv[1];
-  Opts.File = Argv[2];
+  Opts.Verify.FileName = Argv[2];
   for (int I = 3; I < Argc; ++I) {
     std::string A = Argv[I];
     auto Value = [&](const char *Prefix) -> const char * {
@@ -238,7 +215,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V, knownSolverNamesForDiagnostics().c_str());
         return false;
       }
-      Opts.SolverName = V;
+      Opts.Verify.SolverName = V;
     } else if (const char *V = Value("--pipeline=")) {
       Result<std::vector<TierKind>> Tiers = parsePipelineSpec(V);
       if (!Tiers.ok()) {
@@ -246,16 +223,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      Tiers.message().c_str());
         return false;
       }
-      Opts.Pipeline = *Tiers;
+      Opts.Verify.Pipeline = formatPipeline(*Tiers);
     } else if (const char *V = Value("--bounded-steps=")) {
-      if (!parseUnsigned(V, Opts.BoundedSteps)) {
+      if (!parseUnsigned(V, Opts.Verify.BoundedSteps)) {
         std::fprintf(stderr,
                      "relaxc: error: bad --bounded-steps value '%s' "
                      "(expected a decimal step count; 0 = unlimited)\n",
                      V);
         return false;
       }
-      Opts.BoundedStepsSet = true;
     } else if (const char *V = Value("--bounded-learning=")) {
       if (std::strcmp(V, "on") != 0 && std::strcmp(V, "off") != 0) {
         std::fprintf(stderr,
@@ -264,7 +240,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-      Opts.BoundedLearning = std::strcmp(V, "on") == 0;
+      Opts.Verify.BoundedLearning = std::strcmp(V, "on") == 0;
     } else if (const char *V = Value("--bounded-restarts=")) {
       if (std::strcmp(V, "on") != 0 && std::strcmp(V, "off") != 0) {
         std::fprintf(stderr,
@@ -273,10 +249,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-      Opts.BoundedRestarts = std::strcmp(V, "on") == 0;
+      Opts.Verify.BoundedRestarts = std::strcmp(V, "on") == 0;
     } else if (const char *V = Value("--bounded-max-nogoods=")) {
-      if (!parseUnsigned(V, Opts.BoundedMaxNogoods) ||
-          Opts.BoundedMaxNogoods > UINT32_MAX) {
+      if (!parseUnsigned(V, Opts.Verify.BoundedMaxNogoods) ||
+          Opts.Verify.BoundedMaxNogoods > UINT32_MAX) {
         std::fprintf(stderr,
                      "relaxc: error: bad --bounded-max-nogoods value '%s' "
                      "(expected a decimal nogood count; 0 = unlimited)\n",
@@ -286,7 +262,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (const char *V = Value("--explain="))
       Opts.Explain = V;
     else if (A == "--solver-stats")
-      Opts.SolverStats = true;
+      Opts.Verify.SolverStats = true;
     else if (const char *V = Value("--oracle="))
       Opts.OracleName = V;
     else if (const char *V = Value("--semantics="))
@@ -331,7 +307,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-      Opts.Jobs = static_cast<unsigned>(N);
+      Opts.Verify.Jobs = static_cast<unsigned>(N);
     } else if (const char *V = Value("--solver-jobs=")) {
       uint64_t N = 0;
       if (!parseUnsigned(V, N) || N > 1024) {
@@ -341,7 +317,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-      Opts.SolverJobs = static_cast<unsigned>(N);
+      Opts.Verify.SolverJobs = static_cast<unsigned>(N);
     } else if (const char *V = Value("--cache-dir=")) {
       if (*V == '\0') {
         std::fprintf(stderr,
@@ -394,7 +370,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-      Opts.TimeoutMs = static_cast<int64_t>(N);
+      Opts.Verify.TimeoutMs = static_cast<int64_t>(N);
     } else if (const char *V = Value("--vc-timeout-ms=")) {
       uint64_t N = 0;
       if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
@@ -404,17 +380,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-      Opts.VcTimeoutMs = static_cast<int64_t>(N);
+      Opts.Verify.VcTimeoutMs = static_cast<int64_t>(N);
     } else if (const char *V = Value("--faults=")) {
       // Hidden: deterministic fault injection for the chaos suite.
       Opts.Faults = V;
     }
     else if (A == "--verbose")
-      Opts.Verbose = true;
+      Opts.Verify.Verbose = true;
     else if (A == "--no-safety")
-      Opts.NoSafety = true;
+      Opts.Verify.NoSafety = true;
     else if (A == "--original-only")
-      Opts.OriginalOnly = true;
+      Opts.Verify.OriginalOnly = true;
     else if (A == "--smtlib")
       Opts.SmtLib = true;
     else {
@@ -459,26 +435,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     }
   }
+  // A pool only chooses where the pipeline's final tier runs, so it needs
+  // a pipeline; the default one is named here, in the configuration, so
+  // the fingerprint and --solver-stats are those of the pool-less run.
+  if ((Opts.Shards > 0 || !Opts.RemoteWorkers.empty()) &&
+      Opts.Verify.Pipeline.empty())
+    Opts.Verify.Pipeline = "simplify,bounded,z3";
   return true;
-}
-
-/// The CLI's conflict-driven-search knobs, applied identically wherever a
-/// BoundedSolverOptions is built (makeSolver, the portfolio config, and
-/// the cache-fingerprint mirror — which must never drift apart).
-void applyBoundedSearchFlags(const CliOptions &Opts, BoundedSolverOptions &BO) {
-  BO.Learning = Opts.BoundedLearning;
-  BO.Restarts = Opts.BoundedRestarts;
-  BO.MaxNogoods = static_cast<uint32_t>(Opts.BoundedMaxNogoods);
-}
-
-std::unique_ptr<Solver> makeSolver(const CliOptions &Opts, AstContext &Ctx) {
-  if (Opts.SolverName == "bounded") {
-    BoundedSolverOptions BO;
-    BO.Jobs = Opts.SolverJobs == 0 ? 1 : Opts.SolverJobs;
-    applyBoundedSearchFlags(Opts, BO);
-    return std::make_unique<BoundedSolver>(BO, &Ctx);
-  }
-  return std::make_unique<Z3Solver>(Ctx.symbols());
 }
 
 std::unique_ptr<Oracle> makeOracle(const CliOptions &Opts, AstContext &Ctx,
@@ -505,24 +468,25 @@ void printOutcome(const Interner &Syms, const char *Title, const Outcome &O) {
     std::printf(" at line %u: %s\n", O.ErrorLoc.Line, O.Reason.c_str());
 }
 
-/// Prints the `--solver-stats` block: per-tier settled/escalated counts,
-/// cache effectiveness, and the bounded tiers' work counters. \p Tiers is
-/// the *effective* chain (after --shards= rewrote the final tier).
-void printSolverStats(const CliOptions &Opts,
-                      const std::vector<TierKind> &Tiers,
-                      const DischargeStats &S, const CachingSolver &Cached,
-                      const PersistentCache *PCache) {
-  std::fputs(
-      renderSolverStats(Opts.SolverName, Tiers, S, &Cached, PCache).c_str(),
-      stdout);
-}
-
-/// Prints the `--solver-stats` per-procedure obligation counts: how many
-/// obligations each procedure's summaries contributed to each pass. With
-/// summary-based generation a procedure called N times still shows up
-/// exactly once here; only cheap instantiation VCs accrue to its callers.
-void printProcObligations(const VerifyReport &Report) {
-  std::fputs(renderProcObligations(Report).c_str(), stdout);
+/// The `--solver-stats` lines of a worker pool: requests served per
+/// worker, respawns, and health.
+void printPoolStats(const DischargePool &Pool, const char *Label) {
+  PoolStats PS = Pool.stats();
+  std::printf("  %s: %u workers, %llu requests, %llu respawns; served", Label,
+              Pool.shardCount(), static_cast<unsigned long long>(PS.Requests),
+              static_cast<unsigned long long>(PS.Respawns));
+  for (uint64_t N : PS.PerWorker)
+    std::printf(" %llu", static_cast<unsigned long long>(N));
+  std::printf("\n");
+  if (PS.Failures > 0 || PS.Quarantines > 0)
+    std::printf("  shard health: %llu failed attempt(s), %llu "
+                "quarantine(s)\n",
+                static_cast<unsigned long long>(PS.Failures),
+                static_cast<unsigned long long>(PS.Quarantines));
+  if (PS.Degraded || PS.DegradedFallbacks > 0)
+    std::printf("  shard pool degraded: %llu request(s) answered by "
+                "the in-process tail\n",
+                static_cast<unsigned long long>(PS.DegradedFallbacks));
 }
 
 /// Lists every obligation of one procedure's summary verifications
@@ -636,65 +600,69 @@ bool printExplain(const VerifyReport &Report, const std::string &Id,
 
 //===----------------------------------------------------------------------===//
 // The hidden --discharge-worker mode: one shard of the out-of-process
-// discharge tier. Reads length-prefixed requests on stdin (wire format in
-// solver/ShardPool.h), rebuilds each query in its own AstContext through
+// discharge tier. Reads length-prefixed requests (wire format in
+// solver/ShardPool.h) from stdin, or with --listen=<addr> from accepted
+// socket connections, rebuilds each query in its own AstContext through
 // the ordinary parser (serveShardRequest, server/VerifyServer.h), and
-// writes the verdict frame to stdout. Exits 0 on clean EOF; any framing
-// error is answered with a diagnosed error frame (never a hang or crash)
-// and ends the worker, since the stream position is unrecoverable. With
-// --listen=<addr> the same loop serves socket connections instead.
+// writes the verdict frame back. Any framing error is answered with a
+// diagnosed error frame (never a hang or crash) and ends the channel,
+// since the stream position is unrecoverable: a pipe worker exits 2, a
+// socket worker drops only that connection and keeps listening.
 //===----------------------------------------------------------------------===//
 
-int runDischargeWorker() {
-  ShardWorkerState W;
+/// Serves shard requests on one channel until the pool closes it.
+/// Returns true on a clean EOF; false after a framing error or a failed
+/// response write. \p CrashFd is the fd the pool reads from, where the
+/// worker-exit fault site leaves its garbage partial header.
+bool serveWorkerChannel(Transport &T, ShardWorkerState &W, int CrashFd) {
   for (;;) {
-    FrameRead F = readFrame(/*Fd=*/0);
+    FrameRead F = T.recvMs(-1);
     if (F.eof())
-      return 0; // clean shutdown: the pool closed our stdin
+      return true;
     if (!F.ok()) {
       // Truncated or garbage input: answer with a diagnosed error frame
-      // (best effort) and exit — after a framing error the stream
-      // position is unrecoverable, and continuing could mis-pair
-      // requests with responses.
+      // (best effort) and give up the channel — continuing could
+      // mis-pair requests with responses.
       ShardResponse Resp;
       Resp.IsError = true;
       Resp.Error = "frame error: " + F.Message;
-      (void)writeFrame(/*Fd=*/1, serializeShardResponse(Resp));
+      (void)T.send(serializeShardResponse(Resp));
       std::fprintf(stderr, "relaxc: discharge worker: %s\n",
                    F.Message.c_str());
-      return 2;
+      return false;
     }
     // Chaos-suite crash site: die instead of answering, alternating
     // between vanishing silently and dying mid-frame (garbage partial
-    // header bytes on stdout) — the two shapes a real worker crash has
-    // from the pool's point of view.
+    // header bytes on the channel) — the two shapes a real worker crash
+    // has from the pool's point of view. Parity of the draw index (how
+    // many requests this worker saw) picks the shape; firedCount is
+    // always 1 here because a worker dies on its first fire.
     if (FaultRegistry::shouldFail(FaultSite::WorkerExit)) {
-      // Parity of the draw index (how many requests this worker saw)
-      // picks the crash shape; firedCount is always 1 here because a
-      // worker dies on its first fire.
-      FaultRegistry &R = FaultRegistry::instance();
-      if (R.drawCount(FaultSite::WorkerExit) % 2 == 1)
-        (void)!::write(1, "RLXF\xff\xff", 6);
+      if (FaultRegistry::instance().drawCount(FaultSite::WorkerExit) % 2 == 1)
+        (void)!::write(CrashFd, "RLXF\xff\xff", 6);
       ::_exit(3);
     }
     ShardResponse Resp = serveShardRequest(W, F.Payload);
     if (FaultRegistry::shouldFail(FaultSite::ResponseDelay))
       std::this_thread::sleep_for(std::chrono::milliseconds(
           FaultRegistry::instance().delayMs()));
-    if (Status S = writeFrame(/*Fd=*/1, serializeShardResponse(Resp));
-        !S.ok())
-      return 2; // the pool went away mid-response
+    if (!T.send(serializeShardResponse(Resp)).ok())
+      return false; // the pool went away mid-response
   }
 }
 
-/// `--discharge-worker --listen=<addr>`: the socket twin of the stdin
-/// loop, for `--remote-workers=`. Connections are served sequentially
-/// (one remote-pool slot holds one connection at a time); the solver
-/// context stays warm across connections, so a reconnecting pool keeps
-/// its amortized state. A framing error drops only that connection —
-/// the worker keeps listening.
-int runDischargeWorkerListen(const std::string &Addr) {
-  Result<SocketListener> L = SocketListener::bind(Addr);
+/// Runs the worker on stdin/stdout (exit 0 on clean EOF, 2 otherwise),
+/// or with \p ListenAddr on socket connections, served sequentially (one
+/// remote-pool slot holds one connection at a time). The solver context
+/// stays warm across connections, so a reconnecting pool keeps its
+/// amortized state.
+int runDischargeWorker(const std::string &ListenAddr) {
+  ShardWorkerState W;
+  if (ListenAddr.empty()) {
+    PipeTransport Stdio(/*ReadFd=*/0, /*WriteFd=*/1, /*OwnsFds=*/false);
+    return serveWorkerChannel(Stdio, W, /*CrashFd=*/1) ? 0 : 2;
+  }
+  Result<SocketListener> L = SocketListener::bind(ListenAddr);
   if (!L.ok()) {
     std::fprintf(stderr, "relaxc: error: %s\n", L.message().c_str());
     return 2;
@@ -704,42 +672,10 @@ int runDischargeWorkerListen(const std::string &Addr) {
   std::printf("relaxc: discharge worker listening on %s\n",
               L->address().c_str());
   std::fflush(stdout);
-  ShardWorkerState W;
   for (;;) {
-    Result<std::unique_ptr<Transport>> CR = L->accept();
-    if (!CR.ok())
-      continue; // transient accept error
-    Transport &T = **CR;
-    for (;;) {
-      FrameRead F = T.recvMs(-1);
-      if (F.eof())
-        break; // the pool dropped this connection; accept the next
-      if (!F.ok()) {
-        ShardResponse Resp;
-        Resp.IsError = true;
-        Resp.Error = "frame error: " + F.Message;
-        (void)T.send(serializeShardResponse(Resp));
-        std::fprintf(stderr, "relaxc: discharge worker: %s\n",
-                     F.Message.c_str());
-        break;
-      }
-      // Same chaos crash site as the pipe loop: die instead of
-      // answering, alternating silent death with a garbage partial
-      // frame, so the socket path's failure shapes match the pipe
-      // path's exactly.
-      if (FaultRegistry::shouldFail(FaultSite::WorkerExit)) {
-        FaultRegistry &R = FaultRegistry::instance();
-        if (R.drawCount(FaultSite::WorkerExit) % 2 == 1)
-          (void)!::write(T.recvFd(), "RLXF\xff\xff", 6);
-        ::_exit(3);
-      }
-      ShardResponse Resp = serveShardRequest(W, F.Payload);
-      if (FaultRegistry::shouldFail(FaultSite::ResponseDelay))
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(FaultRegistry::instance().delayMs()));
-      if (!T.send(serializeShardResponse(Resp)).ok())
-        break;
-    }
+    Result<std::unique_ptr<Transport>> C = L->accept();
+    if (C.ok()) // else a transient accept error
+      (void)serveWorkerChannel(**C, W, (*C)->recvFd());
   }
 }
 
@@ -814,35 +750,12 @@ int runServe(int Argc, char **Argv) {
   return (*S)->run();
 }
 
-/// `verify <file> --connect=<addr>`: the thin client. Reads the file
-/// locally (so a missing file is diagnosed with local semantics), ships
-/// bytes plus configuration, and mirrors the daemon's streams and exit
-/// status. A capacity refusal (retryable) is retried with backoff.
+/// `verify <file> --connect=<addr>`: the thin client. Ships the file's
+/// bytes plus the configuration, prints the daemon's streams, and exits
+/// with its status. A capacity refusal (retryable) is retried with
+/// backoff.
 int runConnectVerify(const CliOptions &Opts) {
-  SourceManager SM;
-  if (Status S = SM.loadFile(Opts.File); !S.ok()) {
-    std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
-    return 2;
-  }
-  VerifyWireRequest Req;
-  Req.FileName = Opts.File;
-  Req.Source = SM.buffer();
-  Req.SolverName = Opts.SolverName;
-  if (!Opts.Pipeline.empty())
-    Req.Pipeline = formatPipeline(Opts.Pipeline);
-  Req.BoundedSteps = Opts.BoundedSteps;
-  Req.BoundedLearning = Opts.BoundedLearning;
-  Req.BoundedRestarts = Opts.BoundedRestarts;
-  Req.BoundedMaxNogoods = Opts.BoundedMaxNogoods;
-  Req.Jobs = Opts.Jobs;
-  Req.SolverJobs = Opts.SolverJobs;
-  Req.TimeoutMs = Opts.TimeoutMs;
-  Req.VcTimeoutMs = Opts.VcTimeoutMs;
-  Req.NoSafety = Opts.NoSafety;
-  Req.OriginalOnly = Opts.OriginalOnly;
-  Req.Verbose = Opts.Verbose;
-  Req.SolverStats = Opts.SolverStats;
-  const std::string Wire = serializeVerifyRequest(Req);
+  const std::string Wire = serializeVerifyRequest(Opts.Verify);
 
   for (int Attempt = 0;; ++Attempt) {
     Result<std::unique_ptr<Transport>> C =
@@ -899,57 +812,13 @@ int runConnectVerify(const CliOptions &Opts) {
   }
 }
 
-int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
-              DiagnosticEngine &Diags) {
-  std::unique_ptr<Solver> Backend = makeSolver(Opts, Ctx);
-  CachingSolver Cached(*Backend);
-  Verifier V(Ctx, Prog, Cached, Diags);
-  Verifier::Options VO;
-  VO.GenOpts.CheckSafety = !Opts.NoSafety;
-  VO.RunRelaxed = !Opts.OriginalOnly;
-  VO.Jobs = Opts.Jobs == 0 ? 1 : Opts.Jobs;
-  // Arm the deadline as late as possible (right before the run) so flag
-  // parsing and pool creation do not eat into the budget.
-  if (Opts.TimeoutMs >= 0)
-    VO.GlobalDeadline = Deadline::inMs(Opts.TimeoutMs);
-  VO.VcTimeoutMs = Opts.VcTimeoutMs;
-  DischargeStats Stats;
-  VO.StatsOut = &Stats;
-
-  // --shards=N moves the pipeline's final tier out of process: the tier
-  // chain ends in `shard`, and the pool's workers (this same executable
-  // in --discharge-worker mode) run the replaced tier. Verdicts are
-  // identical to the in-process chain by construction — the workers run
-  // the same tiers under the same configuration.
-  std::vector<TierKind> Tiers = Opts.Pipeline;
-  std::unique_ptr<DischargePool> Pool; // must outlive V.run()
+/// `verify <file>`: runs the verify session, with the worker pool of
+/// --shards= / --remote-workers= and the --cache-dir= cache around it,
+/// and prints what the session returns.
+int runVerify(const CliOptions &Opts) {
+  std::unique_ptr<DischargePool> Pool; // must outlive the session
   const char *PoolLabel = "shard pool";
-  std::string WorkerPipe = "z3";
-  // Shared by --shards= and --remote-workers=: end the chain in a
-  // `shard` tier and name the pipeline the workers run for the replaced
-  // final tier. Returns false after diagnosing an unshardable chain.
-  auto RewriteFinalTier = [&](const char *Flag) {
-    if (Tiers.empty())
-      Tiers = {TierKind::Simplify, TierKind::Bounded, TierKind::Smt};
-    TierKind Final = Tiers.back();
-    if (Final == TierKind::Smt || Final == TierKind::Shard)
-      WorkerPipe = "z3";
-    else if (Final == TierKind::Bounded)
-      WorkerPipe = "bounded";
-    else {
-      std::fprintf(stderr,
-                   "relaxc: error: %s needs a final bounded or z3 "
-                   "tier to move out of process (the pipeline ends in "
-                   "'%s')\n",
-                   Flag, tierKindName(Final));
-      return false;
-    }
-    Tiers.back() = TierKind::Shard;
-    return true;
-  };
   if (Opts.Shards > 0) {
-    if (!RewriteFinalTier("--shards="))
-      return 2;
     ShardPoolOptions SO;
     SO.Shards = Opts.Shards;
     SO.WorkerExe = Opts.ExePath;
@@ -960,8 +829,6 @@ int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     }
     Pool = std::move(*PR);
   } else if (!Opts.RemoteWorkers.empty()) {
-    if (!RewriteFinalTier("--remote-workers="))
-      return 2;
     RemotePoolOptions RO;
     for (size_t Pos = 0; Pos <= Opts.RemoteWorkers.size();) {
       size_t Comma = Opts.RemoteWorkers.find(',', Pos);
@@ -979,97 +846,35 @@ int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     PoolLabel = "remote pool";
   }
 
-  if (Tiers.empty() && Opts.BoundedStepsSet)
-    std::fprintf(stderr,
-                 "relaxc: warning: --bounded-steps= only applies to the "
-                 "portfolio pipeline; pass --pipeline= or --shards= for it "
-                 "to take effect\n");
-  if (!Tiers.empty()) {
-    PortfolioOptions PO;
-    PO.Tiers = Tiers;
-    PO.Bounded.MaxQuantSteps = Opts.BoundedSteps;
-    PO.Bounded.Jobs = Opts.SolverJobs == 0 ? 1 : Opts.SolverJobs;
-    applyBoundedSearchFlags(Opts, PO.Bounded);
-    PO.Pool = Pool.get();
-    PO.ShardWorkerPipeline = WorkerPipe;
-    VO.Portfolio = std::move(PO);
-    if (RELAXC_HAVE_Z3)
-      VO.SmtFactory = [&Ctx] {
-        return std::make_unique<Z3Solver>(Ctx.symbols());
-      };
-  } else if (VO.Jobs > 1) {
-    VO.SolverFactory = [&Opts, &Ctx] { return makeSolver(Opts, Ctx); };
-  }
-
   // --cache-dir=: the persistent verdict cache, fronting the scheduler's
-  // shared result cache. Keys embed a fingerprint of every verdict-
-  // relevant knob, so differently configured runs never share entries.
+  // shared result cache. Keys embed the configuration's fingerprint, so
+  // differently configured runs never share entries.
   std::unique_ptr<PersistentCache> PCache;
   if (!Opts.CacheDir.empty()) {
-    std::string Fp;
-    if (VO.Portfolio) {
-      Fp = portfolioConfigFingerprint(*VO.Portfolio, RELAXC_HAVE_Z3 != 0);
-    } else if (Opts.SolverName == "bounded") {
-      BoundedSolverOptions BO; // mirror makeSolver: defaults, Jobs excluded
-      applyBoundedSearchFlags(Opts, BO);
-      Fp = "backend=bounded " + boundedOptionsFingerprint(BO);
-    } else {
-      Fp = "backend=z3";
-    }
-    PCache = std::make_unique<PersistentCache>(Opts.CacheDir, Fp,
-                                               Opts.CacheVerifyPpm);
+    PCache = std::make_unique<PersistentCache>(
+        Opts.CacheDir, verifyJobFingerprint(Opts.Verify), Opts.CacheVerifyPpm);
     PCache->load();
-    VO.PCache = PCache.get();
   }
 
-  VerifyReport Report = V.run(VO);
+  VerifyJobResult Job = runVerifyJob(Opts.Verify, PCache.get(), Pool.get());
+  if (Job.IsError) {
+    std::fprintf(stderr, "relaxc: error: %s\n", Job.Error.c_str());
+    return Job.ExitStatus;
+  }
   // A cache that cannot be saved costs the next run solver time, never
   // this run its verdict.
   if (PCache)
     if (Status S = PCache->flush(); !S.ok())
       std::fprintf(stderr, "relaxc: warning: persistent cache not saved: "
                    "%s\n", S.message().c_str());
-  if (Diags.hasErrors())
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-  std::printf("%s", renderReport(Report, Ctx.symbols(), Opts.Verbose).c_str());
-  if (Opts.SolverStats) {
-    printSolverStats(Opts, Tiers, Stats, Cached, PCache.get());
-    printProcObligations(Report);
-    if (Pool) {
-      PoolStats PS = Pool->stats();
-      std::printf("  %s: %u workers, %llu requests, %llu respawns;"
-                  " served",
-                  PoolLabel, Pool->shardCount(),
-                  static_cast<unsigned long long>(PS.Requests),
-                  static_cast<unsigned long long>(PS.Respawns));
-      for (uint64_t N : PS.PerWorker)
-        std::printf(" %llu", static_cast<unsigned long long>(N));
-      std::printf("\n");
-      if (PS.Failures > 0 || PS.Quarantines > 0)
-        std::printf("  shard health: %llu failed attempt(s), %llu "
-                    "quarantine(s)\n",
-                    static_cast<unsigned long long>(PS.Failures),
-                    static_cast<unsigned long long>(PS.Quarantines));
-      if (PS.Degraded || PS.DegradedFallbacks > 0)
-        std::printf("  shard pool degraded: %llu request(s) answered by "
-                    "the in-process tail\n",
-                    static_cast<unsigned long long>(PS.DegradedFallbacks));
-    }
-  }
-  if (!Opts.Explain.empty() && !printExplain(Report, Opts.Explain, Ctx))
+  std::fputs(Job.Diagnostics.c_str(), stderr);
+  std::fputs(Job.Report.c_str(), stdout);
+  if (Opts.Verify.SolverStats && Pool)
+    printPoolStats(*Pool, PoolLabel);
+  if (Job.Ctx && !Opts.Explain.empty() &&
+      !printExplain(Job.Verdicts, Opts.Explain, *Job.Ctx))
     return 2;
-
-  // Exit codes (pinned by driver_cli_tests): 0 verified; 1 when any
-  // obligation was positively refuted; 3 when the run fell short only
-  // because a solver gave up or errored. Scripts can tell "the program
-  // is wrong" from "the solver was too weak" without parsing output.
-  if (Report.verified())
-    return 0;
-  if (!Report.SemaOk || Report.GenErrors)
-    return 2; // static error, same class as a parse failure
-  size_t Refuted = Report.Original.count(VCStatus::Failed) +
-                   Report.Relaxed.count(VCStatus::Failed);
-  return Refuted > 0 ? 1 : 3;
+  return Job.ExitStatus;
 }
 
 int runExecute(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
@@ -1080,7 +885,7 @@ int runExecute(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     std::fprintf(stderr, "%s", Diags.render().c_str());
     return 1;
   }
-  std::unique_ptr<Solver> Backend = makeSolver(Opts, Ctx);
+  std::unique_ptr<Solver> Backend = makeVerifyBackend(Opts.Verify, Ctx);
   std::unique_ptr<Oracle> O = makeOracle(Opts, Ctx, *Backend);
   Interp I(Prog, Ctx.symbols(), *O);
   State Init = Interp::zeroState(Prog, Opts.ArrayLen);
@@ -1099,7 +904,7 @@ int runMonitor(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     std::fprintf(stderr, "%s", Diags.render().c_str());
     return 1;
   }
-  std::unique_ptr<Solver> Backend = makeSolver(Opts, Ctx);
+  std::unique_ptr<Solver> Backend = makeVerifyBackend(Opts.Verify, Ctx);
 
   RelateMap Gamma(Info->relateMap().begin(), Info->relateMap().end());
   PairRunner Runner(Prog, Ctx.symbols(), Gamma);
@@ -1153,43 +958,13 @@ int runDumpVCs(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     return 1;
   }
   VCGenOptions GO;
-  GO.CheckSafety = !Opts.NoSafety;
+  GO.CheckSafety = !Opts.Verify.NoSafety;
   Printer P(Ctx.symbols());
-
-  // Mirror the Verifier's modular passes: one summary verification per
-  // procedure, in declaration order, so dumped ids match `--explain`.
-  VCSet OSet;
-  for (const Procedure &Proc : Prog.procedures()) {
-    UnaryVCGen OGen(Ctx, Prog, JudgmentKind::Original, Diags, GO);
-    OGen.setProcName(procDisplayName(Proc, Ctx.symbols()));
-    OGen.genTriple(Proc.requiresClause() ? Proc.requiresClause()
-                                         : Ctx.trueExpr(),
-                   Proc.body(),
-                   Proc.ensuresClause() ? Proc.ensuresClause()
-                                        : Ctx.trueExpr());
-    OSet.append(OGen.take());
-  }
-
-  VCSet RSet;
-  for (const Procedure &Proc : Prog.procedures()) {
-    std::string Name = procDisplayName(Proc, Ctx.symbols());
-    if (Info->needsIntermediate(Proc)) {
-      UnaryVCGen IGen(Ctx, Prog, JudgmentKind::Intermediate, Diags, GO);
-      IGen.setProcName(Name);
-      IGen.genTriple(Proc.requiresClause() ? Proc.requiresClause()
-                                           : Ctx.trueExpr(),
-                     Proc.body(),
-                     Proc.ensuresClause() ? Proc.ensuresClause()
-                                          : Ctx.trueExpr());
-      RSet.append(IGen.take());
-    }
-    RelationalVCGen RGen(Ctx, Prog, Diags, GO);
-    RGen.setProcName(Name);
-    RGen.genTriple(effectiveRelRequires(Ctx, Prog, Proc), Proc.body(),
-                   Proc.relEnsuresClause() ? Proc.relEnsuresClause()
-                                           : Ctx.trueExpr());
-    RSet.append(RGen.take());
-  }
+  // The Verifier's own passes, so dumped ids match `--explain`.
+  VCSet OSet =
+      Verifier::passVCs(Ctx, Prog, *Info, JudgmentKind::Original, Diags, GO);
+  VCSet RSet =
+      Verifier::passVCs(Ctx, Prog, *Info, JudgmentKind::Relaxed, Diags, GO);
 
   Z3Solver SmtPrinter(Ctx.symbols());
   auto Dump = [&](const char *Title, const VCSet &Set) {
@@ -1255,8 +1030,7 @@ int main(int Argc, char **Argv) {
         ListenAddr = Argv[I] + 9;
       }
     }
-    return ListenAddr.empty() ? runDischargeWorker()
-                              : runDischargeWorkerListen(ListenAddr);
+    return runDischargeWorker(ListenAddr);
   }
 
   CliOptions Opts;
@@ -1274,18 +1048,20 @@ int main(int Argc, char **Argv) {
   }
   Opts.ExePath = currentExecutablePath(Argv[0]);
 
-  // Client mode: the whole job runs in the daemon; nothing below (parse,
-  // contexts, pools) happens locally.
-  if (!Opts.Connect.empty())
-    return runConnectVerify(Opts);
-
   SourceManager SM;
-  if (Status S = SM.loadFile(Opts.File); !S.ok()) {
+  if (Status S = SM.loadFile(Opts.Verify.FileName); !S.ok()) {
     std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
     return 2;
   }
+  // `verify` parses inside the session — in the daemon for a --connect=
+  // client — so each run parses its program exactly once.
+  if (Opts.Command == "verify") {
+    Opts.Verify.Source = SM.buffer();
+    return Opts.Connect.empty() ? runVerify(Opts) : runConnectVerify(Opts);
+  }
+
   DiagnosticEngine Diags;
-  Diags.setFileName(Opts.File);
+  Diags.setFileName(Opts.Verify.FileName);
   AstContext Ctx;
   Parser P(Ctx, SM, Diags);
   std::optional<Program> Prog = P.parseProgram();
@@ -1294,8 +1070,6 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  if (Opts.Command == "verify")
-    return runVerify(Opts, Ctx, *Prog, Diags);
   if (Opts.Command == "run")
     return runExecute(Opts, Ctx, *Prog, Diags);
   if (Opts.Command == "monitor")

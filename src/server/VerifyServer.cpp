@@ -415,7 +415,7 @@ relax::parseVerifyResponse(std::string_view Payload) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stats renderers (the CLI prints these strings; the daemon ships them)
+// Stats renderers (the session appends them to its report)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -433,13 +433,14 @@ void appendf(std::string &Out, const char *Fmt, ...) {
     Out.append(Buf, std::min(static_cast<size_t>(N), sizeof(Buf) - 1));
 }
 
-} // namespace
-
-std::string relax::renderSolverStats(const std::string &BackendName,
-                                     const std::vector<TierKind> &Tiers,
-                                     const DischargeStats &S,
-                                     const CachingSolver *Cached,
-                                     const PersistentCache *PCache) {
+/// The `--solver-stats` block. \p Tiers is the effective chain (empty =
+/// the single-backend branch); \p Cached may be null in pipeline mode
+/// (its counters only print single-backend).
+std::string renderSolverStats(const std::string &BackendName,
+                              const std::vector<TierKind> &Tiers,
+                              const DischargeStats &S,
+                              const CachingSolver *Cached,
+                              const PersistentCache *PCache) {
   auto U = [](uint64_t N) { return static_cast<unsigned long long>(N); };
   std::string Out;
   Out += "solver stats:\n";
@@ -503,7 +504,9 @@ std::string relax::renderSolverStats(const std::string &BackendName,
   return Out;
 }
 
-std::string relax::renderProcObligations(const VerifyReport &Report) {
+/// The `--solver-stats` per-procedure obligation counts: how many
+/// obligations each procedure's summaries contributed to each pass.
+std::string renderProcObligations(const VerifyReport &Report) {
   std::vector<std::string> Order;
   std::map<std::string, std::pair<size_t, size_t>> Counts;
   auto Tally = [&](const JudgmentReport &J, bool Relaxed) {
@@ -526,88 +529,100 @@ std::string relax::renderProcObligations(const VerifyReport &Report) {
   return Out;
 }
 
+} // namespace
+
 //===----------------------------------------------------------------------===//
-// The served verify job
+// The verify session
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Mirror of the CLI's makeSolver for a wire request.
-std::unique_ptr<Solver> makeJobBackend(const VerifyWireRequest &R,
-                                       AstContext &Ctx) {
-  if (R.SolverName == "bounded") {
-    BoundedSolverOptions BO;
-    BO.Jobs = R.SolverJobs == 0 ? 1 : R.SolverJobs;
-    BO.Learning = R.BoundedLearning;
-    BO.Restarts = R.BoundedRestarts;
-    BO.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
-    return std::make_unique<BoundedSolver>(BO, &Ctx);
-  }
-  return std::make_unique<Z3Solver>(Ctx.symbols());
+/// The bounded configuration of a request. The single bounded backend
+/// and the portfolio's `bounded` tier both run it, so the backend gets
+/// the tier's candidate and quantifier-step budgets.
+BoundedSolverOptions boundedOptionsFor(const VerifyWireRequest &R) {
+  BoundedSolverOptions BO = PortfolioOptions().Bounded;
+  BO.MaxQuantSteps = R.BoundedSteps;
+  BO.Jobs = R.SolverJobs == 0 ? 1 : R.SolverJobs;
+  BO.Learning = R.BoundedLearning;
+  BO.Restarts = R.BoundedRestarts;
+  BO.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
+  return BO;
 }
 
-/// Mirror of the CLI's portfolio construction — any drift here breaks
-/// both served/standalone report identity and cache-fingerprint sharing.
-PortfolioOptions makeJobPortfolio(const VerifyWireRequest &R,
-                                  const std::vector<TierKind> &Tiers) {
+/// The portfolio of a request with a pipeline; fails only when the
+/// pipeline spec does not parse.
+Result<PortfolioOptions> portfolioOptionsFor(const VerifyWireRequest &R) {
+  Result<std::vector<TierKind>> Tiers = parsePipelineSpec(R.Pipeline);
+  if (!Tiers.ok())
+    return Result<PortfolioOptions>::error(Tiers.message());
   PortfolioOptions PO;
-  PO.Tiers = Tiers;
-  PO.Bounded.MaxQuantSteps = R.BoundedSteps;
-  PO.Bounded.Jobs = R.SolverJobs == 0 ? 1 : R.SolverJobs;
-  PO.Bounded.Learning = R.BoundedLearning;
-  PO.Bounded.Restarts = R.BoundedRestarts;
-  PO.Bounded.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
+  PO.Tiers = *Tiers;
+  PO.Bounded = boundedOptionsFor(R);
   return PO;
 }
 
 } // namespace
 
+std::unique_ptr<Solver> relax::makeVerifyBackend(const VerifyWireRequest &R,
+                                                 AstContext &Ctx) {
+  if (R.SolverName == "bounded")
+    return std::make_unique<BoundedSolver>(boundedOptionsFor(R), &Ctx);
+  return std::make_unique<Z3Solver>(Ctx.symbols());
+}
+
 std::string relax::verifyJobFingerprint(const VerifyWireRequest &R) {
   if (!R.Pipeline.empty()) {
-    Result<std::vector<TierKind>> Tiers = parsePipelineSpec(R.Pipeline);
-    if (!Tiers.ok())
-      return std::string();
-    return portfolioConfigFingerprint(makeJobPortfolio(R, *Tiers),
-                                      RELAXC_HAVE_Z3 != 0);
+    Result<PortfolioOptions> PO = portfolioOptionsFor(R);
+    return PO.ok() ? portfolioConfigFingerprint(*PO, RELAXC_HAVE_Z3 != 0)
+                   : std::string();
   }
-  if (R.SolverName == "bounded") {
-    BoundedSolverOptions BO; // mirror makeJobBackend: defaults, Jobs excluded
-    BO.Learning = R.BoundedLearning;
-    BO.Restarts = R.BoundedRestarts;
-    BO.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
-    return "backend=bounded " + boundedOptionsFingerprint(BO);
-  }
+  if (R.SolverName == "bounded")
+    return "backend=bounded " + boundedOptionsFingerprint(boundedOptionsFor(R));
   return "backend=z3";
 }
 
-VerifyWireResponse relax::runVerifyJob(const VerifyWireRequest &Req,
-                                       PersistentCache *PCache) {
-  VerifyWireResponse Resp;
+VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
+                                    PersistentCache *PCache,
+                                    DischargePool *Pool) {
+  VerifyJobResult Job;
   auto Usage = [&](std::string Msg) {
-    Resp.IsError = true;
-    Resp.ExitStatus = 2;
-    Resp.Error = std::move(Msg);
-    return Resp;
+    Job.IsError = true;
+    Job.ExitStatus = 2;
+    Job.Error = std::move(Msg);
+    return std::move(Job);
   };
 
   if (!isKnownSolverName(Req.SolverName))
     return Usage("unknown solver '" + Req.SolverName + "' (valid choices: " +
                  knownSolverNamesForDiagnostics() + ")");
-  std::vector<TierKind> Tiers;
+  std::optional<PortfolioOptions> Port;
   if (!Req.Pipeline.empty()) {
-    Result<std::vector<TierKind>> T = parsePipelineSpec(Req.Pipeline);
-    if (!T.ok())
-      return Usage(T.message());
-    for (TierKind K : *T)
-      if (K == TierKind::Shard)
-        return Usage("a served verify request cannot run a shard tier "
-                     "(the daemon is already the far side of one)");
-    Tiers = *T;
+    Result<PortfolioOptions> PO = portfolioOptionsFor(Req);
+    if (!PO.ok())
+      return Usage(PO.message());
+    Port = std::move(*PO);
+  }
+  // A pool only chooses where the final tier runs: the chain ends in a
+  // `shard` tier whose workers run the tier it replaced, under the same
+  // configuration — so the verdicts, and the fingerprint, are those of
+  // the pool-less run.
+  if (Pool) {
+    if (!Port || Port->Tiers.back() == TierKind::Simplify)
+      return Usage(std::string("a worker pool needs a final bounded or z3 "
+                               "tier to move out of process (") +
+                   (Port ? "the pipeline ends in 'simplify')"
+                         : "the job runs no pipeline)"));
+    Port->ShardWorkerPipeline =
+        Port->Tiers.back() == TierKind::Bounded ? "bounded" : "z3";
+    Port->Tiers.back() = TierKind::Shard;
+    Port->Pool = Pool;
   }
 
-  // One fresh AstContext per request — see the file comment in
+  // One fresh AstContext per session — see the file comment in
   // VerifyServer.h for why warm contexts would break report identity.
-  AstContext Ctx;
+  auto CtxOwner = std::make_unique<AstContext>();
+  AstContext &Ctx = *CtxOwner;
   SourceManager SM;
   SM.setBuffer(Req.FileName, Req.Source);
   DiagnosticEngine Diags;
@@ -615,58 +630,50 @@ VerifyWireResponse relax::runVerifyJob(const VerifyWireRequest &Req,
   Parser P(Ctx, SM, Diags);
   std::optional<Program> Prog = P.parseProgram();
   if (!Prog) {
-    Resp.ExitStatus = 2;
-    Resp.Diagnostics = Diags.render();
-    return Resp;
+    Job.ExitStatus = 2;
+    Job.Diagnostics = Diags.render();
+    return Job;
   }
 
-  std::unique_ptr<Solver> Backend = makeJobBackend(Req, Ctx);
+  std::unique_ptr<Solver> Backend = makeVerifyBackend(Req, Ctx);
   CachingSolver Cached(*Backend);
   Verifier V(Ctx, *Prog, Cached, Diags);
   Verifier::Options VO;
   VO.GenOpts.CheckSafety = !Req.NoSafety;
   VO.RunRelaxed = !Req.OriginalOnly;
   VO.Jobs = Req.Jobs == 0 ? 1 : Req.Jobs;
-  // The request-scoped deadline: armed right before the run, exactly like
-  // the CLI, and mapped to the exit-code-style status below (an expired
-  // request answers status 3, never hangs the connection).
+  // Armed right before the run, so parsing and pool creation do not eat
+  // into the budget; an expired run answers status 3, never hangs.
   if (Req.TimeoutMs >= 0)
     VO.GlobalDeadline = Deadline::inMs(Req.TimeoutMs);
   VO.VcTimeoutMs = Req.VcTimeoutMs;
   DischargeStats Stats;
   VO.StatsOut = &Stats;
-  if (!Tiers.empty()) {
-    VO.Portfolio = makeJobPortfolio(Req, Tiers);
+  VO.Portfolio = std::move(Port);
+  if (VO.Portfolio) {
     if (RELAXC_HAVE_Z3)
       VO.SmtFactory = [&Ctx] {
         return std::make_unique<Z3Solver>(Ctx.symbols());
       };
   } else if (VO.Jobs > 1) {
-    VO.SolverFactory = [&Req, &Ctx] { return makeJobBackend(Req, Ctx); };
+    VO.SolverFactory = [&Req, &Ctx] { return makeVerifyBackend(Req, Ctx); };
   }
   VO.PCache = PCache;
 
-  VerifyReport Report = V.run(VO);
+  Job.Verdicts = V.run(VO);
   if (Diags.hasErrors())
-    Resp.Diagnostics = Diags.render();
-  Resp.Report = renderReport(Report, Ctx.symbols(), Req.Verbose);
+    Job.Diagnostics = Diags.render();
+  Job.Report = renderReport(Job.Verdicts, Ctx.symbols(), Req.Verbose);
   if (Req.SolverStats) {
-    Resp.Report +=
-        renderSolverStats(Req.SolverName, Tiers, Stats, &Cached, PCache);
-    Resp.Report += renderProcObligations(Report);
+    Job.Report += renderSolverStats(
+        Req.SolverName,
+        VO.Portfolio ? VO.Portfolio->Tiers : std::vector<TierKind>(), Stats,
+        &Cached, PCache);
+    Job.Report += renderProcObligations(Job.Verdicts);
   }
-
-  // Exit-code discipline, identical to the CLI's runVerify.
-  if (Report.verified()) {
-    Resp.ExitStatus = 0;
-  } else if (!Report.SemaOk || Report.GenErrors) {
-    Resp.ExitStatus = 2;
-  } else {
-    size_t Refuted = Report.Original.count(VCStatus::Failed) +
-                     Report.Relaxed.count(VCStatus::Failed);
-    Resp.ExitStatus = Refuted > 0 ? 1 : 3;
-  }
-  return Resp;
+  Job.ExitStatus = Job.Verdicts.exitStatus();
+  Job.Ctx = std::move(CtxOwner);
+  return Job;
 }
 
 //===----------------------------------------------------------------------===//
@@ -713,13 +720,22 @@ PersistentCache *VerifyServer::cacheFor(const std::string &Fingerprint) {
 }
 
 VerifyWireResponse VerifyServer::handleVerify(std::string_view Payload) {
+  VerifyWireResponse Refusal;
+  Refusal.IsError = true;
+  Refusal.ExitStatus = 2;
   Result<VerifyWireRequest> Req = parseVerifyRequest(Payload);
   if (!Req.ok()) {
-    VerifyWireResponse E;
-    E.IsError = true;
-    E.ExitStatus = 2;
-    E.Error = Req.message();
-    return E;
+    Refusal.Error = Req.message();
+    return Refusal;
+  }
+  // The daemon's two input checks. A shard tier can only come last, and
+  // a served request may not name one: the daemon is already the far
+  // side of one.
+  Result<std::vector<TierKind>> Tiers = parsePipelineSpec(Req->Pipeline);
+  if (Tiers.ok() && Tiers->back() == TierKind::Shard) {
+    Refusal.Error = "a served verify request cannot run a shard tier (the "
+                    "daemon is already the far side of one)";
+    return Refusal;
   }
   // Clamp the request deadline to the server's cap so one client cannot
   // pin a handler thread forever.
@@ -739,8 +755,8 @@ VerifyWireResponse VerifyServer::handleVerify(std::string_view Payload) {
 
 void VerifyServer::serveConnection(std::shared_ptr<Transport> Conn) {
   // Shard-serving context, warm across the frames of this connection —
-  // one remote-pool slot maps to one connection, so this mirrors a pipe
-  // worker's per-process warm state.
+  // one remote-pool slot maps to one connection, so this is the daemon's
+  // counterpart of a pipe worker's per-process warm state.
   ShardWorkerState Shard;
   for (;;) {
     if (Stopping.load())

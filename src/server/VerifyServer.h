@@ -6,29 +6,41 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `--serve=<addr>` daemon: a long-lived process accepting framed
-/// requests over a Unix-domain or TCP socket (support/Transport.h) and
-/// answering them with the same verifier the CLI runs. Two request kinds
+/// The verify session and the `--serve=<addr>` daemon around it.
+///
+/// `VerifyWireRequest` is the one verify configuration: the CLI parses
+/// its flags into one, `--connect=` ships it, and the daemon parses it
+/// back. `runVerifyJob` is the one path from a configuration to a
+/// report — the local `verify` command (with or without a worker pool
+/// and a persistent cache), the daemon, and the benchmark harness all
+/// run it, so a served report equals a local one by construction. The
+/// backend, the portfolio options, the cache fingerprint and the exit
+/// code are each derived from the configuration in exactly one place.
+///
+/// The daemon is a long-lived process accepting framed requests over a
+/// Unix-domain or TCP socket (support/Transport.h). Two request kinds
 /// share the wire, dispatched by payload magic:
 ///
 /// * Shard discharge requests (solver/ShardPool.h wire) — so a daemon
 ///   doubles as a remote worker for `--remote-workers=`, with a warm
 ///   per-connection solver context like a pipe worker's.
-/// * Verify requests — a whole program plus its solver configuration;
-///   the response carries the driver-shaped report, diagnostics, and an
-///   exit-code-style status (0 verified / 1 refuted / 2 static error /
-///   3 gave up), so `relaxc verify f.rlx --connect=<addr>` is a drop-in
-///   for a local run.
+/// * Verify requests — a whole program plus its configuration; the
+///   response carries the session's report, diagnostics, and exit
+///   status (0 verified / 1 refuted / 2 static error / 3 gave up), so
+///   `relaxc verify f.rlx --connect=<addr>` is a drop-in for a local
+///   run. Two input checks are the daemon's own: a served request may
+///   not name a literal `shard` tier (the daemon is already the far side
+///   of one), and `--serve-max-request-ms` clamps its deadline.
 ///
 /// Warm state is chosen to keep verdicts bit-identical to a standalone
-/// run: each verify request gets a FRESH AstContext (VC generation
-/// through a reused context would drift the Interner's fresh counters —
-/// x'1 becomes x'2 on the second run — breaking both report identity and
-/// persistent-cache keys), while the per-configuration PersistentCache
-/// persists across requests (its keys are printed formulas, portable
-/// across contexts). Backpressure is a bounded connection count: a
-/// request past it is refused with a *retryable* error response instead
-/// of queueing unboundedly.
+/// run: each session gets a FRESH AstContext (VC generation through a
+/// reused context would drift the Interner's fresh counters — x'1
+/// becomes x'2 on the second run — breaking both report identity and
+/// persistent-cache keys), while the daemon's per-configuration
+/// PersistentCache persists across requests (its keys are printed
+/// formulas, portable across contexts). Backpressure is a bounded
+/// connection count: a request past it is refused with a *retryable*
+/// error response instead of queueing unboundedly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,8 +91,8 @@ bool isVerifyRequestPayload(std::string_view Payload);
 // The verify wire
 //===----------------------------------------------------------------------===//
 
-/// One whole verification job: the program source plus every
-/// verdict-relevant CLI knob. Field defaults mirror the CLI's.
+/// One whole verification job: the program source plus every verify
+/// knob. The defaults are the CLI's flag defaults.
 struct VerifyWireRequest {
   std::string FileName = "<request>"; ///< diagnostics rendering only
   std::string Source;                 ///< the program text, verbatim
@@ -122,33 +134,41 @@ std::string serializeVerifyResponse(const VerifyWireResponse &R);
 Result<VerifyWireResponse> parseVerifyResponse(std::string_view Payload);
 
 //===----------------------------------------------------------------------===//
-// The job runner and its stats renderers (shared with the CLI, so a
-// served report is byte-identical to a local one)
+// The verify session
 //===----------------------------------------------------------------------===//
 
-/// The `--solver-stats` block as a string. \p Tiers is the effective
-/// chain ("" pipeline = empty vector = single-backend branch); \p Cached
-/// may be null in pipeline mode (its counters only print single-backend).
-std::string renderSolverStats(const std::string &BackendName,
-                              const std::vector<TierKind> &Tiers,
-                              const DischargeStats &S,
-                              const CachingSolver *Cached,
-                              const PersistentCache *PCache);
+/// The single backend \p R selects: Z3, or the bounded search under the
+/// `bounded` tier's budgets (so it settles or gives up, never enumerates
+/// unbounded). `run` and `monitor` build their oracle solvers with it.
+std::unique_ptr<Solver> makeVerifyBackend(const VerifyWireRequest &R,
+                                          AstContext &Ctx);
 
-/// The `--solver-stats` per-procedure obligation counts as a string.
-std::string renderProcObligations(const VerifyReport &Report);
-
-/// The persistent-cache config fingerprint of a request, computed
-/// exactly as the CLI computes it for the same flags — a daemon given
-/// the CLI's --cache-dir= shares its on-disk entries. Empty when the
-/// request's pipeline does not parse (the job will diagnose it).
+/// The persistent-cache config fingerprint of a request: every knob that
+/// can change a verdict. A worker pool never enters it (it only moves
+/// the final tier out of process), so the CLI with or without
+/// `--shards=`, and a daemon given the same --cache-dir=, share on-disk
+/// entries. Empty when the request's pipeline does not parse (the job
+/// will diagnose it).
 std::string verifyJobFingerprint(const VerifyWireRequest &R);
+
+/// What a session returns: the response a client receives, plus the
+/// structured report and the AstContext its formulas live in, which
+/// `--explain=` prints from. Ctx is null when the job stopped before
+/// verifying (a bad configuration or a parse error).
+struct VerifyJobResult : VerifyWireResponse {
+  std::unique_ptr<AstContext> Ctx;
+  VerifyReport Verdicts;
+};
 
 /// Runs one verification job start to finish in a fresh AstContext.
 /// \p PCache may be null; when set it fronts the run's shared result
-/// cache (this is the daemon's warm state).
-VerifyWireResponse runVerifyJob(const VerifyWireRequest &R,
-                                PersistentCache *PCache);
+/// cache (the caller loads and flushes it). \p Pool may be null; when
+/// set, the pipeline's final bounded or z3 tier becomes a `shard` tier
+/// whose workers on the pool run the tier it replaced — verdicts and
+/// fingerprint are those of the pool-less run.
+VerifyJobResult runVerifyJob(const VerifyWireRequest &R,
+                             PersistentCache *PCache,
+                             DischargePool *Pool = nullptr);
 
 //===----------------------------------------------------------------------===//
 // The daemon

@@ -62,6 +62,21 @@ struct VerifyReport {
   size_t totalVCs() const {
     return Original.Outcomes.size() + Relaxed.Outcomes.size();
   }
+
+  /// The `relaxc verify` exit code (pinned by driver_cli_tests): 0
+  /// verified; 2 on a static error; 1 when any obligation was refuted;
+  /// 3 when the run fell short only because a solver gave up or
+  /// errored — so scripts can tell "the program is wrong" from "the
+  /// solver was too weak" without parsing output.
+  int exitStatus() const {
+    if (verified())
+      return 0;
+    if (!SemaOk || GenErrors)
+      return 2;
+    return Original.count(VCStatus::Failed) + Relaxed.count(VCStatus::Failed)
+               ? 1
+               : 3;
+  }
 };
 
 /// Verification pipeline driver.
@@ -111,6 +126,15 @@ public:
   /// Runs sema + both passes + discharging.
   VerifyReport run(Options Opts);
   VerifyReport run() { return run(Options{}); }
+
+  /// One judgment pass's obligations in report order: procedures in
+  /// declaration order, each contributing its |-o summary (\p Pass =
+  /// Original), or its |-i summary where \p Info requires one followed
+  /// by its |-r summary (\p Pass = Relaxed). run() discharges exactly
+  /// these sets; `relaxc dump-vcs` prints them.
+  static VCSet passVCs(AstContext &Ctx, const Program &Prog,
+                       const SemaInfo &Info, JudgmentKind Pass,
+                       DiagnosticEngine &Diags, const VCGenOptions &GenOpts);
 
   /// The relational precondition actually used for the *entry* procedure:
   /// its rrequires clause, or (by default) "both executions start from the

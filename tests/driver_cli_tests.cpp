@@ -15,7 +15,11 @@
 //    with "deadline" in the report, never hangs;
 //  * fault injection: a fully dead worker pool degrades to the
 //    in-process tail ("shard pool degraded" under --solver-stats) with
-//    the fault-free exit code, and a bad --faults= spec exits 2.
+//    the fault-free exit code, and a bad --faults= spec exits 2;
+//  * --solver=bounded terminates with --pipeline=bounded's exit code on
+//    every case study;
+//  * dump-vcs lists exactly the obligations `verify --verbose` reports,
+//    in the same order, and --smtlib emits one script per obligation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +31,7 @@
 
 #include <cstdio>
 #include <regex>
+#include <sstream>
 #include <unistd.h>
 
 using namespace relax;
@@ -365,6 +370,128 @@ TEST(DriverShardsFlag, RejectsBadValues) {
   EXPECT_NE(R.Output.find("needs a final bounded or z3 tier"),
             std::string::npos)
       << R.Output;
+}
+
+const char *CaseStudies[] = {"swish.rlx",     "water.rlx",
+                             "lu.rlx",        "task_skip.rlx",
+                             "sampling.rlx",  "memoize.rlx",
+                             "water_modular.rlx", "shared_callee.rlx"};
+
+TEST(DriverSolverFlag, BoundedBackendSettlesLikeTheBoundedPipeline) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The single bounded backend runs with the bounded tier's budgets, so
+  // on every case study it terminates with --pipeline=bounded's exit
+  // code instead of enumerating without a quantifier-step budget.
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    std::string Path = relax::test::examplePath(Name);
+    RunResult Backend = runDriver({"verify", Path, "--solver=bounded"});
+    RunResult Pipeline = runDriver({"verify", Path, "--pipeline=bounded"});
+    EXPECT_TRUE(Pipeline.Exit == 1 || Pipeline.Exit == 3)
+        << Name << "\n" << Pipeline.Output;
+    EXPECT_EQ(Backend.Exit, Pipeline.Exit) << Name << "\n" << Backend.Output;
+  }
+}
+
+/// One judgment pass as a listing: the VC count its header announces and
+/// each obligation as "<proc: ><rule>[ at line N]: <description>", the
+/// shape `verify` prints once the status tag is dropped.
+struct PassListing {
+  size_t Count = 0;
+  std::vector<std::string> Obligations;
+};
+
+/// Parses `dump-vcs`: "== |-o: N VCs ==" headers, then one
+/// "[judgment/kind] <proc: ><rule> (line N): <description>" line per VC.
+std::vector<PassListing> parseDump(const std::string &Out) {
+  std::vector<PassListing> Passes;
+  std::istringstream In(Out);
+  for (std::string L; std::getline(In, L);) {
+    if (L.rfind("== ", 0) == 0) {
+      Passes.emplace_back();
+      Passes.back().Count = std::stoul(L.substr(L.find(": ") + 2));
+    } else if (L.rfind("[", 0) == 0 && !Passes.empty()) {
+      std::string Body = L.substr(L.find("] ") + 2);
+      size_t At = Body.find(" (line ");
+      size_t Close = Body.find("): ", At);
+      EXPECT_NE(Close, std::string::npos) << L;
+      if (Close == std::string::npos)
+        continue;
+      std::string Line = Body.substr(At + 7, Close - At - 7);
+      std::string Head = Body.substr(0, At);
+      if (Line != "0")
+        Head += " at line " + Line;
+      Passes.back().Obligations.push_back(Head + ": " +
+                                          Body.substr(Close + 3));
+    }
+  }
+  return Passes;
+}
+
+/// Parses `verify --verbose`: "|-o (...): N VCs, ..." headers, then one
+/// "  [status] <proc: ><rule>[ at line N]: <description>[ — detail]"
+/// line per VC.
+std::vector<PassListing> parseVerbose(const std::string &Out) {
+  std::vector<PassListing> Passes;
+  std::istringstream In(Out);
+  for (std::string L; std::getline(In, L);) {
+    if (L.rfind("|-", 0) == 0) {
+      Passes.emplace_back();
+      Passes.back().Count = std::stoul(L.substr(L.find("): ") + 3));
+    } else if (L.rfind("  [", 0) == 0 && !Passes.empty()) {
+      Passes.back().Obligations.push_back(L.substr(L.find("] ") + 2));
+    }
+  }
+  return Passes;
+}
+
+TEST(DriverDumpVcs, ListsVerifyObligationsInOrder) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    std::string Path = relax::test::examplePath(Name);
+    RunResult Dump = runDriver({"dump-vcs", Path});
+    ASSERT_EQ(Dump.Exit, 0) << Name << "\n" << Dump.Output;
+    RunResult Verify =
+        runDriver({"verify", Path, BoundedPipeline, "--verbose"});
+    std::vector<PassListing> D = parseDump(Dump.Output);
+    std::vector<PassListing> V = parseVerbose(Verify.Output);
+    ASSERT_EQ(D.size(), 2u) << Name << "\n" << Dump.Output;
+    ASSERT_EQ(V.size(), 2u) << Name << "\n" << Verify.Output;
+    for (size_t Pass = 0; Pass != 2; ++Pass) {
+      std::string Tag = std::string(Name) + (Pass ? " |-r" : " |-o");
+      EXPECT_EQ(D[Pass].Count, V[Pass].Count) << Tag;
+      EXPECT_EQ(D[Pass].Count, D[Pass].Obligations.size()) << Tag;
+      ASSERT_EQ(D[Pass].Obligations.size(), V[Pass].Obligations.size())
+          << Tag;
+      // A verify line may append " — <detail>" to the shared prefix.
+      for (size_t I = 0; I != D[Pass].Obligations.size(); ++I) {
+        const std::string &Want = D[Pass].Obligations[I];
+        EXPECT_EQ(V[Pass].Obligations[I].substr(0, Want.size()), Want)
+            << Tag << " VC #" << I;
+      }
+    }
+  }
+}
+
+TEST(DriverDumpVcs, SmtLibEmitsOneScriptPerObligation) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_Z3();
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    std::string Path = relax::test::examplePath(Name);
+    RunResult Dump = runDriver({"dump-vcs", Path, "--smtlib"});
+    ASSERT_EQ(Dump.Exit, 0) << Name << "\n" << Dump.Output;
+    size_t VCs = 0;
+    for (const PassListing &P : parseDump(Dump.Output))
+      VCs += P.Count;
+    size_t Scripts = 0;
+    for (size_t At = Dump.Output.find("  ; SMT-LIB ("); At != std::string::npos;
+         At = Dump.Output.find("  ; SMT-LIB (", At + 1))
+      ++Scripts;
+    EXPECT_GT(VCs, 0u) << Name;
+    EXPECT_EQ(Scripts, VCs) << Name;
+  }
 }
 
 } // namespace

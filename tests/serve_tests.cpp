@@ -14,11 +14,16 @@
 //    local run on every case study, concurrently and under chaos; the
 //    warm per-config cache answers a repeated request with zero solver
 //    queries; a slow-loris client cannot stall other clients;
+//  * the CLI and the verify session: `relaxc verify` prints exactly the
+//    report, diagnostics and exit status runVerifyJob returns, a pool
+//    only chooses where the final tier runs, and a cache written by the
+//    CLI warms the daemon and vice versa (one fingerprint);
 //  * RemotePool: a worker dying between requests surfaces as a
 //    retryable failure with the pinned stats shape — one failure, one
 //    reconnect, identical verdict, never a parse error — and case
 //    studies verify identically through socket workers under chaos,
-//    degrading to the in-process tail when every endpoint dies.
+//    degrading to the in-process tail when every endpoint dies; a
+//    listen worker drops a garbage connection and keeps serving.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,12 +39,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <regex>
 #include <thread>
 
 #include <poll.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace relax;
@@ -219,6 +226,50 @@ const char *CaseStudies[] = {"swish.rlx",     "water.rlx",
                              "lu.rlx",        "task_skip.rlx",
                              "sampling.rlx",  "memoize.rlx",
                              "water_modular.rlx", "shared_callee.rlx"};
+
+/// A temp directory removed (with its contents) on destruction.
+struct TempDir {
+  std::string Path;
+  TempDir() {
+    char Name[] = "/tmp/relaxc_serve_dir_XXXXXX";
+    if (::mkdtemp(Name))
+      Path = Name;
+    EXPECT_FALSE(Path.empty()) << "mkdtemp failed";
+  }
+  ~TempDir() {
+    if (!Path.empty()) {
+      EXPECT_EQ(std::system(("rm -rf '" + Path + "'").c_str()), 0);
+    }
+  }
+};
+
+/// One `relaxc` CLI run with stdout and stderr captured separately.
+struct CliRun {
+  int Exit = -1;
+  std::string Out, Err;
+};
+
+std::string slurpFile(const std::string &Path) {
+  SourceManager SM;
+  return SM.loadFile(Path).ok() ? std::string(SM.buffer()) : std::string();
+}
+
+CliRun runCli(const std::vector<std::string> &Args) {
+  CliRun R;
+  TempDir Dir;
+  if (Dir.Path.empty())
+    return R;
+  std::string Out = Dir.Path + "/out", Err = Dir.Path + "/err";
+  std::string Cmd = "'" + relax::test::driverPath() + "'";
+  for (const std::string &A : Args)
+    Cmd += " '" + A + "'";
+  Cmd += " > '" + Out + "' 2> '" + Err + "'";
+  int St = std::system(Cmd.c_str());
+  R.Exit = WIFEXITED(St) ? WEXITSTATUS(St) : -1;
+  R.Out = slurpFile(Out);
+  R.Err = slurpFile(Err);
+  return R;
+}
 
 //===----------------------------------------------------------------------===//
 // Transport round trips
@@ -550,6 +601,168 @@ TEST(ServeDaemon, ChaosDaemonStaysVerdictIdentical) {
 }
 
 //===----------------------------------------------------------------------===//
+// The CLI and the verify session
+//===----------------------------------------------------------------------===//
+
+/// Timings, and the counters of the --solver-stats block, are the only
+/// permitted differences: under --jobs=N the thread schedule decides
+/// which worker wins a race to the shared result cache and how many
+/// tasks are stolen, so those counts vary between any two runs. The
+/// block's shape and the per-procedure obligation counts must match.
+std::string stripSchedule(const std::string &S) {
+  std::string Out = stripMs(S);
+  size_t From = Out.find("solver stats:\n");
+  size_t To = Out.find("  obligations by procedure:\n");
+  if (From == std::string::npos || To == std::string::npos || To < From)
+    return Out;
+  static const std::regex CountRe("[0-9]+");
+  return Out.substr(0, From) +
+         std::regex_replace(Out.substr(From, To - From), CountRe, "N") +
+         Out.substr(To);
+}
+
+/// A CLI flag set and the request fields it stands for.
+struct FlagSet {
+  std::vector<std::string> Flags;
+  bool NeedsZ3;
+  void (*Apply)(VerifyWireRequest &);
+};
+
+TEST(CliMatchesSession, CaseStudiesUnderEachFlagSet) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  const FlagSet Sets[] = {
+      {{"--pipeline=simplify,bounded"}, false,
+       [](VerifyWireRequest &R) { R.Pipeline = "simplify,bounded"; }},
+      {{}, true, [](VerifyWireRequest &) {}},
+      {{"--pipeline=simplify,bounded,z3", "--jobs=4", "--solver-stats"}, true,
+       [](VerifyWireRequest &R) {
+         R.Pipeline = "simplify,bounded,z3";
+         R.Jobs = 4;
+         R.SolverStats = true;
+       }},
+      {{"--original-only", "--no-safety", "--verbose"}, true,
+       [](VerifyWireRequest &R) {
+         R.OriginalOnly = true;
+         R.NoSafety = true;
+         R.Verbose = true;
+       }},
+  };
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    std::string Path = relax::test::examplePath(Name);
+    for (const FlagSet &Set : Sets) {
+      if (Set.NeedsZ3 && !relax::test::haveZ3())
+        continue;
+      std::vector<std::string> Args = {"verify", Path};
+      std::string Tag = Name;
+      for (const std::string &F : Set.Flags) {
+        Args.push_back(F);
+        Tag += " " + F;
+      }
+      CliRun Cli = runCli(Args);
+      VerifyWireRequest R;
+      R.FileName = Path;
+      R.Source = Source;
+      Set.Apply(R);
+      VerifyWireResponse Job = runVerifyJob(R, nullptr);
+      ASSERT_FALSE(Job.IsError) << Tag << ": " << Job.Error;
+      EXPECT_EQ(Cli.Exit, Job.ExitStatus) << Tag;
+      EXPECT_EQ(stripSchedule(Cli.Out), stripSchedule(Job.Report)) << Tag;
+      EXPECT_EQ(Cli.Err, Job.Diagnostics) << Tag;
+    }
+  }
+}
+
+TEST(CliMatchesSession, PoolOnlyChoosesWhereTheFinalTierRuns) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // What `--pipeline=simplify,bounded --shards=2` runs: the session moves
+  // the final bounded tier onto the pool's workers, and nothing else.
+  ShardPoolOptions SO;
+  SO.Shards = 2;
+  SO.WorkerExe = relax::test::driverPath();
+  auto Pool = ShardPool::create(std::move(SO));
+  ASSERT_TRUE(Pool.ok()) << Pool.message();
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    VerifyWireRequest R = boundedRequest(Name, Source);
+    R.Verbose = true;
+    VerifyWireResponse Local = runVerifyJob(R, nullptr);
+    VerifyWireResponse Sharded = runVerifyJob(R, nullptr, Pool->get());
+    ASSERT_FALSE(Sharded.IsError) << Name << ": " << Sharded.Error;
+    EXPECT_EQ(Sharded.ExitStatus, Local.ExitStatus) << Name;
+    EXPECT_EQ(stripMs(Sharded.Report), stripMs(Local.Report)) << Name;
+    EXPECT_EQ(Sharded.Diagnostics, Local.Diagnostics) << Name;
+  }
+  EXPECT_GT((*Pool)->stats().Requests, 0u) << "no obligation reached the pool";
+
+  // A pipeline with no final bounded or z3 tier has nothing to move.
+  VerifyWireRequest R = boundedRequest("skip.rlx", "int x;\n{ skip; }\n");
+  R.Pipeline = "simplify";
+  VerifyWireResponse Bad = runVerifyJob(R, nullptr, Pool->get());
+  EXPECT_TRUE(Bad.IsError);
+  EXPECT_EQ(Bad.ExitStatus, 2);
+  EXPECT_NE(Bad.Error.find("needs a final bounded or z3 tier"),
+            std::string::npos)
+      << Bad.Error;
+}
+
+TEST(CliMatchesSession, CliAndDaemonShareOneCacheFingerprint) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The small program that fully settles under the Z3-free pipeline
+  // (see WarmCacheAnswersRepeatWithZeroQueries): every verdict is
+  // cached, so a run that reads another's cache answers with zero
+  // portfolio queries — but only if both computed the same fingerprint.
+  const std::string Source = "int x;\nrequires (x >= 0 && x <= 2);\n"
+                             "{ x = x + 1; assert x >= 1; }\n";
+  TempDir Work;
+  ASSERT_FALSE(Work.Path.empty());
+  std::string File = Work.Path + "/warm.rlx";
+  {
+    std::FILE *F = std::fopen(File.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fputs(Source.c_str(), F);
+    std::fclose(F);
+  }
+  VerifyWireRequest R = boundedRequest(File, Source);
+  R.SolverStats = true;
+  auto Cli = [&](const std::string &CacheDir) {
+    return runCli({"verify", File, "--pipeline=simplify,bounded",
+                   "--solver-stats", "--cache-dir=" + CacheDir});
+  };
+
+  { // The CLI writes the cache; a daemon on the same directory reads it.
+    std::string Dir = Work.Path + "/cli-first";
+    CliRun First = Cli(Dir);
+    ASSERT_EQ(First.Exit, 0) << First.Out << First.Err;
+    EXPECT_EQ(First.Out.find("queries: 0,"), std::string::npos) << First.Out;
+    Daemon D({"--cache-dir=" + Dir});
+    ASSERT_TRUE(D.Ready);
+    VerifyWireResponse Served = sendVerify(D.Addr, R);
+    ASSERT_FALSE(Served.IsError) << Served.Error;
+    EXPECT_NE(Served.Report.find("queries: 0,"), std::string::npos)
+        << "the daemon missed the CLI's cache:\n"
+        << Served.Report;
+  }
+  { // A daemon writes the cache (flushed before it answers); the CLI
+    // reads it.
+    std::string Dir = Work.Path + "/daemon-first";
+    {
+      Daemon D({"--cache-dir=" + Dir});
+      ASSERT_TRUE(D.Ready);
+      VerifyWireResponse Served = sendVerify(D.Addr, R);
+      ASSERT_FALSE(Served.IsError) << Served.Error;
+      EXPECT_EQ(Served.Report.find("queries: 0,"), std::string::npos)
+          << Served.Report;
+    }
+    CliRun Second = Cli(Dir);
+    EXPECT_EQ(Second.Exit, 0) << Second.Out << Second.Err;
+    EXPECT_NE(Second.Out.find("queries: 0,"), std::string::npos)
+        << "the CLI missed the daemon's cache:\n"
+        << Second.Out;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // RemotePool: the socket shard tier
 //===----------------------------------------------------------------------===//
 
@@ -733,6 +946,43 @@ TEST(RemotePoolSocket, AllEndpointsDeadDegradesToInProcessTail) {
   PoolStats S = (*Pool)->stats();
   EXPECT_TRUE(S.Degraded);
   EXPECT_GT(S.DegradedFallbacks, 0u);
+}
+
+TEST(RemotePoolSocket, ListenWorkerDropsAGarbageConnectionAndKeepsServing) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The socket twin of ShardWorker.GarbageFrameYieldsDiagnosedErrorNotHang,
+  // minus the exit: raw bytes that are not even a frame header get a
+  // diagnosed error frame (or a bare hang-up) and cost only that
+  // connection; the worker keeps listening.
+  ListenWorker W(uniqueUnixAddr("junk"));
+  ASSERT_TRUE(W.Ready);
+  {
+    auto C = connectSocket(W.Addr, 10'000);
+    ASSERT_TRUE(C.ok()) << C.message();
+    // Exactly one header's worth, so the worker has read everything sent
+    // when it hangs up (unread bytes would turn its close into a reset).
+    const char Junk[] = "not-RLXF";
+    ASSERT_EQ(::write((*C)->recvFd(), Junk, 8), 8);
+    FrameRead F = (*C)->recvMs(10'000);
+    if (F.ok()) {
+      auto R = parseShardResponse(F.Payload);
+      ASSERT_TRUE(R.ok()) << R.message();
+      EXPECT_TRUE(R->IsError);
+      EXPECT_NE(R->Error.find("frame error"), std::string::npos) << R->Error;
+      F = (*C)->recvMs(10'000);
+    }
+    EXPECT_TRUE(F.eof()) << "the garbage connection was not closed: "
+                         << F.Message;
+  }
+  auto C = connectSocket(W.Addr, 10'000);
+  ASSERT_TRUE(C.ok()) << C.message();
+  ASSERT_TRUE((*C)->send(serializeShardRequest(simpleRequest())).ok());
+  FrameRead F = (*C)->recvMs(30'000);
+  ASSERT_TRUE(F.ok()) << F.Message;
+  auto R = parseShardResponse(F.Payload);
+  ASSERT_TRUE(R.ok()) << R.message();
+  EXPECT_FALSE(R->IsError) << R->Error;
+  EXPECT_EQ(R->Verdict, SatResult::Sat);
 }
 
 } // namespace
