@@ -188,7 +188,9 @@ void BM_Solver_Bounded_PruningAblation(benchmark::State &State) {
 /// budget-trip counters next to the end-to-end time. \p Sources selects
 /// the corpus; \p BoundedSteps the budgeted tier's quantifier-step
 /// budget. With Z3 built the chain is simplify → budgeted bounded → z3;
-/// without, the Smt tier degrades to bounded-at-full-domain.
+/// without, the Smt tier degrades to bounded-at-full-domain. Either way
+/// the budgeted bounded tier runs behind the final tier, only on its
+/// unknowns (see solver/Portfolio.h).
 /// \p Pool, when given, replaces the final tier with the out-of-process
 /// shard tier (workers run the z3 tail) and fans obligations out over
 /// \p Jobs scheduler workers so several shards stay busy at once.
@@ -282,18 +284,20 @@ void BM_Solver_Portfolio(benchmark::State &State) {
 /// The quantified corpus that used to be Z3-only: water.rlx's relational
 /// VCs carry existentials from havoc/relax freshening, which unbudgeted
 /// bounded enumeration cannot attempt safely at full domains. The step
-/// budget makes the bounded tier give up deterministically (budget_trips
-/// counts how often) and Z3 settle the escalations.
+/// budget makes the bounded search give up deterministically
+/// (budget_trips counts how often). With Z3 built, Z3 settles every
+/// obligation before the bounded tier would run, so the search counters
+/// read 0; the search work shows in builds without Z3.
 void BM_Solver_Portfolio_QuantifiedWater(benchmark::State &State) {
   dischargePortfolio(
       State, [](size_t) { return loadExample("water.rlx"); }, 1,
       /*BoundedSteps=*/10'000);
 }
 
-/// Water with the conflict-driven machinery off: the blind scan burns
-/// an order of magnitude more candidates and trips the budget on twice
-/// as many obligations before escalating (see candidates/budget_trips
-/// vs the learning row).
+/// Water with the conflict-driven machinery off: without Z3 the blind
+/// scan burns far more candidates (9.6M vs 138k) and trips the budget on
+/// more obligations (12 vs 7; see candidates/budget_trips vs the
+/// learning row); with Z3 the two rows do the same work.
 void BM_Solver_Portfolio_QuantifiedWater_NoLearning(
     benchmark::State &State) {
   dischargePortfolio(

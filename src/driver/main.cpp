@@ -93,7 +93,10 @@ void printUsage() {
       "  --solver=<z3|bounded>     VC discharge backend (default z3)\n"
       "  --pipeline=<tier,...>     tiered portfolio discharge for `verify`\n"
       "                            (tiers: simplify, bounded, z3; e.g.\n"
-      "                            --pipeline=simplify,bounded,z3)\n"
+      "                            --pipeline=simplify,bounded,z3). A\n"
+      "                            bounded tier before z3 runs behind it:\n"
+      "                            it rescues z3's unknowns and supplies\n"
+      "                            failed obligations' counterexamples\n"
       "  --bounded-steps=<n>       per-query quantifier-step budget of the\n"
       "                            bounded search, as a pipeline tier and\n"
       "                            as --solver=bounded (default 200000;\n"

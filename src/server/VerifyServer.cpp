@@ -457,11 +457,8 @@ std::string renderSolverStats(const std::string &BackendName,
               I, Name, Degraded ? " (bounded-full fallback)" : "",
               U(T.Settled), U(T.GaveUp), U(T.BudgetTrips));
     }
-    appendf(Out,
-            "  queries: %llu, tier escalations: %llu, obligations "
-            "queued past the inline stage: %llu\n",
-            U(S.Portfolio.Queries), U(S.Portfolio.Escalations),
-            U(S.EscalatedObligations));
+    appendf(Out, "  queries: %llu, tier escalations: %llu\n",
+            U(S.Portfolio.Queries), U(S.Portfolio.Escalations));
     appendf(Out, "  shared result cache: %llu hits, %llu misses\n",
             U(S.SharedCacheHits), U(S.SharedCacheMisses));
   } else {

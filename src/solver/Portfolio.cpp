@@ -11,6 +11,7 @@
 #include "support/Casting.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace relax;
 
@@ -261,13 +262,6 @@ size_t PortfolioSolver::firstWorkerTier() const {
   return I;
 }
 
-size_t PortfolioSolver::firstEscalationTier() const {
-  // Inline stage: the simplify prefix's first successor (typically the
-  // budgeted bounded tier); everything after it is queued.
-  size_t I = firstWorkerTier();
-  return I == Opts.Tiers.size() ? I : I + 1;
-}
-
 Result<SatResult>
 PortfolioSolver::runSimplifyTier(size_t I,
                                  const std::vector<const BoolExpr *> &F,
@@ -309,7 +303,6 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
   size_t N = Opts.Tiers.size();
   assert(From <= To && To <= N);
   LastSettled = false;
-  LastSettledTier = -1;
   LastSettledBy = "portfolio";
   LastDeadlined = false;
   // The trail covers one checkRange call; the scheduler concatenates
@@ -330,15 +323,31 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
     LastTrail += std::string(TierNames[I]) + ": " + Why;
   };
 
-  for (size_t I = From; I != To; ++I) {
-    bool LastTier = I + 1 == N;
+  // A non-final bounded tier whose successor is in range runs behind that
+  // successor, as a rescue, unless the caller wants a model (see the file
+  // comment): positions Rescue and Rescue + 1 swap tiers.
+  size_t Rescue = N;
+  if (!ModelOut)
+    for (size_t I = From; I + 1 < To; ++I)
+      if (Opts.Tiers[I] == TierKind::Bounded)
+        Rescue = I;
+  // The final tier's Unknown or error: the verdict, unless a rescue tier
+  // still to run finds a witness.
+  std::optional<Result<SatResult>> Final;
+  const char *FinalBy = nullptr;
+  bool FinalDeadlined = false;
+
+  for (size_t Pos = From; Pos != To; ++Pos) {
+    size_t I = Pos == Rescue ? Pos + 1 : Pos == Rescue + 1 ? Rescue : Pos;
+    // A give-up hands the query on unless this is the last tier the
+    // whole chain runs.
+    bool EndsChain = Pos + 1 == To && To == N;
     // Deadline gate at every tier boundary: an expired deadline settles
     // the query as a gave-up with reason "deadline" — never a hang, and
     // never an answer a tier did not actually compute.
     if (QueryDeadline.expired()) {
       AppendTrail(I, "deadline expired before this tier ran");
       LastSettled = true;
-      LastSettledTier = static_cast<int>(I);
       LastSettledBy = "deadline";
       LastDeadlined = true;
       return SatResult::Unknown;
@@ -349,12 +358,11 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
       if (Settled) {
         Count(Stats.Tiers[I].Settled);
         LastSettled = true;
-        LastSettledTier = static_cast<int>(I);
         LastSettledBy = TierNames[I];
         return R;
       }
       Count(Stats.Tiers[I].GaveUp);
-      if (!LastTier)
+      if (!EndsChain)
         Count(Stats.Escalations);
       AppendTrail(I, "did not fold to a constant");
       continue;
@@ -397,17 +405,19 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
               : Active->checkSat(Formulas);
     }
     if (!R.ok()) {
-      if (LastTier)
-        return R; // nothing left to escalate to
-      Count(Stats.Tiers[I].GaveUp);
-      Count(Stats.Escalations);
       AppendTrail(I, "error: " + R.message());
+      if (I + 1 == N)
+        Final = R; // nothing after the final tier but a rescue
+      else
+        Count(Stats.Tiers[I].GaveUp);
+      if (EndsChain)
+        break;
+      Count(Stats.Escalations);
       continue;
     }
     if (*R != SatResult::Unknown) {
       Count(Stats.Tiers[I].Settled);
       LastSettled = true;
-      LastSettledTier = static_cast<int>(I);
       // The shard tier reports which worker-side tier settled
       // ("shard:z3"); the worker's own give-up trail is appended so
       // --explain shows the full escalation path across the process
@@ -458,26 +468,28 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
     if (BudgetTrip)
       Count(Stats.Tiers[I].BudgetTrips);
     AppendTrail(I, Why);
-    if (LastTier) {
-      // The final tier's Unknown is the portfolio's verdict. A deadline
-      // gave-up reports "deadline" so it is never cached or pinned.
-      LastSettled = true;
-      LastSettledTier = static_cast<int>(I);
-      if (TierDeadlined) {
-        LastSettledBy = "deadline";
-        LastDeadlined = true;
-      } else if (UsedFallback) {
-        LastSettledBy = ShardFallbackSettledBy.c_str();
-      } else if (Opts.Tiers[I] == TierKind::Shard) {
-        LastSettledBy = Active->settledBy();
-      } else {
-        LastSettledBy = TierNames[I];
-      }
-      return SatResult::Unknown;
+    // The final tier's Unknown is the portfolio's verdict. A deadline
+    // gave-up reports "deadline" so it is never cached or pinned; a
+    // rescue cut short by the deadline makes the verdict one too.
+    if (I + 1 == N) {
+      Final = SatResult::Unknown;
+      FinalBy = UsedFallback ? ShardFallbackSettledBy.c_str()
+                : Opts.Tiers[I] == TierKind::Shard ? Active->settledBy()
+                                                   : TierNames[I];
     }
+    FinalDeadlined |= TierDeadlined;
+    if (EndsChain)
+      break;
     Count(Stats.Escalations);
   }
-  return SatResult::Unknown; // unsettled within [From, To)
+  if (!Final)
+    return SatResult::Unknown; // unsettled within [From, To)
+  if (Final->ok()) {
+    LastSettled = true;
+    LastSettledBy = FinalDeadlined ? "deadline" : FinalBy;
+    LastDeadlined = FinalDeadlined;
+  }
+  return *Final;
 }
 
 Result<SatResult>

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A composable chain of decision-procedure tiers, cheapest first. Each
-/// tier either settles a query (Sat / Unsat, or Unknown from the final
-/// tier) or gives up with a reason, escalating to the next tier:
+/// A composable chain of decision-procedure tiers. Each tier either
+/// settles a query (Sat / Unsat, or Unknown from the final tier) or gives
+/// up with a reason, handing the query to the next tier:
 ///
 ///   * `simplify` — the persistent simplifier; settles exactly the
 ///     queries it folds to ⊤ (Sat) or ⊥ (Unsat). The simplifier is
@@ -18,22 +18,35 @@
 ///   * `bounded` — the backtracking bounded search under per-query
 ///     candidate and quantifier-step budgets. Sat answers carry a real
 ///     witness and are exact; as a non-final tier, exhaustion and budget
-///     trips both escalate (bounded Unsat is only "no model in the
+///     trips both give up (bounded Unsat is only "no model in the
 ///     domain"). As the final tier it keeps the classic authoritative
 ///     exhaustion-means-Unsat convention.
 ///   * `z3` — the SMT backend. When Z3 is not built (or no backend
 ///     factory is supplied) the tier degrades to `bounded-full`: the
 ///     bounded search at the same domains with a relaxed (16x) step
 ///     budget and authoritative exhaustion.
-///   * `shard` — the out-of-process tier: escalated queries are
-///     serialized over the wire to a pool of `--discharge-worker`
-///     subprocesses (solver/ShardPool.h), each owning its own AstContext
-///     and solver backends. The workers run the tail tier chain named by
+///   * `shard` — the out-of-process tier: queries are serialized over
+///     the wire to a pool of `--discharge-worker` subprocesses
+///     (solver/ShardPool.h), each owning its own AstContext and solver
+///     backends. The workers run the tail tier chain named by
 ///     `PortfolioOptions::ShardWorkerPipeline` under the same bounded
 ///     configuration, so a sharded verdict equals the in-process verdict
 ///     the replaced tier would have produced. Without a pool the tier
 ///     degrades to that in-process tail (so `--shards=0` and a pool-less
 ///     test config mean "same pipeline, no processes").
+///
+/// A non-final `bounded` tier is a rescue and witness tier behind the
+/// decision tier that follows it (`z3`, `bounded-full` or `shard`). A
+/// bounded search can settle only by exhibiting a witness, so in front
+/// of a decision tier it spends its whole budget on every valid
+/// obligation (an Unsat query) for nothing. A verdict query therefore
+/// runs the decision tier first and reaches the bounded tier only when
+/// that tier answers Unknown; a bounded Sat still settles it. A model
+/// query (checkSatWithModel, or checkRange with a model) runs the bounded
+/// tier first, so a failed obligation's counterexample is the search's
+/// canonical first-in-domain-order witness whenever it finds one. The
+/// order cannot change a verdict: a bounded Sat is a concrete witness,
+/// so it cannot exist for a query the decision tier proves Unsat.
 ///
 /// Tier ordering invariants (checked at construction): the chain is
 /// non-empty, `simplify` may only appear first, no tier kind repeats,
@@ -81,10 +94,10 @@ struct PortfolioOptions {
                                  TierKind::Smt};
   /// Domains and per-query budgets of the `bounded` tier. Defaults add a
   /// quantifier-step budget (unlike a standalone BoundedSolver) so
-  /// quantified queries escalate instead of enumerating unbounded, and
-  /// shrink the candidate budget so a hopeless search escalates quickly —
-  /// as a non-final tier its job is to settle the easy obligations fast,
-  /// not to exhaust huge assignment spaces.
+  /// quantified queries give up instead of enumerating unbounded, and
+  /// shrink the candidate budget so a hopeless search gives up quickly —
+  /// as a non-final tier its job is to find a witness the decision tier
+  /// could not, not to exhaust huge assignment spaces.
   BoundedSolverOptions Bounded = []() {
     BoundedSolverOptions B;
     B.MaxCandidates = 100'000;
@@ -160,19 +173,15 @@ public:
   /// Returns the first settling tier's verdict, or Unknown when every
   /// tier in the range gave up (query unsettled if To < tierCount()).
   /// \p Vars/\p ModelOut as in checkSatWithModel; pass nullptr to skip
-  /// model extraction.
+  /// model extraction. A non-final bounded tier runs behind its successor
+  /// when both are in range and no model is wanted (see the file
+  /// comment); `checkRange(I, I + 1)` always runs tier I alone.
   Result<SatResult> checkRange(size_t From, size_t To,
                                const std::vector<const BoolExpr *> &Formulas,
                                const VarRefSet *Vars, Model *ModelOut);
 
   /// True when the last checkSat/checkRange call settled its query.
   bool lastSettled() const { return LastSettled; }
-
-  /// Index of the tier that settled the last query, or -1 when nothing
-  /// settled (range exhausted, cache-served, or no query yet). Lets a
-  /// counterexample re-query start at the settling tier instead of
-  /// re-paying every earlier tier's give-up budget.
-  int lastSettledTier() const { return LastSettledTier; }
 
   size_t tierCount() const { return Opts.Tiers.size(); }
   TierKind tier(size_t I) const { return Opts.Tiers[I]; }
@@ -182,19 +191,14 @@ public:
   /// AstContext and must run on the thread that owns it.
   size_t firstWorkerTier() const;
 
-  /// Index of the first escalation-stage tier: the parallel scheduler
-  /// runs tiers [firstWorkerTier, firstEscalationTier) inline on the
-  /// submitting worker and queues the rest.
-  size_t firstEscalationTier() const;
-
   /// Display name of the tier that settled the last query ("simplify",
   /// "bounded", "z3", "bounded-full"), or the portfolio name when
   /// nothing settled.
   const char *settledBy() const override { return LastSettledBy; }
 
   /// Human-readable give-up trail of the last query, e.g.
-  /// "simplify: not a constant; bounded: quantifier-step budget
-  /// (200000) tripped".
+  /// "simplify: did not fold to a constant; z3: returned unknown;
+  /// bounded: quantifier-step budget tripped".
   std::string giveUpTrail() const override { return LastTrail; }
 
   const PortfolioStats &stats() const { return Stats; }
@@ -266,7 +270,6 @@ private:
   std::string ShardFallbackSettledBy;
 
   bool LastSettled = false;
-  int LastSettledTier = -1;
   const char *LastSettledBy = "portfolio";
   std::string LastTrail;
   bool LastDeadlined = false;

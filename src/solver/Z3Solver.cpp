@@ -13,6 +13,7 @@
 
 #include <z3++.h>
 
+#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
@@ -249,26 +250,30 @@ std::optional<int64_t> evalInt(z3::model &M, const z3::expr &E) {
 } // namespace
 
 struct Z3Solver::Impl {
-  const Interner &Syms;
-  Z3SolverOptions Opts;
-  // One context + translator + incremental solver for this Z3Solver's
-  // lifetime: constructing a z3::context (~10ms) and a fresh z3::solver
-  // (~5ms) used to dominate small-query discharge time, while a push/pop
-  // scope on a persistent solver costs microseconds (bench/solver_ablation
-  // measures the difference). The persistent context also lets translated
-  // terms be memoized across queries.
+  // One context + translator + incremental solver from this Z3Solver's
+  // first query to its destruction: constructing a z3::context (~10ms)
+  // and a fresh z3::solver (~5ms) used to dominate small-query discharge
+  // time, while a push/pop scope on a persistent solver costs
+  // microseconds (bench/solver_ablation measures the difference). The
+  // persistent context also lets translated terms be memoized across
+  // queries.
   z3::context C;
   Translator T;
   std::optional<z3::solver> S;
+  unsigned TimeoutMs;
 
-  Impl(const Interner &Syms, Z3SolverOptions Opts)
-      : Syms(Syms), Opts(Opts), T(C, Syms) {}
+  Impl(const Interner &Syms, unsigned TimeoutMs)
+      : T(C, Syms), TimeoutMs(TimeoutMs) {
+    ContextsBuilt.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  static inline std::atomic<uint64_t> ContextsBuilt{0};
 
   z3::solver &solver() {
     if (!S) {
       S.emplace(C);
       z3::params Params(C);
-      Params.set("timeout", Opts.TimeoutMs);
+      Params.set("timeout", TimeoutMs);
       S->set(Params);
     }
     return *S;
@@ -298,8 +303,16 @@ struct ScopedPush {
 } // namespace
 
 Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts)
-    : P(std::make_unique<Impl>(Syms, Opts)) {}
+    : Syms(Syms), Opts(Opts) {}
 Z3Solver::~Z3Solver() = default;
+
+uint64_t Z3Solver::contextsBuilt() { return Impl::ContextsBuilt.load(); }
+
+Z3Solver::Impl &Z3Solver::impl() {
+  if (!P)
+    P = std::make_unique<Impl>(Syms, Opts.TimeoutMs);
+  return *P;
+}
 
 Result<std::string>
 Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &Formulas) {
@@ -307,8 +320,9 @@ Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &Formulas) {
     // A fresh Translator per dump: the script must contain exactly this
     // query's declarations and length axioms, not the axioms accumulated
     // by the persistent query translator.
-    z3::solver S(P->C);
-    Translator T(P->C, P->Syms);
+    Impl &Z = impl();
+    z3::solver S(Z.C);
+    Translator T(Z.C, Syms);
     for (const BoolExpr *F : Formulas)
       S.add(T.trFormula(F));
     for (const z3::expr &Axiom : T.lengthAxioms())
@@ -338,29 +352,30 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
     return SatResult::Unknown;
   }
   try {
-    z3::solver &S = P->solver();
+    Impl &Z = impl();
+    z3::solver &S = Z.solver();
     // Cap the per-query timeout by the time the deadline leaves, so a
     // query started just before expiry cannot overrun by a full
     // Opts.TimeoutMs. Unarmed deadlines restore the configured value.
     {
-      unsigned EffTimeoutMs = P->Opts.TimeoutMs;
+      unsigned EffTimeoutMs = Opts.TimeoutMs;
       if (QueryDeadline.armed()) {
         int64_t Left = QueryDeadline.remainingMs();
         if (Left < static_cast<int64_t>(EffTimeoutMs))
           EffTimeoutMs = static_cast<unsigned>(Left);
       }
-      z3::params Params(P->C);
+      z3::params Params(Z.C);
       Params.set("timeout", EffTimeoutMs);
       S.set(Params);
     }
     ScopedPush Scope(S);
 
     for (const BoolExpr *F : Formulas)
-      S.add(P->T.trFormula(F));
+      S.add(Z.T.trFormula(F));
     // All accumulated length axioms are added: `a!len >= 0` over an array
     // the query never mentions is a satisfiable constraint on a fresh
     // constant and cannot change the verdict.
-    for (const z3::expr &Axiom : P->T.lengthAxioms())
+    for (const z3::expr &Axiom : Z.T.lengthAxioms())
       S.add(Axiom);
 
     switch (S.check()) {
@@ -376,28 +391,29 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
     z3::model M = S.get_model();
     for (const VarRef &V : Vars) {
       if (V.Kind == VarKind::Int) {
-        z3::expr E = P->T.intConst(V.Name, V.Tag);
+        z3::expr E = Z.T.intConst(V.Name, V.Tag);
         ModelOut.Ints[V] = evalInt(M, E).value_or(0);
         continue;
       }
-      z3::expr Arr = P->T.arrayConst(V.Name, V.Tag);
-      z3::expr Len = P->T.lenConst(V.Name, V.Tag);
+      z3::expr Arr = Z.T.arrayConst(V.Name, V.Tag);
+      z3::expr Len = Z.T.lenConst(V.Name, V.Tag);
       int64_t N = evalInt(M, Len).value_or(0);
       if (N < 0)
         N = 0;
-      if (N > P->Opts.MaxExtractedArrayLen)
-        N = P->Opts.MaxExtractedArrayLen;
+      if (N > Opts.MaxExtractedArrayLen)
+        N = Opts.MaxExtractedArrayLen;
       ArrayModelValue AV;
       AV.Length = N;
       AV.Elems.reserve(static_cast<size_t>(N));
       for (int64_t I = 0; I != N; ++I)
         AV.Elems.push_back(
-            evalInt(M, z3::select(Arr, P->C.int_val(I))).value_or(0));
+            evalInt(M, z3::select(Arr, Z.C.int_val(I))).value_or(0));
       ModelOut.Arrays[V] = AV;
     }
     return SatResult::Sat;
   } catch (const z3::exception &E) {
-    P->resetSolver();
+    if (P)
+      P->resetSolver();
     return Result<SatResult>::error(std::string("z3 error: ") + E.msg());
   }
 }
@@ -420,8 +436,11 @@ const char *NoZ3Message =
 
 struct Z3Solver::Impl {};
 
-Z3Solver::Z3Solver(const Interner &, Z3SolverOptions) {}
+Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts)
+    : Syms(Syms), Opts(Opts) {}
 Z3Solver::~Z3Solver() = default;
+
+uint64_t Z3Solver::contextsBuilt() { return 0; }
 
 Result<std::string>
 Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &) {

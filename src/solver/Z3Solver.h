@@ -51,10 +51,12 @@ struct Z3SolverOptions {
 /// Holds a reference to the interner that produced the formulas' symbols
 /// (variable names are mangled into Z3 constant names).
 ///
-/// One z3::context lives for the solver's lifetime, with translation memos
-/// keyed by hash-consed node identity; consequently an instance must only
-/// be fed formulas from one live AstContext, and is not safe for
-/// concurrent use — the parallel verifier builds one instance per worker.
+/// One z3::context lives from the solver's first query (or SMT-LIB dump)
+/// to its destruction, with translation memos keyed by hash-consed node
+/// identity; consequently an instance must only be fed formulas from one
+/// live AstContext, and is not safe for concurrent use — the parallel
+/// verifier builds one instance per worker. Building the context costs
+/// about 10 ms, so a solver that is never queried never builds one.
 class Z3Solver : public Solver {
 public:
   explicit Z3Solver(const Interner &Syms,
@@ -78,8 +80,16 @@ public:
 
   bool lastQueryDeadlined() const override { return LastDeadlined; }
 
+  /// How many z3::contexts Z3Solvers have built in this process so far
+  /// (always 0 without Z3).
+  static uint64_t contextsBuilt();
+
 private:
   struct Impl; // hides z3++.h from users of this header
+  /// Builds the context on first use.
+  Impl &impl();
+  const Interner &Syms;
+  Z3SolverOptions Opts;
   std::unique_ptr<Impl> P;
   /// The most recent query gave up on the installed deadline (expired on
   /// entry, or z3 answered unknown after its capped per-query timeout).

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <thread>
 
@@ -115,33 +114,21 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
   }
 }
 
-ModelQueryFn modelQueryOn(Solver &S) {
+/// The counterexample re-query on \p S; a portfolio runs its tiers from
+/// \p From on. A model query runs the portfolio's bounded tier in front
+/// of the decision tier, so the counterexample is the search's canonical
+/// witness whenever it finds one.
+ModelQueryFn modelQueryOn(Solver &S, size_t From = 0) {
   // A portfolio re-runs its tier chain for the model; pause its stats so
   // the re-query does not double-count queries / per-tier settlements.
   if (auto *P = dynamic_cast<PortfolioSolver *>(&S))
-    return [P](const std::vector<const BoolExpr *> &F, const VarRefSet &Vars,
-               Model &M) {
+    return [P, From](const std::vector<const BoolExpr *> &F,
+                     const VarRefSet &Vars, Model &M) {
       PortfolioSolver::ScopedStatsPause Pause(*P);
-      return P->checkSatWithModel(F, Vars, M);
+      return P->checkRange(From, P->tierCount(), F, &Vars, &M);
     };
   return [&S](const std::vector<const BoolExpr *> &F, const VarRefSet &Vars,
               Model &M) { return S.checkSatWithModel(F, Vars, M); };
-}
-
-/// Like modelQueryOn, but a portfolio re-query starts at the tier that
-/// settled the original query instead of re-paying every earlier tier's
-/// give-up budget. Only valid right after a settling checkSat/checkRange
-/// on \p S (not after a cache hit, where no tier ran).
-ModelQueryFn modelQueryFromSettledTier(Solver &S) {
-  auto *P = dynamic_cast<PortfolioSolver *>(&S);
-  if (!P || P->lastSettledTier() < 0)
-    return modelQueryOn(S);
-  size_t From = static_cast<size_t>(P->lastSettledTier());
-  return [P, From](const std::vector<const BoolExpr *> &F,
-                   const VarRefSet &Vars, Model &M) {
-    PortfolioSolver::ScopedStatsPause Pause(*P);
-    return P->checkRange(From, P->tierCount(), F, &Vars, &M);
-  };
 }
 
 void appendTrail(std::string &Trail, const std::string &More) {
@@ -252,9 +239,14 @@ void SharedSolverCache::attachPersistent(PersistentCache *P,
   Syms = S;
 }
 
-VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
-                             Solver &S, const Interner &Syms,
-                             SharedSolverCache *Shared) {
+namespace {
+
+/// dischargeVC, except that a portfolio \p S runs its tiers from \p From
+/// on: a discharge worker skips the simplify prefix the submitting thread
+/// already ran.
+VCOutcome dischargeFrom(const VC &Condition, const BoolExpr *Query, Solver &S,
+                        size_t From, const Interner &Syms,
+                        SharedSolverCache *Shared) {
   VCOutcome Out;
   Out.Condition = Condition;
 
@@ -270,7 +262,9 @@ VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
     }
   }
   if (!FromCache) {
-    R = S.checkSat(Formulas);
+    auto *P = dynamic_cast<PortfolioSolver *>(&S);
+    R = P ? P->checkRange(From, P->tierCount(), Formulas, nullptr, nullptr)
+          : S.checkSat(Formulas);
     // Deadline gave-ups are time-dependent, never cacheable: a later run
     // of the same query with time left must not be served "unknown".
     if (Shared && R.ok() && !S.lastQueryDeadlined())
@@ -288,13 +282,19 @@ VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
   // conflict delta with the re-query's.
   if (!FromCache)
     Out.BoundedConflicts = S.lastQueryBoundedConflicts();
-  applyVerdict(Out, R, Syms,
-               FromCache ? modelQueryOn(S) : modelQueryFromSettledTier(S),
-               Formulas);
+  applyVerdict(Out, R, Syms, modelQueryOn(S, From), Formulas);
   if (!FromCache)
     noteDeadline(Out, S);
   Out.Millis = millisSince(Start);
   return Out;
+}
+
+} // namespace
+
+VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
+                             Solver &S, const Interner &Syms,
+                             SharedSolverCache *Shared) {
+  return dischargeFrom(Condition, Query, S, 0, Syms, Shared);
 }
 
 //===----------------------------------------------------------------------===//
@@ -320,15 +320,21 @@ Deadline DischargeScheduler::perVcDeadline() const {
 }
 
 DischargeStats DischargeScheduler::stats() const {
-  DischargeStats S = WorkerAccum;
+  DischargeStats S;
+  auto AddPortfolio = [&S](const PortfolioSolver &P) {
+    S.Portfolio.merge(P.stats());
+    S.BoundedCandidates += P.boundedCandidates();
+    S.BoundedQuantSteps += P.boundedQuantSteps();
+    S.Search.merge(P.boundedSearchStats());
+  };
   if (MainPortfolio) {
-    S.Portfolio.merge(MainPortfolio->stats());
-    S.BoundedCandidates += MainPortfolio->boundedCandidates();
-    S.BoundedQuantSteps += MainPortfolio->boundedQuantSteps();
-    S.Search.merge(MainPortfolio->boundedSearchStats());
+    AddPortfolio(*MainPortfolio);
+    for (const std::unique_ptr<Solver> &W : Workers)
+      AddPortfolio(static_cast<const PortfolioSolver &>(*W));
   }
-  S.SharedCacheHits += Shared.hitCount();
-  S.SharedCacheMisses += Shared.missCount();
+  S.SharedCacheHits = Shared.hitCount();
+  S.SharedCacheMisses = Shared.missCount();
+  S.StolenTasks = StolenTasks;
   return S;
 }
 
@@ -393,14 +399,9 @@ void DischargeScheduler::dischargeParallel(
   const Interner &Syms = Ctx.symbols();
   size_t N = VCs.size();
 
-  // Portfolio stage boundaries: [0, FW) prepare-time simplify prefix,
-  // [FW, FE) inline on the submitting worker, [FE, NT) escalation queue.
-  size_t FW = 0, FE = 0, NT = 0;
-  if (portfolioMode()) {
-    FW = MainPortfolio->firstWorkerTier();
-    FE = MainPortfolio->firstEscalationTier();
-    NT = MainPortfolio->tierCount();
-  }
+  // Tiers [0, FW), the simplify prefix, run here at prepare time; the
+  // workers run the rest.
+  size_t FW = portfolioMode() ? MainPortfolio->firstWorkerTier() : 0;
 
   std::vector<std::string> Trails(N);
   std::vector<size_t> Pending;
@@ -423,8 +424,6 @@ void DischargeScheduler::dischargeParallel(
       MainPortfolio->setDeadline(perVcDeadline());
       Result<SatResult> R =
           MainPortfolio->checkRange(0, FW, F, nullptr, nullptr);
-      Outcomes[I].BoundedConflicts +=
-          MainPortfolio->lastQueryBoundedConflicts();
       if (MainPortfolio->lastSettled() || !R.ok()) {
         Outcomes[I].SettledBy = MainPortfolio->settledBy();
         Outcomes[I].Trail = MainPortfolio->giveUpTrail();
@@ -448,6 +447,14 @@ void DischargeScheduler::dischargeParallel(
 
   unsigned Jobs =
       static_cast<unsigned>(std::min<size_t>(Cfg.Jobs, Pending.size()));
+  // One backend per worker slot for the scheduler's lifetime: the second
+  // judgment pass reuses the first pass's backends (and their Z3
+  // contexts) instead of building its own.
+  while (Workers.size() < Jobs)
+    Workers.push_back(portfolioMode()
+                          ? std::make_unique<PortfolioSolver>(
+                                Ctx, *Cfg.Portfolio, Cfg.SmtFactory)
+                          : Cfg.SolverFactory());
 
   // Per-worker deques, round-robin seeded. Owners pop the front; thieves
   // pop the back, so a steal grabs the work its owner would reach last.
@@ -458,15 +465,7 @@ void DischargeScheduler::dischargeParallel(
   std::vector<WorkerDeque> Deques(Jobs);
   for (size_t K = 0; K != Pending.size(); ++K)
     Deques[K % Jobs].Q.push_back(Pending[K]);
-
-  std::atomic<size_t> PrimaryRemaining{Pending.size()};
-  std::mutex EscM;
-  std::condition_variable EscCV; // escalation pushed / primary drained
-  std::vector<size_t> Esc; // guarded by EscM; never shrinks
-  size_t EscNext = 0;      // guarded by EscM
   std::atomic<uint64_t> Steals{0};
-  std::atomic<uint64_t> Escalated{0};
-  std::mutex StatsM; // guards WorkerAccum merging at worker exit
 
   auto PopOwn = [&](unsigned W, size_t &I) {
     std::lock_guard<std::mutex> L(Deques[W].M);
@@ -488,167 +487,25 @@ void DischargeScheduler::dischargeParallel(
     }
     return false;
   };
-  auto PushEsc = [&](size_t I) {
-    {
-      std::lock_guard<std::mutex> L(EscM);
-      Esc.push_back(I);
-    }
-    EscCV.notify_all();
-  };
-  auto PopEsc = [&](size_t &I) {
-    std::lock_guard<std::mutex> L(EscM);
-    if (EscNext == Esc.size())
-      return false;
-    I = Esc[EscNext++];
-    return true;
-  };
 
+  // Every task is seeded before the fan-out, so a worker that finds no
+  // task of its own and none to steal is done.
   auto WorkerFn = [&](unsigned W) {
-    std::unique_ptr<Solver> Single;
-    std::unique_ptr<PortfolioSolver> Port;
-    if (portfolioMode())
-      Port = std::make_unique<PortfolioSolver>(Ctx, *Cfg.Portfolio,
-                                               Cfg.SmtFactory);
-    else
-      Single = Cfg.SolverFactory();
-
-    // Model re-queries on a worker must skip the simplify prefix (it
-    // builds nodes); the query already failed to fold there anyway.
-    // \p From picks the first tier to re-run: FW for cache-served
-    // verdicts (no tier ran), the settling tier otherwise — so a failed
-    // obligation does not re-pay earlier tiers' give-up budgets.
-    auto WorkerModelAt = [&](size_t From) {
-      return ModelQueryFn([&, From](const std::vector<const BoolExpr *> &F,
-                                    const VarRefSet &Vars, Model &M) {
-        PortfolioSolver::ScopedStatsPause Pause(*Port);
-        return Port->checkRange(From, NT, F, &Vars, &M);
-      });
-    };
-    ModelQueryFn WorkerModelQuery =
-        Port ? WorkerModelAt(FW) : modelQueryOn(*Single);
-    auto SettledTierOr = [&](size_t Fallback) {
-      return Port->lastSettledTier() < 0
-                 ? Fallback
-                 : static_cast<size_t>(Port->lastSettledTier());
-    };
-
-    auto RunInline = [&](size_t I) {
-      if (!portfolioMode()) {
-        Single->setDeadline(perVcDeadline());
-        Outcomes[I] = dischargeVC(VCs[I], Qs[I], *Single, Syms, &Shared);
-        return;
-      }
-      auto Start = Clock::now();
-      std::vector<const BoolExpr *> F{Qs[I]};
-      Outcomes[I].Condition = VCs[I];
-      if (std::optional<SatResult> Cached = Shared.lookup(F)) {
-        Outcomes[I].SettledBy = "cache";
-        Outcomes[I].Trail = Trails[I];
-        applyVerdict(Outcomes[I], Result<SatResult>(*Cached), Syms,
-                     WorkerModelQuery, F);
-        Outcomes[I].Millis += millisSince(Start);
-        return;
-      }
-      Port->setDeadline(perVcDeadline());
-      Result<SatResult> R = Port->checkRange(FW, FE, F, nullptr, nullptr);
-      Outcomes[I].BoundedConflicts += Port->lastQueryBoundedConflicts();
-      appendTrail(Trails[I], Port->giveUpTrail());
-      if (Port->lastSettled() || !R.ok() || FE == NT) {
-        Outcomes[I].SettledBy = Port->settledBy();
-        Outcomes[I].Trail = Trails[I];
-        if (R.ok() && !Port->lastQueryDeadlined())
-          Shared.insert(F, *R);
-        applyVerdict(Outcomes[I], R, Syms, WorkerModelAt(SettledTierOr(FW)),
-                     F);
-        noteDeadline(Outcomes[I], *Port);
-        Outcomes[I].Millis += millisSince(Start);
-        return;
-      }
-      Outcomes[I].Millis += millisSince(Start);
-      Escalated.fetch_add(1);
-      PushEsc(I);
-    };
-
-    auto RunEscalated = [&](size_t I) {
-      auto Start = Clock::now();
-      std::vector<const BoolExpr *> F{Qs[I]};
-      if (std::optional<SatResult> Cached = Shared.lookup(F)) {
-        // A duplicate settled elsewhere while this one sat queued.
-        Outcomes[I].SettledBy = "cache";
-        Outcomes[I].Trail = Trails[I];
-        applyVerdict(Outcomes[I], Result<SatResult>(*Cached), Syms,
-                     WorkerModelQuery, F);
-        Outcomes[I].Millis += millisSince(Start);
-        return;
-      }
-      Port->setDeadline(perVcDeadline());
-      Result<SatResult> R = Port->checkRange(FE, NT, F, nullptr, nullptr);
-      Outcomes[I].BoundedConflicts += Port->lastQueryBoundedConflicts();
-      appendTrail(Trails[I], Port->giveUpTrail());
-      if (R.ok() && !Port->lastQueryDeadlined())
-        Shared.insert(F, *R);
-      Outcomes[I].SettledBy = Port->settledBy();
-      Outcomes[I].Trail = Trails[I];
-      applyVerdict(Outcomes[I], R, Syms, WorkerModelAt(SettledTierOr(FE)),
-                   F);
-      noteDeadline(Outcomes[I], *Port);
-      Outcomes[I].Millis += millisSince(Start);
-    };
-
-    // Escalations are pushed before the primary counter is decremented,
-    // so once PrimaryRemaining reads 0 every escalation is visible.
-    auto FinishPrimary = [&] {
-      if (PrimaryRemaining.fetch_sub(1) == 1) {
-        // Take (and drop) the wait mutex before notifying: a waiter that
-        // evaluated its predicate just before the decrement is ordered
-        // into the condition variable's queue by the time we can acquire
-        // EscM, so this final notification cannot be lost.
-        { std::lock_guard<std::mutex> L(EscM); }
-        EscCV.notify_all();
-      }
-    };
+    Solver &S = *Workers[W];
+    size_t I;
     while (true) {
-      size_t I;
-      if (PopOwn(W, I)) {
-        RunInline(I);
-        FinishPrimary();
-        continue;
-      }
-      if (StealFrom(W, I)) {
+      if (!PopOwn(W, I)) {
+        if (!StealFrom(W, I))
+          break;
         Steals.fetch_add(1);
-        RunInline(I);
-        FinishPrimary();
-        continue;
       }
-      // No inline work anywhere; help drain escalations.
-      if (PopEsc(I)) {
-        RunEscalated(I);
-        continue;
-      }
-      if (PrimaryRemaining.load() == 0) {
-        // All inline work done, so every escalation has been pushed;
-        // re-check once more, then we are finished.
-        if (PopEsc(I)) {
-          RunEscalated(I);
-          continue;
-        }
-        break;
-      }
-      // Primary tasks never appear after seeding, so an idle worker can
-      // only be woken by an escalation push or the last primary task
-      // completing — park on the condition instead of spinning.
-      std::unique_lock<std::mutex> L(EscM);
-      EscCV.wait(L, [&] {
-        return EscNext != Esc.size() || PrimaryRemaining.load() == 0;
-      });
-    }
-
-    if (Port) {
-      std::lock_guard<std::mutex> L(StatsM);
-      WorkerAccum.Portfolio.merge(Port->stats());
-      WorkerAccum.BoundedCandidates += Port->boundedCandidates();
-      WorkerAccum.BoundedQuantSteps += Port->boundedQuantSteps();
-      WorkerAccum.Search.merge(Port->boundedSearchStats());
+      double PrepareMillis = Outcomes[I].Millis;
+      S.setDeadline(perVcDeadline());
+      Outcomes[I] = dischargeFrom(VCs[I], Qs[I], S, FW, Syms, &Shared);
+      Outcomes[I].Millis += PrepareMillis;
+      std::string Trail = std::move(Trails[I]);
+      appendTrail(Trail, Outcomes[I].Trail);
+      Outcomes[I].Trail = std::move(Trail);
     }
   };
 
@@ -660,6 +517,5 @@ void DischargeScheduler::dischargeParallel(
   for (std::thread &T : Pool)
     T.join();
 
-  WorkerAccum.StolenTasks += Steals.load();
-  WorkerAccum.EscalatedObligations += Escalated.load();
+  StolenTasks += Steals.load();
 }

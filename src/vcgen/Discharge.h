@@ -23,11 +23,10 @@
 /// thread-safe), so queries — including the negations of validity VCs and
 /// any simplify-tier work — are prepared on the submitting thread before
 /// the fan-out. Workers then pull obligation indices from per-worker
-/// deques, stealing from a victim's deque when their own runs dry. In
-/// portfolio mode each worker runs the cheap tiers (the budgeted bounded
-/// search) inline; obligations every cheap tier gave up on are pushed to
-/// a shared escalation queue, drained — also cooperatively — by whichever
-/// workers go idle first, each owning its expensive final-tier backend.
+/// deques, stealing from a victim's deque when their own runs dry, and
+/// run each obligation through the rest of the tier chain on their own
+/// backend. A worker's backend lives as long as the scheduler, so both
+/// judgment passes share it (and its Z3 context).
 ///
 /// ## The verdict-identity rule
 ///
@@ -112,7 +111,7 @@ struct JudgmentReport {
 /// a side condition settled by one worker is a cache hit for every other.
 /// Owned by the scheduler so duplicates across the |-o and |-r passes hit
 /// too. Only final verdicts are inserted (in portfolio mode: after the
-/// full escalation chain), so a hit always equals recomputation.
+/// full tier chain), so a hit always equals recomputation.
 ///
 /// When a PersistentCache is attached it fronts the on-disk store: an
 /// in-memory miss falls through to a portable-key lookup (pulling hits
@@ -176,7 +175,9 @@ struct DischargeStats {
   uint64_t BoundedCandidates = 0; ///< bounded-tier candidate assignments
   uint64_t BoundedQuantSteps = 0; ///< bounded-tier quantifier-body evals
   BoundedSearchStats Search; ///< bounded conflict-driven-search counters
-  uint64_t EscalatedObligations = 0; ///< queued past the inline stage
+  /// Always 0: the scheduler has had one stage since the bounded tier
+  /// moved behind the decision tier. Kept for existing stats readers.
+  uint64_t EscalatedObligations = 0;
   uint64_t StolenTasks = 0; ///< obligations run by a non-owner worker
 
   void merge(const DischargeStats &O);
@@ -235,9 +236,11 @@ private:
   /// sequential portfolio path; also the model backend for cache-hit
   /// counterexamples settled on the submitting thread.
   std::unique_ptr<PortfolioSolver> MainPortfolio;
-  /// Stats merged from joined workers (worker solvers die with their
-  /// threads; MainPortfolio and the cache are read live in stats()).
-  DischargeStats WorkerAccum;
+  /// One backend per parallel worker slot (portfolios in portfolio mode),
+  /// built on first need and kept for every later pass; stats() reads
+  /// them live.
+  std::vector<std::unique_ptr<Solver>> Workers;
+  uint64_t StolenTasks = 0;
 
   /// The deadline one obligation runs under right now: the global
   /// deadline capped by a freshly armed per-VC timeout.

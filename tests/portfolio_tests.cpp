@@ -3,7 +3,7 @@
 // Part of the relaxc project: a verifier for relaxed nondeterministic
 // approximate programs (Carbin et al., PLDI 2012).
 //
-// The tiered portfolio is pinned four ways:
+// The tiered portfolio is pinned five ways:
 //
 //  * tier-0 soundness: the simplify tier never settles a query with a
 //    verdict the bounded search (or Z3) contradicts — in particular it
@@ -15,18 +15,27 @@
 //  * tier-escalation correctness: on the six paper case studies the
 //    pipeline's per-VC verdicts are identical to the plain Z3 backend's;
 //  * checker/verifier agreement: the ProofChecker's re-discharge runs the
-//    same portfolio through the same shared dischargeVC path.
+//    same portfolio through the same shared dischargeVC path;
+//  * the rescue order: with the bounded tier behind the decision tier,
+//    every verdict equals the cheapest-first order's, a failed
+//    obligation's counterexample is the bounded witness whenever the
+//    search finds one, and the case studies cost the search nothing.
 //
 //===----------------------------------------------------------------------===//
 
+#include "GenProgram.h"
 #include "TestUtil.h"
 
+#include "solver/FormulaEval.h"
 #include "solver/FormulaProgram.h"
 #include "solver/Portfolio.h"
+#include "support/Casting.h"
 #include "support/Random.h"
 #include "vcgen/ProofChecker.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace relax;
 
@@ -322,8 +331,8 @@ void expectIdenticalReports(const VerifyReport &A, const VerifyReport &B,
 /// undecidable obligations give up fast (Unknown-vs-Unknown pins
 /// determinism exactly as well as Proved-vs-Proved). The Smt tier has
 /// no backend factory, so it degrades to bounded-at-full-domain —
-/// which means the work-stealing scheduler's escalation queue is
-/// exercised even in Z3-off builds.
+/// which means the budgeted bounded tier still runs behind it, on its
+/// unknowns, even in Z3-off builds.
 PortfolioOptions shrunkBoundedPipeline() {
   PortfolioOptions PO;
   PO.Tiers = {TierKind::Simplify, TierKind::Bounded, TierKind::Smt};
@@ -401,19 +410,58 @@ TEST(PortfolioScheduler, PipelineVerdictsMatchPlainZ3OnCaseStudies) {
   }
 }
 
+/// Every obligation of both judgment passes of \p P, in report order,
+/// paired with its solver query.
+std::vector<std::pair<VC, const BoolExpr *>>
+passQueries(relax::test::ParsedProgram &P) {
+  std::vector<std::pair<VC, const BoolExpr *>> Out;
+  DiagnosticEngine Diags;
+  std::optional<SemaInfo> Info = Sema(*P.Prog, Diags).run();
+  EXPECT_TRUE(Info.has_value()) << Diags.render();
+  if (!Info)
+    return Out;
+  for (JudgmentKind Pass : {JudgmentKind::Original, JudgmentKind::Relaxed}) {
+    VCSet Set = Verifier::passVCs(*P.Ctx, *P.Prog, *Info, Pass, Diags,
+                                  VCGenOptions());
+    for (const VC &C : Set.VCs)
+      Out.emplace_back(C, vcQuery(*P.Ctx, C));
+  }
+  return Out;
+}
+
 TEST(PortfolioScheduler, QuantifiedCorpusDischargesWithBudgetTrips) {
-  RELAXC_SKIP_WITHOUT_Z3();
   // water.rlx carries quantified relational VCs (havoc/relax freshening
   // introduces existentials): at full domains the bounded tier would
   // enumerate quantifier bodies unbudgeted, which is exactly the hang
-  // the per-query step budget retires. Under a tight budget the tier
-  // must give up deterministically and Z3 must settle everything.
+  // the per-query step budget retires. Run alone under a tight budget,
+  // the tier must give up, at the same point on every run.
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
   relax::test::ParsedProgram P = relax::test::parseProgram(Source);
   ASSERT_TRUE(P.ok()) << P.diagnostics();
+  std::vector<std::pair<VC, const BoolExpr *>> Queries = passQueries(P);
+  ASSERT_FALSE(Queries.empty());
 
   PortfolioOptions PO; // simplify,bounded,z3
   PO.Bounded.MaxQuantSteps = 1'000;
+  auto BoundedAlone = [&] {
+    PortfolioSolver Port(*P.Ctx, PO);
+    std::string Trails;
+    for (const auto &[C, Q] : Queries) {
+      auto R = Port.checkRange(1, 2, {Q}, nullptr, nullptr);
+      EXPECT_TRUE(R.ok()) << R.message();
+      Trails += Port.giveUpTrail() + "\n";
+    }
+    EXPECT_GT(Port.stats().Tiers[1].BudgetTrips, 0u)
+        << "the budgeted bounded tier should trip on quantified VCs";
+    EXPECT_GT(Port.boundedQuantSteps(), 0u);
+    return std::make_pair(Port.stats().Tiers[1].BudgetTrips, Trails);
+  };
+  EXPECT_EQ(BoundedAlone(), BoundedAlone());
+
+  // In the pipeline the bounded tier runs behind Z3, which settles every
+  // obligation the simplify tier leaves: the search never runs.
+  if (!relax::test::haveZ3())
+    return;
   BoundedSolver Dummy;
   DiagnosticEngine Diags;
   Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
@@ -428,11 +476,233 @@ TEST(PortfolioScheduler, QuantifiedCorpusDischargesWithBudgetTrips) {
 
   EXPECT_TRUE(R.verified());
   ASSERT_EQ(Stats.Portfolio.Tiers.size(), 3u);
-  EXPECT_GT(Stats.Portfolio.Tiers[1].BudgetTrips, 0u)
-      << "the budgeted bounded tier should trip on quantified VCs";
-  EXPECT_GT(Stats.Portfolio.Tiers[2].Settled, 0u)
-      << "escalated obligations settle at the Z3 tier";
-  EXPECT_GT(Stats.BoundedQuantSteps, 0u);
+  EXPECT_GT(Stats.Portfolio.Tiers[0].GaveUp, 0u);
+  EXPECT_EQ(Stats.Portfolio.Tiers[2].Settled,
+            Stats.Portfolio.Tiers[0].GaveUp);
+  EXPECT_EQ(Stats.Portfolio.Tiers[2].GaveUp, 0u);
+  EXPECT_EQ(Stats.Portfolio.Tiers[1].Settled + Stats.Portfolio.Tiers[1].GaveUp,
+            0u);
+  EXPECT_EQ(Stats.BoundedQuantSteps, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The bounded tier behind the decision tier
+//===----------------------------------------------------------------------===//
+
+const char *AllCaseStudies[] = {"swish.rlx",         "water.rlx",
+                                "lu.rlx",            "task_skip.rlx",
+                                "sampling.rlx",      "memoize.rlx",
+                                "water_modular.rlx", "shared_callee.rlx"};
+
+/// The ExamplesMutated mutants of verifier_tests.cpp: an exact
+/// annotation substring of a case study and its replacement.
+struct Mutation {
+  const char *File, *From, *To;
+};
+const Mutation ExampleMutants[] = {
+    {"swish.rlx", "10 <= max_r));", "9 <= max_r));"},
+    {"swish.rlx", "10 <= num_r<o> && 10 <= num_r<r>",
+     "10 <= num_r<o> && 11 <= num_r<r>"},
+    {"water.rlx", "assume (K < len_FF);\n    if", "skip;\n    if"},
+    {"water.rlx", "requires (N >= 0 && N <= len(RS)",
+     "requires (N >= 0 && N - 1 <= len(RS)"},
+    {"lu.rlx", "relate lipschitz : max<o> - max<r> <= e<o>",
+     "relate lipschitz : max<o> - max<r> <= e<o> - 1"},
+    {"lu.rlx", "relax (a) st (original_a - e <= a && a <= original_a + e)",
+     "relax (a) st (original_a - 2 * e <= a && a <= original_a + 2 * e)"},
+    {"shared_callee.rlx", "rensures (0 <= x<o> && 0 <= x<r>);",
+     "rensures (true);"},
+};
+
+/// An e with `x == e` or `e == x` among the conjuncts of \p B (looking
+/// through nested existentials that neither rebind x nor bind a
+/// variable of e), x not free in e; null if there is none.
+const Expr *definitionOf(const BoolExpr *B, const VarRef &X) {
+  if (const auto *L = dyn_cast<LogicalExpr>(B)) {
+    if (L->op() != LogicalOp::And)
+      return nullptr;
+    const Expr *D = definitionOf(L->lhs(), X);
+    return D ? D : definitionOf(L->rhs(), X);
+  }
+  if (const auto *E = dyn_cast<ExistsExpr>(B)) {
+    VarRef Bound{E->var(), E->tag(), E->varKind()};
+    if (Bound == X)
+      return nullptr;
+    const Expr *D = definitionOf(E->body(), X);
+    return D && !freeVars(D).count(Bound) ? D : nullptr;
+  }
+  const auto *C = dyn_cast<CmpExpr>(B);
+  if (!C || C->op() != CmpOp::Eq)
+    return nullptr;
+  auto IsX = [&](const Expr *E) {
+    const auto *V = dyn_cast<VarExpr>(E);
+    return V && V->name() == X.Name && V->tag() == X.Tag;
+  };
+  if (IsX(C->lhs()) && !freeVars(C->rhs()).count(X))
+    return C->rhs();
+  if (IsX(C->rhs()) && !freeVars(C->lhs()).count(X))
+    return C->lhs();
+  return nullptr;
+}
+
+/// Rewrites every `exists x . B` whose body defines x (definitionOf) to
+/// B[x := e]. The rewrite is an equivalence over Z, and it removes the
+/// existentials havoc and relax freshening introduce, whose witnesses
+/// may lie outside evalFormula's quantifier domain and whose nesting
+/// makes its enumeration exponential.
+const BoolExpr *eliminateOnePoint(AstContext &Ctx, const BoolExpr *B) {
+  if (const auto *N = dyn_cast<NotExpr>(B))
+    return Ctx.notExpr(eliminateOnePoint(Ctx, N->sub()));
+  if (const auto *L = dyn_cast<LogicalExpr>(B))
+    return Ctx.logical(L->op(), eliminateOnePoint(Ctx, L->lhs()),
+                       eliminateOnePoint(Ctx, L->rhs()));
+  const auto *E = dyn_cast<ExistsExpr>(B);
+  if (!E)
+    return B;
+  const BoolExpr *Body = eliminateOnePoint(Ctx, E->body());
+  if (E->varKind() == VarKind::Int)
+    if (const Expr *D =
+            definitionOf(Body, VarRef{E->var(), E->tag(), VarKind::Int})) {
+      Subst S;
+      S.mapVar(E->var(), E->tag(), D);
+      return substitute(Ctx, Body, S);
+    }
+  return Ctx.exists(E->var(), E->tag(), E->varKind(), Body);
+}
+
+TEST(RescueOrder, ChangesNoVerdictAndNoBoundedWitness) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  std::vector<std::pair<std::string, std::string>> Corpus;
+  for (const char *Name : AllCaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    Corpus.emplace_back(Name, Source);
+  }
+  for (const Mutation &M : ExampleMutants) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, M.File);
+    size_t At = Source.find(M.From);
+    ASSERT_NE(At, std::string::npos) << M.File << ": " << M.From;
+    Source.replace(At, std::strlen(M.From), M.To);
+    Corpus.emplace_back(std::string(M.File) + " mutated to '" + M.To + "'",
+                        Source);
+  }
+  relax::test::ProgramGen::Options Falsifiable;
+  Falsifiable.InjectFalsifiableAssert = true;
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    relax::test::ProgramGen Gen(
+        Seed, Seed % 2 ? relax::test::ProgramGen::Options() : Falsifiable);
+    Corpus.emplace_back("seed " + std::to_string(Seed), Gen.gen());
+  }
+
+  size_t Witnessed = 0, Modeled = 0;
+  for (const auto &[Name, Source] : Corpus) {
+    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+    ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+    const Interner &Syms = P.Ctx->symbols();
+    auto Z3 = [&Syms] { return std::make_unique<Z3Solver>(Syms); };
+    PortfolioSolver New(*P.Ctx, PortfolioOptions(), Z3);
+    PortfolioSolver Old(*P.Ctx, PortfolioOptions(), Z3);
+    for (const auto &[C, Q] : passQueries(P)) {
+      std::string Tag = Name + " " + C.Rule + " #" + std::to_string(C.Id);
+      std::vector<const BoolExpr *> F{Q};
+      // The old order, one tier at a time: simplify, bounded, z3.
+      Result<SatResult> OldR = SatResult::Unknown;
+      size_t Tier = 0;
+      for (; Tier != Old.tierCount(); ++Tier) {
+        OldR = Old.checkRange(Tier, Tier + 1, F, nullptr, nullptr);
+        if (!OldR.ok() || Old.lastSettled())
+          break;
+      }
+      Result<SatResult> NewR = New.checkSat(F);
+      ASSERT_TRUE(OldR.ok() && NewR.ok()) << Tag;
+      EXPECT_EQ(*NewR, *OldR) << Tag;
+      if (C.Kind != VCKind::Validity || *NewR != SatResult::Sat)
+        continue;
+
+      // A failed obligation: its counterexample re-query.
+      VarRefSet Vars = freeVars(C.Formula);
+      Model Cex;
+      auto CexR = New.checkSatWithModel(F, Vars, Cex);
+      ASSERT_TRUE(CexR.ok() && *CexR == SatResult::Sat) << Tag;
+      if (Tier == 0) {
+        // Folded to true: any assignment falsifies the obligation.
+        EXPECT_TRUE(Cex.Ints.empty() && Cex.Arrays.empty()) << Tag;
+        continue;
+      }
+      Model Witness;
+      auto WR = Old.checkRange(1, 2, F, &Vars, &Witness);
+      ASSERT_TRUE(WR.ok()) << Tag;
+      if (*WR == SatResult::Sat) {
+        EXPECT_EQ(formatModel(Syms, Cex), formatModel(Syms, Witness)) << Tag;
+        EXPECT_EQ(dischargeVC(C, Q, New, Syms, nullptr).Detail,
+                  "counterexample: " + formatModel(Syms, Witness))
+            << Tag;
+        ++Witnessed;
+      } else {
+        EXPECT_TRUE(evalFormula(eliminateOnePoint(*P.Ctx, Q), Cex))
+            << Tag << ": " << formatModel(Syms, Cex);
+        ++Modeled;
+      }
+    }
+  }
+  // Both counterexample sources occur on this corpus.
+  EXPECT_GT(Witnessed, 0u);
+  EXPECT_GT(Modeled, 0u);
+}
+
+TEST(RescueOrder, CaseStudiesSpendNoBoundedCandidates) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  for (const char *Name : AllCaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+    ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+    for (unsigned Jobs : {1u, 4u}) {
+      BoundedSolver Dummy;
+      DiagnosticEngine Diags;
+      Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
+      Verifier::Options VO;
+      VO.Portfolio = PortfolioOptions(); // simplify,bounded,z3
+      VO.SmtFactory = [&P] {
+        return std::make_unique<Z3Solver>(P.Ctx->symbols());
+      };
+      VO.Jobs = Jobs;
+      DischargeStats Stats;
+      VO.StatsOut = &Stats;
+      VerifyReport R = V.run(VO);
+      EXPECT_TRUE(R.verified()) << Name;
+      EXPECT_EQ(Stats.BoundedCandidates, 0u) << Name << " --jobs=" << Jobs;
+    }
+  }
+}
+
+TEST(RescueOrder, WorkerBackendsCountEachQueryOnceAcrossPasses) {
+  // One scheduler runs both passes at Jobs = 4 and keeps its worker
+  // backends between them; their statistics must still count every
+  // query once. The Z3-free pipeline keeps this running without Z3.
+  for (const char *Name : AllCaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+    ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+    BoundedSolver Dummy;
+    DiagnosticEngine Diags;
+    Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
+    Verifier::Options VO;
+    VO.Portfolio = shrunkBoundedPipeline();
+    VO.Jobs = 4;
+    DischargeStats Stats;
+    VO.StatsOut = &Stats;
+    VerifyReport R = V.run(VO);
+    ASSERT_GT(R.Original.Outcomes.size(), 0u) << Name;
+    ASSERT_GT(R.Relaxed.Outcomes.size(), 0u) << Name;
+    uint64_t Obligations = R.totalVCs();
+    const PortfolioStats &PS = Stats.Portfolio;
+    ASSERT_EQ(PS.Tiers.size(), 3u);
+    EXPECT_GT(PS.Queries, 0u) << Name;
+    EXPECT_LE(PS.Queries, Obligations) << Name;
+    EXPECT_EQ(PS.Tiers[0].Settled + PS.Tiers[0].GaveUp, PS.Queries) << Name;
+    EXPECT_LE(PS.Tiers[2].Settled + PS.Tiers[2].GaveUp, PS.Tiers[0].GaveUp)
+        << Name;
+    EXPECT_EQ(Stats.EscalatedObligations, 0u) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

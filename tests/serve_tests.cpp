@@ -706,6 +706,33 @@ TEST(CliMatchesSession, PoolOnlyChoosesWhereTheFinalTierRuns) {
       << Bad.Error;
 }
 
+TEST(CliMatchesSession, WarmCacheSessionBuildsNoZ3Context) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  // Every obligation of a verifying program is served from a warm
+  // cache, so nothing reaches a solver and no Z3 context gets built —
+  // neither for the session's default backend nor for a pipeline's
+  // portfolios, sequential or parallel.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
+  for (const char *Pipeline : {"", "simplify,bounded,z3"})
+    for (unsigned Jobs : {1u, 4u}) {
+      VerifyWireRequest R;
+      R.FileName = "swish.rlx";
+      R.Source = Source;
+      R.Pipeline = Pipeline;
+      R.Jobs = Jobs;
+      std::string Tag = std::string("pipeline '") + Pipeline + "' jobs " +
+                        std::to_string(Jobs);
+      PersistentCache Cache("", verifyJobFingerprint(R), /*VerifyPpm=*/0);
+      VerifyWireResponse Cold = runVerifyJob(R, &Cache);
+      ASSERT_EQ(Cold.ExitStatus, 0) << Tag << ": " << Cold.Report;
+      uint64_t Before = Z3Solver::contextsBuilt();
+      VerifyWireResponse Warm = runVerifyJob(R, &Cache);
+      EXPECT_EQ(Warm.ExitStatus, 0) << Tag;
+      EXPECT_EQ(stripMs(Warm.Report), stripMs(Cold.Report)) << Tag;
+      EXPECT_EQ(Z3Solver::contextsBuilt(), Before) << Tag;
+    }
+}
+
 TEST(CliMatchesSession, CliAndDaemonShareOneCacheFingerprint) {
   RELAXC_SKIP_WITHOUT_DRIVER();
   // The small program that fully settles under the Z3-free pipeline

@@ -431,6 +431,34 @@ TEST(Z3Solver, SmtLibExportRoundTripsThroughZ3Syntax) {
   EXPECT_NE(Script->find("A!len"), std::string::npos) << "length axiom";
 }
 
+TEST(Z3Solver, BuildsItsContextOnFirstUse) {
+  AstContext Ctx;
+  uint64_t Before = Z3Solver::contextsBuilt();
+  { Z3Solver Unused(Ctx.symbols()); }
+  EXPECT_EQ(Z3Solver::contextsBuilt(), Before)
+      << "a solver that was never queried built a z3::context";
+
+  RELAXC_SKIP_WITHOUT_Z3();
+  Z3Solver S(Ctx.symbols());
+  EXPECT_EQ(Z3Solver::contextsBuilt(), Before);
+  const BoolExpr *F = Ctx.eq(Ctx.var("x"), Ctx.intLit(1));
+  auto R = S.checkSat({F});
+  ASSERT_TRUE(R.ok()) << R.message();
+  EXPECT_EQ(*R, SatResult::Sat);
+  EXPECT_EQ(Z3Solver::contextsBuilt(), Before + 1);
+  // Later queries and SMT-LIB dumps share that one context.
+  ASSERT_TRUE(S.checkSat({Ctx.notExpr(F)}).ok());
+  ASSERT_TRUE(S.toSmtLib({F}).ok());
+  EXPECT_EQ(Z3Solver::contextsBuilt(), Before + 1);
+
+  // A dump is a first use too.
+  Z3Solver Dumper(Ctx.symbols());
+  Result<std::string> Script = Dumper.toSmtLib({F});
+  ASSERT_TRUE(Script.ok()) << Script.message();
+  EXPECT_NE(Script->find("(check-sat)"), std::string::npos);
+  EXPECT_EQ(Z3Solver::contextsBuilt(), Before + 2);
+}
+
 TEST(ModelFormatting, RendersScalarsAndArraysWithTags) {
   AstContext Ctx;
   Model M;
