@@ -21,7 +21,6 @@
 #include "BenchUtil.h"
 
 #include "solver/BoundedSolver.h"
-#include "solver/CachingSolver.h"
 #include "solver/Portfolio.h"
 #include "solver/ShardPool.h"
 #include "solver/Z3Solver.h"
@@ -385,12 +384,14 @@ void BM_Solver_Z3_KnobScaling(benchmark::State &State) {
   uint64_t Hits = 0, Backend = 0;
   for (auto _ : State) {
     Z3Solver Z3(L.Ctx->symbols());
-    CachingSolver Solver(Z3);
     DiagnosticEngine Diags;
-    Verifier V(*L.Ctx, *L.Prog, Solver, Diags);
-    VerifyReport R = V.run();
+    Verifier V(*L.Ctx, *L.Prog, Z3, Diags);
+    DischargeStats Stats;
+    Verifier::Options VO;
+    VO.StatsOut = &Stats;
+    VerifyReport R = V.run(VO);
     benchmark::DoNotOptimize(R);
-    Hits = Solver.hitCount();
+    Hits = Stats.SharedCacheHits;
     Backend = Z3.queryCount();
   }
   State.counters["cache_hits"] = static_cast<double>(Hits);
@@ -398,7 +399,8 @@ void BM_Solver_Z3_KnobScaling(benchmark::State &State) {
 }
 
 /// Cache effectiveness on a real workload: swish's VC set contains
-/// repeated convergence/safety side conditions.
+/// repeated convergence/safety side conditions, which the scheduler's
+/// shared cache answers in front of the backend.
 void BM_Solver_Z3_CacheOnSwish(benchmark::State &State) {
   Loaded L = loadExample("swish.rlx");
   if (!L.Prog) {
@@ -408,31 +410,18 @@ void BM_Solver_Z3_CacheOnSwish(benchmark::State &State) {
   uint64_t Hits = 0, Misses = 0;
   for (auto _ : State) {
     Z3Solver Backend(L.Ctx->symbols());
-    CachingSolver Solver(Backend);
     DiagnosticEngine Diags;
-    Verifier V(*L.Ctx, *L.Prog, Solver, Diags);
-    VerifyReport R = V.run();
+    Verifier V(*L.Ctx, *L.Prog, Backend, Diags);
+    DischargeStats Stats;
+    Verifier::Options VO;
+    VO.StatsOut = &Stats;
+    VerifyReport R = V.run(VO);
     benchmark::DoNotOptimize(R);
-    Hits = Solver.hitCount();
+    Hits = Stats.SharedCacheHits;
     Misses = Backend.queryCount();
   }
   State.counters["cache_hits"] = static_cast<double>(Hits);
   State.counters["backend_queries"] = static_cast<double>(Misses);
-}
-
-void BM_Solver_Z3_NoCacheOnSwish(benchmark::State &State) {
-  Loaded L = loadExample("swish.rlx");
-  if (!L.Prog) {
-    State.SkipWithError(L.skipReason());
-    return;
-  }
-  for (auto _ : State) {
-    Z3Solver Backend(L.Ctx->symbols());
-    DiagnosticEngine Diags;
-    Verifier V(*L.Ctx, *L.Prog, Backend, Diags);
-    VerifyReport R = V.run();
-    benchmark::DoNotOptimize(R);
-  }
 }
 
 /// The persistent verdict cache (--cache-dir=) on swish: one seeding run
@@ -556,7 +545,6 @@ BENCHMARK(BM_Solver_Z3_KnobScaling)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Solver_Z3_CacheOnSwish)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Solver_Z3_NoCacheOnSwish)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Solver_PersistentCache_ColdOnSwish)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Solver_PersistentCache_WarmOnSwish)

@@ -53,7 +53,7 @@ struct CliOptions {
   /// The input file (FileName) and every verify knob, exactly as the
   /// verify session runs them and `--connect=` ships them. `run`,
   /// `monitor` and `dump-vcs` read the knobs they share with `verify`
-  /// (the backend, --no-safety) from here too.
+  /// (the solver, --no-safety) from here too.
   VerifyWireRequest Verify;
   std::string OracleName = "solver";
   std::string Semantics = "relaxed";
@@ -90,7 +90,10 @@ void printUsage() {
       "[options]\n"
       "\n"
       "options:\n"
-      "  --solver=<z3|bounded>     VC discharge backend (default z3)\n"
+      "  --solver=<z3|bounded>     `verify` without --pipeline= runs this\n"
+      "                            one tier as its pipeline; `run` and\n"
+      "                            `monitor` use it as their oracle solver\n"
+      "                            (default z3)\n"
       "  --pipeline=<tier,...>     tiered portfolio discharge for `verify`\n"
       "                            (tiers: simplify, bounded, z3; e.g.\n"
       "                            --pipeline=simplify,bounded,z3). A\n"
@@ -438,12 +441,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     }
   }
-  // A pool only chooses where the pipeline's final tier runs, so it needs
-  // a pipeline; the default one is named here, in the configuration, so
-  // the fingerprint and --solver-stats are those of the pool-less run.
-  if ((Opts.Shards > 0 || !Opts.RemoteWorkers.empty()) &&
-      Opts.Verify.Pipeline.empty())
-    Opts.Verify.Pipeline = "simplify,bounded,z3";
   return true;
 }
 

@@ -433,47 +433,28 @@ void appendf(std::string &Out, const char *Fmt, ...) {
     Out.append(Buf, std::min(static_cast<size_t>(N), sizeof(Buf) - 1));
 }
 
-/// The `--solver-stats` block. \p Tiers is the effective chain (empty =
-/// the single-backend branch); \p Cached may be null in pipeline mode
-/// (its counters only print single-backend).
-std::string renderSolverStats(const std::string &BackendName,
-                              const std::vector<TierKind> &Tiers,
+/// The `--solver-stats` block of a run over the tier chain \p Tiers.
+std::string renderSolverStats(const std::vector<TierKind> &Tiers,
                               const DischargeStats &S,
-                              const CachingSolver *Cached,
                               const PersistentCache *PCache) {
   auto U = [](uint64_t N) { return static_cast<unsigned long long>(N); };
   std::string Out;
   Out += "solver stats:\n";
-  if (!Tiers.empty()) {
-    appendf(Out, "  pipeline: %s\n", formatPipeline(Tiers).c_str());
-    for (size_t I = 0; I != Tiers.size() && I != S.Portfolio.Tiers.size();
-         ++I) {
-      const PortfolioStats::TierStat &T = S.Portfolio.Tiers[I];
-      const char *Name = tierKindName(Tiers[I]);
-      bool Degraded = Tiers[I] == TierKind::Smt && !RELAXC_HAVE_Z3;
-      appendf(Out,
-              "  tier %zu %s%s: settled %llu, gave up %llu"
-              " (%llu budget trips)\n",
-              I, Name, Degraded ? " (bounded-full fallback)" : "",
-              U(T.Settled), U(T.GaveUp), U(T.BudgetTrips));
-    }
-    appendf(Out, "  queries: %llu, tier escalations: %llu\n",
-            U(S.Portfolio.Queries), U(S.Portfolio.Escalations));
-    appendf(Out, "  shared result cache: %llu hits, %llu misses\n",
-            U(S.SharedCacheHits), U(S.SharedCacheMisses));
-  } else {
-    // Single-backend mode: the sequential path runs behind CachingSolver;
-    // the parallel path uses the scheduler's shared cache.
-    appendf(Out, "  backend: %s\n", BackendName.c_str());
-    if (Cached)
-      appendf(Out,
-              "  caching solver: %llu hits, %llu misses, %llu model "
-              "pass-throughs\n",
-              U(Cached->hitCount()), U(Cached->missCount()),
-              U(Cached->modelPassThroughCount()));
-    appendf(Out, "  shared result cache: %llu hits, %llu misses\n",
-            U(S.SharedCacheHits), U(S.SharedCacheMisses));
+  appendf(Out, "  pipeline: %s\n", formatPipeline(Tiers).c_str());
+  for (size_t I = 0; I != Tiers.size() && I != S.Portfolio.Tiers.size(); ++I) {
+    const PortfolioStats::TierStat &T = S.Portfolio.Tiers[I];
+    const char *Name = tierKindName(Tiers[I]);
+    bool Degraded = Tiers[I] == TierKind::Smt && !RELAXC_HAVE_Z3;
+    appendf(Out,
+            "  tier %zu %s%s: settled %llu, gave up %llu"
+            " (%llu budget trips)\n",
+            I, Name, Degraded ? " (bounded-full fallback)" : "",
+            U(T.Settled), U(T.GaveUp), U(T.BudgetTrips));
   }
+  appendf(Out, "  queries: %llu, tier escalations: %llu\n",
+          U(S.Portfolio.Queries), U(S.Portfolio.Escalations));
+  appendf(Out, "  shared result cache: %llu hits, %llu misses\n",
+          U(S.SharedCacheHits), U(S.SharedCacheMisses));
   if (PCache) {
     PersistentCacheStats PS = PCache->stats();
     appendf(Out,
@@ -534,9 +515,9 @@ std::string renderProcObligations(const VerifyReport &Report) {
 
 namespace {
 
-/// The bounded configuration of a request. The single bounded backend
-/// and the portfolio's `bounded` tier both run it, so the backend gets
-/// the tier's candidate and quantifier-step budgets.
+/// The bounded configuration of a request. The portfolio's `bounded` tier
+/// and the oracle solver `makeVerifyBackend` builds both run it, so the
+/// oracle gets the tier's candidate and quantifier-step budgets.
 BoundedSolverOptions boundedOptionsFor(const VerifyWireRequest &R) {
   BoundedSolverOptions BO = PortfolioOptions().Bounded;
   BO.MaxQuantSteps = R.BoundedSteps;
@@ -547,10 +528,11 @@ BoundedSolverOptions boundedOptionsFor(const VerifyWireRequest &R) {
   return BO;
 }
 
-/// The portfolio of a request with a pipeline; fails only when the
-/// pipeline spec does not parse.
+/// The portfolio of a request: its pipeline, or without one the single
+/// tier its solver names. Fails only when the spec does not parse.
 Result<PortfolioOptions> portfolioOptionsFor(const VerifyWireRequest &R) {
-  Result<std::vector<TierKind>> Tiers = parsePipelineSpec(R.Pipeline);
+  Result<std::vector<TierKind>> Tiers =
+      parsePipelineSpec(R.Pipeline.empty() ? R.SolverName : R.Pipeline);
   if (!Tiers.ok())
     return Result<PortfolioOptions>::error(Tiers.message());
   PortfolioOptions PO;
@@ -569,14 +551,9 @@ std::unique_ptr<Solver> relax::makeVerifyBackend(const VerifyWireRequest &R,
 }
 
 std::string relax::verifyJobFingerprint(const VerifyWireRequest &R) {
-  if (!R.Pipeline.empty()) {
-    Result<PortfolioOptions> PO = portfolioOptionsFor(R);
-    return PO.ok() ? portfolioConfigFingerprint(*PO, RELAXC_HAVE_Z3 != 0)
-                   : std::string();
-  }
-  if (R.SolverName == "bounded")
-    return "backend=bounded " + boundedOptionsFingerprint(boundedOptionsFor(R));
-  return "backend=z3";
+  Result<PortfolioOptions> PO = portfolioOptionsFor(R);
+  return PO.ok() ? portfolioConfigFingerprint(*PO, RELAXC_HAVE_Z3 != 0)
+                 : std::string();
 }
 
 VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
@@ -593,23 +570,24 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
   if (!isKnownSolverName(Req.SolverName))
     return Usage("unknown solver '" + Req.SolverName + "' (valid choices: " +
                  knownSolverNamesForDiagnostics() + ")");
-  std::optional<PortfolioOptions> Port;
-  if (!Req.Pipeline.empty()) {
-    Result<PortfolioOptions> PO = portfolioOptionsFor(Req);
-    if (!PO.ok())
-      return Usage(PO.message());
-    Port = std::move(*PO);
-  }
+  // Without Z3 the z3 tier degrades to the bounded search at full
+  // domain, whose verdicts are only as strong as the domain. A pipeline
+  // opts into that; the default configuration must not.
+  if (!RELAXC_HAVE_Z3 && Req.Pipeline.empty() && Req.SolverName == "z3")
+    return Usage("--solver=z3 needs a relaxc built with Z3; use "
+                 "--solver=bounded, or name a --pipeline= whose z3 tier "
+                 "degrades to the bounded search");
+  Result<PortfolioOptions> Port = portfolioOptionsFor(Req);
+  if (!Port.ok())
+    return Usage(Port.message());
   // A pool only chooses where the final tier runs: the chain ends in a
   // `shard` tier whose workers run the tier it replaced, under the same
   // configuration — so the verdicts, and the fingerprint, are those of
   // the pool-less run.
   if (Pool) {
-    if (!Port || Port->Tiers.back() == TierKind::Simplify)
-      return Usage(std::string("a worker pool needs a final bounded or z3 "
-                               "tier to move out of process (") +
-                   (Port ? "the pipeline ends in 'simplify')"
-                         : "the job runs no pipeline)"));
+    if (Port->Tiers.back() == TierKind::Simplify)
+      return Usage("a worker pool needs a final bounded or z3 tier to move "
+                   "out of process (the pipeline ends in 'simplify')");
     Port->ShardWorkerPipeline =
         Port->Tiers.back() == TierKind::Bounded ? "bounded" : "z3";
     Port->Tiers.back() = TierKind::Shard;
@@ -632,9 +610,10 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
     return Job;
   }
 
-  std::unique_ptr<Solver> Backend = makeVerifyBackend(Req, Ctx);
-  CachingSolver Cached(*Backend);
-  Verifier V(Ctx, *Prog, Cached, Diags);
+  // The portfolio runs every obligation; the Verifier's own solver is
+  // never consulted.
+  BoundedSolver Unused;
+  Verifier V(Ctx, *Prog, Unused, Diags);
   Verifier::Options VO;
   VO.GenOpts.CheckSafety = !Req.NoSafety;
   VO.RunRelaxed = !Req.OriginalOnly;
@@ -646,15 +625,11 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
   VO.VcTimeoutMs = Req.VcTimeoutMs;
   DischargeStats Stats;
   VO.StatsOut = &Stats;
-  VO.Portfolio = std::move(Port);
-  if (VO.Portfolio) {
-    if (RELAXC_HAVE_Z3)
-      VO.SmtFactory = [&Ctx] {
-        return std::make_unique<Z3Solver>(Ctx.symbols());
-      };
-  } else if (VO.Jobs > 1) {
-    VO.SolverFactory = [&Req, &Ctx] { return makeVerifyBackend(Req, Ctx); };
-  }
+  VO.Portfolio = std::move(*Port);
+  if (RELAXC_HAVE_Z3)
+    VO.SmtFactory = [&Ctx] {
+      return std::make_unique<Z3Solver>(Ctx.symbols());
+    };
   VO.PCache = PCache;
 
   Job.Verdicts = V.run(VO);
@@ -662,10 +637,7 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
     Job.Diagnostics = Diags.render();
   Job.Report = renderReport(Job.Verdicts, Ctx.symbols(), Req.Verbose);
   if (Req.SolverStats) {
-    Job.Report += renderSolverStats(
-        Req.SolverName,
-        VO.Portfolio ? VO.Portfolio->Tiers : std::vector<TierKind>(), Stats,
-        &Cached, PCache);
+    Job.Report += renderSolverStats(VO.Portfolio->Tiers, Stats, PCache);
     Job.Report += renderProcObligations(Job.Verdicts);
   }
   Job.ExitStatus = Job.Verdicts.exitStatus();

@@ -14,8 +14,9 @@
 /// report — the local `verify` command (with or without a worker pool
 /// and a persistent cache), the daemon, and the benchmark harness all
 /// run it, so a served report equals a local one by construction. The
-/// backend, the portfolio options, the cache fingerprint and the exit
-/// code are each derived from the configuration in exactly one place.
+/// portfolio options, the cache fingerprint and the exit code are each
+/// derived from the configuration in exactly one place. Every job runs a
+/// portfolio: without a pipeline, the one tier `--solver=` names.
 ///
 /// The daemon is a long-lived process accepting framed requests over a
 /// Unix-domain or TCP socket (support/Transport.h). Two request kinds
@@ -47,7 +48,6 @@
 #ifndef RELAXC_SERVER_VERIFYSERVER_H
 #define RELAXC_SERVER_VERIFYSERVER_H
 
-#include "solver/CachingSolver.h"
 #include "solver/Portfolio.h"
 #include "solver/ShardPool.h"
 #include "support/PersistentCache.h"
@@ -96,8 +96,8 @@ bool isVerifyRequestPayload(std::string_view Payload);
 struct VerifyWireRequest {
   std::string FileName = "<request>"; ///< diagnostics rendering only
   std::string Source;                 ///< the program text, verbatim
-  std::string SolverName = "z3";      ///< single-backend mode
-  std::string Pipeline;               ///< tier spec; "" = single backend
+  std::string SolverName = "z3";      ///< the one tier when no Pipeline
+  std::string Pipeline;               ///< tier spec; "" = SolverName alone
   uint64_t BoundedSteps = 200'000;
   bool BoundedLearning = true;
   bool BoundedRestarts = true;
@@ -137,9 +137,10 @@ Result<VerifyWireResponse> parseVerifyResponse(std::string_view Payload);
 // The verify session
 //===----------------------------------------------------------------------===//
 
-/// The single backend \p R selects: Z3, or the bounded search under the
-/// `bounded` tier's budgets (so it settles or gives up, never enumerates
-/// unbounded). `run` and `monitor` build their oracle solvers with it.
+/// The oracle solver of `run` and `monitor`: Z3, or the bounded search
+/// under the `bounded` tier's budgets (so it settles or gives up, never
+/// enumerates unbounded). `verify` discharges only through its
+/// portfolio.
 std::unique_ptr<Solver> makeVerifyBackend(const VerifyWireRequest &R,
                                           AstContext &Ctx);
 
@@ -165,7 +166,8 @@ struct VerifyJobResult : VerifyWireResponse {
 /// cache (the caller loads and flushes it). \p Pool may be null; when
 /// set, the pipeline's final bounded or z3 tier becomes a `shard` tier
 /// whose workers on the pool run the tier it replaced — verdicts and
-/// fingerprint are those of the pool-less run.
+/// fingerprint are those of the pool-less run. A build without Z3
+/// refuses a job that names no pipeline and the `z3` solver.
 VerifyJobResult runVerifyJob(const VerifyWireRequest &R,
                              PersistentCache *PCache,
                              DischargePool *Pool = nullptr);

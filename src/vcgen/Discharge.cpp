@@ -56,9 +56,9 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-/// Re-queries a solver with model extraction; parameterized so portfolio
-/// workers can skip the simplify prefix (which builds nodes and must not
-/// run on a worker thread).
+/// Re-queries a solver with model extraction; parameterized so a slot can
+/// skip the simplify prefix (which builds nodes and must not run on a
+/// worker thread).
 using ModelQueryFn = std::function<Result<SatResult>(
     const std::vector<const BoolExpr *> &, const VarRefSet &, Model &)>;
 
@@ -242,8 +242,7 @@ void SharedSolverCache::attachPersistent(PersistentCache *P,
 namespace {
 
 /// dischargeVC, except that a portfolio \p S runs its tiers from \p From
-/// on: a discharge worker skips the simplify prefix the submitting thread
-/// already ran.
+/// on: a slot skips the simplify prefix the prepare stage already ran.
 VCOutcome dischargeFrom(const VC &Condition, const BoolExpr *Query, Solver &S,
                         size_t From, const Interner &Syms,
                         SharedSolverCache *Shared) {
@@ -327,11 +326,10 @@ DischargeStats DischargeScheduler::stats() const {
     S.BoundedQuantSteps += P.boundedQuantSteps();
     S.Search.merge(P.boundedSearchStats());
   };
-  if (MainPortfolio) {
+  if (MainPortfolio)
     AddPortfolio(*MainPortfolio);
-    for (const std::unique_ptr<Solver> &W : Workers)
-      AddPortfolio(static_cast<const PortfolioSolver &>(*W));
-  }
+  for (const std::unique_ptr<PortfolioSolver> &W : Workers)
+    AddPortfolio(*W);
   S.SharedCacheHits = Shared.hitCount();
   S.SharedCacheMisses = Shared.missCount();
   S.StolenTasks = StolenTasks;
@@ -339,130 +337,86 @@ DischargeStats DischargeScheduler::stats() const {
 }
 
 void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
-                                   Solver &Fallback) {
+                                   Solver &Caller) {
   Report.Derivation = std::move(Set.Derivation);
-  std::vector<VC> &VCs = Set.VCs;
-  if (VCs.empty())
-    return;
-
-  // Pre-build every query formula on this thread: node construction goes
-  // through the (single-threaded) hash-consing factories.
-  std::vector<const BoolExpr *> Queries;
-  Queries.reserve(VCs.size());
-  for (const VC &C : VCs)
-    Queries.push_back(vcQuery(Ctx, C));
-
-  std::vector<VCOutcome> Outcomes(VCs.size());
-
-  unsigned Jobs = Cfg.Jobs;
-  if (!portfolioMode() && !Cfg.SolverFactory)
-    Jobs = 1;
-  if (Jobs > VCs.size())
-    Jobs = static_cast<unsigned>(VCs.size());
-
-  if (Jobs > 1) {
-    dischargeParallel(VCs, Queries, Outcomes);
-  } else if (portfolioMode()) {
-    dischargeSequentialPortfolio(VCs, Queries, Outcomes);
-  } else {
-    // The classic single-backend sequential path, kept cache-free so a
-    // driver's CachingSolver wrapper observes every query — unless a
-    // persistent cache is armed, which must front every configuration.
-    SharedSolverCache *SharedOrNull = Cfg.PCache ? &Shared : nullptr;
-    for (size_t I = 0; I != VCs.size(); ++I) {
-      Fallback.setDeadline(perVcDeadline());
-      Outcomes[I] = dischargeVC(VCs[I], Queries[I], Fallback, Ctx.symbols(),
-                                SharedOrNull);
-    }
-  }
-
-  // VC order, not completion order: reports are deterministic.
-  for (VCOutcome &Out : Outcomes) {
-    Report.TotalMillis += Out.Millis;
-    Report.Outcomes.push_back(std::move(Out));
-  }
-}
-
-void DischargeScheduler::dischargeSequentialPortfolio(
-    std::vector<VC> &VCs, const std::vector<const BoolExpr *> &Qs,
-    std::vector<VCOutcome> &Outcomes) {
-  for (size_t I = 0; I != VCs.size(); ++I) {
-    MainPortfolio->setDeadline(perVcDeadline());
-    Outcomes[I] =
-        dischargeVC(VCs[I], Qs[I], *MainPortfolio, Ctx.symbols(), &Shared);
-  }
-}
-
-void DischargeScheduler::dischargeParallel(
-    std::vector<VC> &VCs, const std::vector<const BoolExpr *> &Qs,
-    std::vector<VCOutcome> &Outcomes) {
+  const std::vector<VC> &VCs = Set.VCs;
   const Interner &Syms = Ctx.symbols();
   size_t N = VCs.size();
+  Solver &Main = MainPortfolio ? *MainPortfolio : Caller;
+  // Tiers [0, FW), the simplify prefix, run in the prepare stage; the
+  // slots run the rest.
+  size_t FW = MainPortfolio ? MainPortfolio->firstWorkerTier() : 0;
 
-  // Tiers [0, FW), the simplify prefix, run here at prepare time; the
-  // workers run the rest.
-  size_t FW = portfolioMode() ? MainPortfolio->firstWorkerTier() : 0;
-
-  std::vector<std::string> Trails(N);
+  // The prepare stage (see the file comment).
+  std::vector<const BoolExpr *> Qs;
+  Qs.reserve(N);
+  std::vector<VCOutcome> Outcomes(N);
+  // Cached refutations whose counterexample re-query waits for a slot.
+  std::vector<std::optional<SatResult>> Hits(N);
   std::vector<size_t> Pending;
-  Pending.reserve(N);
-
-  if (portfolioMode() && FW > 0) {
-    // Prepare stage on this thread: the simplify tier builds nodes, so it
-    // cannot run on a worker. Cache first, mirroring the sequential path.
-    for (size_t I = 0; I != N; ++I) {
-      auto Start = Clock::now();
-      std::vector<const BoolExpr *> F{Qs[I]};
-      Outcomes[I].Condition = VCs[I];
-      if (std::optional<SatResult> Cached = Shared.lookup(F)) {
-        Outcomes[I].SettledBy = "cache";
-        applyVerdict(Outcomes[I], Result<SatResult>(*Cached), Syms,
-                     modelQueryOn(*MainPortfolio), F);
-        Outcomes[I].Millis += millisSince(Start);
-        continue;
+  for (size_t I = 0; I != N; ++I) {
+    Qs.push_back(vcQuery(Ctx, VCs[I]));
+    if (FW == 0) {
+      Pending.push_back(I);
+      continue;
+    }
+    auto Start = Clock::now();
+    std::vector<const BoolExpr *> F{Qs[I]};
+    VCOutcome &Out = Outcomes[I];
+    Out.Condition = VCs[I];
+    MainPortfolio->setDeadline(perVcDeadline());
+    if (std::optional<SatResult> Hit = Shared.lookup(F)) {
+      Out.SettledBy = "cache";
+      // A counterexample comes from the simplify prefix when it settles
+      // the query, as it did on the miss that filled the cache; any other
+      // needs a backend, so it waits for the obligation's slot.
+      bool NeedsBackend = false;
+      if (VCs[I].Kind == VCKind::Validity && *Hit == SatResult::Sat) {
+        PortfolioSolver::ScopedStatsPause Pause(*MainPortfolio);
+        MainPortfolio->checkRange(0, FW, F, nullptr, nullptr);
+        NeedsBackend = !MainPortfolio->lastSettled();
       }
-      MainPortfolio->setDeadline(perVcDeadline());
+      if (NeedsBackend) {
+        Hits[I] = Hit;
+        Pending.push_back(I);
+      } else {
+        applyVerdict(Out, *Hit, Syms, modelQueryOn(*MainPortfolio), F);
+      }
+    } else {
       Result<SatResult> R =
           MainPortfolio->checkRange(0, FW, F, nullptr, nullptr);
+      Out.Trail = MainPortfolio->giveUpTrail();
       if (MainPortfolio->lastSettled() || !R.ok()) {
-        Outcomes[I].SettledBy = MainPortfolio->settledBy();
-        Outcomes[I].Trail = MainPortfolio->giveUpTrail();
+        Out.SettledBy = MainPortfolio->settledBy();
         if (R.ok() && !MainPortfolio->lastQueryDeadlined())
           Shared.insert(F, *R);
-        applyVerdict(Outcomes[I], R, Syms, modelQueryOn(*MainPortfolio), F);
-        noteDeadline(Outcomes[I], *MainPortfolio);
-        Outcomes[I].Millis += millisSince(Start);
-        continue;
+        applyVerdict(Out, R, Syms, modelQueryOn(*MainPortfolio), F);
+        noteDeadline(Out, *MainPortfolio);
+      } else {
+        Pending.push_back(I);
       }
-      Trails[I] = MainPortfolio->giveUpTrail();
-      Outcomes[I].Millis += millisSince(Start);
-      Pending.push_back(I);
     }
-  } else {
-    for (size_t I = 0; I != N; ++I)
-      Pending.push_back(I);
+    Out.Millis = millisSince(Start);
   }
-  if (Pending.empty())
-    return;
 
-  unsigned Jobs =
-      static_cast<unsigned>(std::min<size_t>(Cfg.Jobs, Pending.size()));
-  // One backend per worker slot for the scheduler's lifetime: the second
-  // judgment pass reuses the first pass's backends (and their Z3
-  // contexts) instead of building its own.
-  while (Workers.size() < Jobs)
-    Workers.push_back(portfolioMode()
-                          ? std::make_unique<PortfolioSolver>(
-                                Ctx, *Cfg.Portfolio, Cfg.SmtFactory)
-                          : Cfg.SolverFactory());
+  // The work-stealing stage. One portfolio per extra slot for the
+  // scheduler's lifetime: the second judgment pass reuses the first
+  // pass's (and their Z3 contexts) instead of building its own.
+  unsigned Jobs = 1;
+  if (MainPortfolio && !Pending.empty())
+    Jobs = static_cast<unsigned>(
+        std::min<size_t>(std::max(Cfg.Jobs, 1u), Pending.size()));
+  while (Workers.size() + 1 < Jobs)
+    Workers.push_back(std::make_unique<PortfolioSolver>(Ctx, *Cfg.Portfolio,
+                                                        Cfg.SmtFactory));
 
-  // Per-worker deques, round-robin seeded. Owners pop the front; thieves
+  // Per-slot deques, round-robin seeded. Owners pop the front; thieves
   // pop the back, so a steal grabs the work its owner would reach last.
-  struct WorkerDeque {
+  struct SlotDeque {
     std::mutex M;
     std::deque<size_t> Q;
   };
-  std::vector<WorkerDeque> Deques(Jobs);
+  std::vector<SlotDeque> Deques(Jobs);
   for (size_t K = 0; K != Pending.size(); ++K)
     Deques[K % Jobs].Q.push_back(Pending[K]);
   std::atomic<uint64_t> Steals{0};
@@ -477,7 +431,7 @@ void DischargeScheduler::dischargeParallel(
   };
   auto StealFrom = [&](unsigned W, size_t &I) {
     for (unsigned D = 1; D != Jobs; ++D) {
-      WorkerDeque &V = Deques[(W + D) % Jobs];
+      SlotDeque &V = Deques[(W + D) % Jobs];
       std::lock_guard<std::mutex> L(V.M);
       if (!V.Q.empty()) {
         I = V.Q.back();
@@ -488,10 +442,10 @@ void DischargeScheduler::dischargeParallel(
     return false;
   };
 
-  // Every task is seeded before the fan-out, so a worker that finds no
+  // Every task is seeded before the fan-out, so a slot that finds no
   // task of its own and none to steal is done.
-  auto WorkerFn = [&](unsigned W) {
-    Solver &S = *Workers[W];
+  auto SlotFn = [&](unsigned W) {
+    Solver &S = W == 0 ? Main : *Workers[W - 1];
     size_t I;
     while (true) {
       if (!PopOwn(W, I)) {
@@ -499,23 +453,34 @@ void DischargeScheduler::dischargeParallel(
           break;
         Steals.fetch_add(1);
       }
-      double PrepareMillis = Outcomes[I].Millis;
+      VCOutcome &Out = Outcomes[I];
       S.setDeadline(perVcDeadline());
-      Outcomes[I] = dischargeFrom(VCs[I], Qs[I], S, FW, Syms, &Shared);
-      Outcomes[I].Millis += PrepareMillis;
-      std::string Trail = std::move(Trails[I]);
-      appendTrail(Trail, Outcomes[I].Trail);
-      Outcomes[I].Trail = std::move(Trail);
+      if (Hits[I]) {
+        auto Start = Clock::now();
+        applyVerdict(Out, *Hits[I], Syms, modelQueryOn(S, FW), {Qs[I]});
+        Out.Millis += millisSince(Start);
+        continue;
+      }
+      VCOutcome Done = dischargeFrom(VCs[I], Qs[I], S, FW, Syms, &Shared);
+      Done.Millis += Out.Millis;
+      appendTrail(Out.Trail, Done.Trail);
+      Done.Trail = std::move(Out.Trail);
+      Out = std::move(Done);
     }
   };
 
   std::vector<std::thread> Pool;
   Pool.reserve(Jobs - 1);
   for (unsigned W = 1; W != Jobs; ++W)
-    Pool.emplace_back(WorkerFn, W);
-  WorkerFn(0);
+    Pool.emplace_back(SlotFn, W);
+  SlotFn(0);
   for (std::thread &T : Pool)
     T.join();
-
   StolenTasks += Steals.load();
+
+  // VC order, not completion order: reports are deterministic.
+  for (VCOutcome &Out : Outcomes) {
+    Report.TotalMillis += Out.Millis;
+    Report.Outcomes.push_back(std::move(Out));
+  }
 }

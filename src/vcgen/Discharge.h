@@ -19,14 +19,21 @@
 ///
 /// ## Scheduling model
 ///
-/// VC generation is sequential (hash-consed node construction is not
-/// thread-safe), so queries — including the negations of validity VCs and
-/// any simplify-tier work — are prepared on the submitting thread before
-/// the fan-out. Workers then pull obligation indices from per-worker
-/// deques, stealing from a victim's deque when their own runs dry, and
-/// run each obligation through the rest of the tier chain on their own
-/// backend. A worker's backend lives as long as the scheduler, so both
-/// judgment passes share it (and its Z3 context).
+/// Every discharge runs one path in two stages. The prepare stage runs on
+/// the submitting thread, because hash-consed node construction is not
+/// thread-safe. It builds every query (validity VCs are negated), and
+/// when the tier chain starts with `simplify` it also looks each query up
+/// in the shared cache and runs the simplify prefix on it. It never
+/// queries a backend past that prefix. The work-stealing stage then runs
+/// the remaining obligations through the rest of the chain, one solver
+/// per slot. Slots pull obligation indices from per-slot deques and steal
+/// from a victim's deque when their own runs dry. Slot 0 runs on the
+/// submitting thread with the main solver: the scheduler's portfolio, or
+/// the caller's solver (alone, at one job) when no portfolio is
+/// configured. A cache hit whose counterexample re-query needs a backend
+/// waits for its slot's turn, so at one job the backend sees every query
+/// and every re-query in VC order. Each slot's solver lives as long as
+/// the scheduler, so both judgment passes share it (and its Z3 context).
 ///
 /// ## The verdict-identity rule
 ///
@@ -50,7 +57,6 @@
 #include "solver/Portfolio.h"
 #include "vcgen/VC.h"
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -83,7 +89,7 @@ struct VCOutcome {
   /// is excluded from the determinism pins (unlike Status and Detail).
   std::string SettledBy;
   /// Give-up trail of the portfolio tiers that escalated (informational,
-  /// empty outside portfolio mode and on cache hits).
+  /// empty for a non-portfolio solver and on cache hits).
   std::string Trail;
   /// Bounded-search conflicts this obligation's query hit (informational,
   /// like SettledBy: 0 on cache hits and shard-settled queries, whose
@@ -110,8 +116,8 @@ struct JudgmentReport {
 /// A mutex-guarded SolverResultCache shared by the discharge workers, so
 /// a side condition settled by one worker is a cache hit for every other.
 /// Owned by the scheduler so duplicates across the |-o and |-r passes hit
-/// too. Only final verdicts are inserted (in portfolio mode: after the
-/// full tier chain), so a hit always equals recomputation.
+/// too. Only final verdicts are inserted (after the full tier chain), so
+/// a hit always equals recomputation.
 ///
 /// When a PersistentCache is attached it fronts the on-disk store: an
 /// in-memory miss falls through to a portable-key lookup (pulling hits
@@ -160,16 +166,16 @@ std::string persistentCacheKey(const std::string &Fingerprint,
 const BoolExpr *vcQuery(AstContext &Ctx, const VC &C);
 
 /// Discharges one VC whose solver query \p Query was pre-built. The one
-/// shared verdict mapping: the sequential verifier path, the scheduler's
-/// workers, and the proof checker's re-discharge all call this, so they
-/// produce identical verdicts and diagnostics. Workers must not touch the
-/// AstContext: \p Syms is only read, and freeVars/formatModel are pure.
+/// shared verdict mapping: the scheduler's slots and the proof checker's
+/// re-discharge both call this, so they produce identical verdicts and
+/// diagnostics. Slots must not touch the AstContext: \p Syms is only
+/// read, and freeVars/formatModel are pure.
 VCOutcome dischargeVC(const VC &Condition, const BoolExpr *Query, Solver &S,
                       const Interner &Syms, SharedSolverCache *Shared);
 
 /// Aggregated statistics of one scheduler's lifetime (`--solver-stats`).
 struct DischargeStats {
-  PortfolioStats Portfolio; ///< merged across all workers (portfolio mode)
+  PortfolioStats Portfolio; ///< merged across every slot's portfolio
   uint64_t SharedCacheHits = 0;
   uint64_t SharedCacheMisses = 0;
   uint64_t BoundedCandidates = 0; ///< bounded-tier candidate assignments
@@ -189,16 +195,14 @@ struct DischargeStats {
 class DischargeScheduler {
 public:
   struct Config {
-    /// Number of discharge workers; <= 1 runs on the submitting thread.
+    /// Number of discharge slots; <= 1 runs on the submitting thread
+    /// only. Without a Portfolio there is one slot: the caller's solver.
     unsigned Jobs = 1;
-    /// Tier chain for portfolio mode; nullopt = single-backend mode.
+    /// Tier chain every slot runs; nullopt = the caller's solver alone.
     std::optional<PortfolioOptions> Portfolio;
-    /// Final-tier SMT backend factory for portfolio mode (null degrades
-    /// the z3 tier to bounded-at-full-domain).
+    /// Final-tier SMT backend factory of the portfolio (null degrades the
+    /// z3 tier to bounded-at-full-domain).
     PortfolioSolver::BackendFactory SmtFactory;
-    /// Per-worker backend factory for single-backend parallel mode; when
-    /// null, Jobs is forced to 1.
-    std::function<std::unique_ptr<Solver>()> SolverFactory;
     /// Global deadline for the whole run (`--timeout-ms`); unarmed means
     /// none. Obligations reached after expiry settle immediately as
     /// gave-ups with reason "deadline" — the scheduler drains
@@ -216,14 +220,10 @@ public:
   DischargeScheduler(AstContext &Ctx, Config Cfg);
   ~DischargeScheduler();
 
-  bool portfolioMode() const { return Cfg.Portfolio.has_value(); }
-
-  /// Discharges \p Set into \p Report, outcomes in VC order. \p Fallback
-  /// is the classic constructor-supplied backend, used for the
-  /// single-backend sequential path (kept cache-free there so a driver's
-  /// CachingSolver wrapper observes every query, exactly as before the
-  /// scheduler existed).
-  void discharge(VCSet Set, JudgmentReport &Report, Solver &Fallback);
+  /// Discharges \p Set into \p Report, outcomes in VC order (see the file
+  /// comment). \p Caller is the main solver when no portfolio is
+  /// configured; with one, it is not consulted.
+  void discharge(VCSet Set, JudgmentReport &Report, Solver &Caller);
 
   /// Statistics accumulated so far.
   DischargeStats stats() const;
@@ -232,26 +232,17 @@ private:
   AstContext &Ctx;
   Config Cfg;
   SharedSolverCache Shared;
-  /// Runs the simplify prefix at prepare time and the whole chain on the
-  /// sequential portfolio path; also the model backend for cache-hit
-  /// counterexamples settled on the submitting thread.
+  /// The main solver when a portfolio is configured: it runs the prepare
+  /// stage and slot 0.
   std::unique_ptr<PortfolioSolver> MainPortfolio;
-  /// One backend per parallel worker slot (portfolios in portfolio mode),
-  /// built on first need and kept for every later pass; stats() reads
-  /// them live.
-  std::vector<std::unique_ptr<Solver>> Workers;
+  /// The portfolios of slots 1 and up, built on first need and kept for
+  /// every later pass; stats() reads them live.
+  std::vector<std::unique_ptr<PortfolioSolver>> Workers;
   uint64_t StolenTasks = 0;
 
   /// The deadline one obligation runs under right now: the global
   /// deadline capped by a freshly armed per-VC timeout.
   Deadline perVcDeadline() const;
-
-  void dischargeSequentialPortfolio(std::vector<VC> &VCs,
-                                    const std::vector<const BoolExpr *> &Qs,
-                                    std::vector<VCOutcome> &Outcomes);
-  void dischargeParallel(std::vector<VC> &VCs,
-                         const std::vector<const BoolExpr *> &Qs,
-                         std::vector<VCOutcome> &Outcomes);
 };
 
 } // namespace relax

@@ -30,7 +30,6 @@ VerifyReport Verifier::run(Options Opts) {
   SchedCfg.Jobs = Opts.Jobs;
   SchedCfg.Portfolio = Opts.Portfolio;
   SchedCfg.SmtFactory = Opts.SmtFactory;
-  SchedCfg.SolverFactory = Opts.SolverFactory;
   SchedCfg.Global = Opts.GlobalDeadline;
   SchedCfg.VcTimeoutMs = Opts.VcTimeoutMs;
   SchedCfg.PCache = Opts.PCache;

@@ -17,13 +17,12 @@
 ///  * Relaxed Progress                     (Theorem 8),
 ///  * Relaxed Progress Modulo Original Assumptions (Corollary 9).
 ///
-/// Discharging goes through the `DischargeScheduler` (vcgen/Discharge.h):
-/// either the classic single-backend path on the constructor-supplied
-/// solver, or — when `Options::Portfolio` is set — the tiered portfolio
-/// pipeline (simplify → budgeted bounded → SMT, with the final tier
-/// optionally sharded onto a worker-process pool via
-/// `PortfolioOptions::Pool`), optionally fanned out over a work-stealing
-/// worker pool with `Jobs > 1`. Verdicts and report ordering are
+/// Discharging goes through the `DischargeScheduler` (vcgen/Discharge.h)
+/// on one path: with `Options::Portfolio` set, the tiered portfolio
+/// (simplify → budgeted bounded → SMT, with the final tier optionally
+/// sharded onto a worker-process pool via `PortfolioOptions::Pool`),
+/// fanned out over a work-stealing pool of `Jobs` slots; without it, the
+/// constructor-supplied solver alone. Verdicts and report ordering are
 /// independent of the schedule, the process count, and the pool size.
 ///
 //===----------------------------------------------------------------------===//
@@ -35,7 +34,6 @@
 #include "vcgen/Discharge.h"
 #include "vcgen/RelationalVCGen.h"
 
-#include <functional>
 #include <memory>
 
 namespace relax {
@@ -90,15 +88,11 @@ public:
     VCGenOptions GenOpts;
     bool RunOriginal = true;
     bool RunRelaxed = true;
-    /// Number of discharge workers. 1 means the sequential path; > 1
-    /// requires a SolverFactory (single-backend mode) or a Portfolio.
+    /// Number of discharge slots (see DischargeScheduler::Config::Jobs);
+    /// without a Portfolio, discharge runs on one.
     unsigned Jobs = 1;
-    /// Creates one backend per worker for the single-backend parallel
-    /// path (backends are not safe for concurrent use). In portfolio
-    /// mode this is unused — set SmtFactory instead.
-    std::function<std::unique_ptr<Solver>()> SolverFactory;
     /// Tier chain for the portfolio pipeline. When set, discharging runs
-    /// through per-worker PortfolioSolvers and the constructor-supplied
+    /// through per-slot PortfolioSolvers and the constructor-supplied
     /// solver is not consulted.
     std::optional<PortfolioOptions> Portfolio;
     /// Final-tier SMT backend factory for the portfolio; null degrades

@@ -156,12 +156,15 @@ TEST_P(ExampleJobsDifferential, ParallelVerdictsMatchSequential) {
   Verifier SeqV(*P.Ctx, *P.Prog, SeqSolver, P.Diags);
   VerifyReport Seq = SeqV.run();
 
-  // Parallel: four workers, one solver each, shared result cache.
+  // Parallel: the one-tier z3 pipeline on four slots, one Z3 backend
+  // each, shared result cache.
   Z3Solver Unused(P.Ctx->symbols());
   Verifier ParV(*P.Ctx, *P.Prog, Unused, P.Diags);
   Verifier::Options ParOpts;
   ParOpts.Jobs = 4;
-  ParOpts.SolverFactory = [&P] {
+  ParOpts.Portfolio = PortfolioOptions();
+  ParOpts.Portfolio->Tiers = {TierKind::Smt};
+  ParOpts.SmtFactory = [&P] {
     return std::make_unique<Z3Solver>(P.Ctx->symbols());
   };
   VerifyReport Par = ParV.run(ParOpts);

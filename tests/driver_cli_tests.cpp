@@ -16,8 +16,9 @@
 //  * fault injection: a fully dead worker pool degrades to the
 //    in-process tail ("shard pool degraded" under --solver-stats) with
 //    the fault-free exit code, and a bad --faults= spec exits 2;
-//  * --solver=bounded terminates with --pipeline=bounded's exit code on
-//    every case study;
+//  * --solver=<tier> prints what --pipeline=<tier> prints and shares
+//    its cache; a build without Z3 refuses --solver=z3 without a
+//    pipeline;
 //  * dump-vcs lists exactly the obligations `verify --verbose` reports,
 //    in the same order, and --smtlib emits one script per obligation.
 //
@@ -25,11 +26,13 @@
 
 #include "TestUtil.h"
 
+#include "server/VerifyServer.h"
 #include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <regex>
 #include <sstream>
 #include <unistd.h>
@@ -377,19 +380,115 @@ const char *CaseStudies[] = {"swish.rlx",     "water.rlx",
                              "sampling.rlx",  "memoize.rlx",
                              "water_modular.rlx", "shared_callee.rlx"};
 
-TEST(DriverSolverFlag, BoundedBackendSettlesLikeTheBoundedPipeline) {
+/// Drops the "(N ms)" timings, the one part of a report that varies
+/// between two runs of one configuration.
+std::string stripMs(const std::string &S) {
+  static const std::regex MsRe("\\([0-9.]* ms\\)");
+  return std::regex_replace(S, MsRe, "");
+}
+
+TEST(DriverSolverFlag, SolverRunsTheOneTierPipelineItNames) {
   RELAXC_SKIP_WITHOUT_DRIVER();
-  // The single bounded backend runs with the bounded tier's budgets, so
-  // on every case study it terminates with --pipeline=bounded's exit
-  // code instead of enumerating without a quantifier-step budget.
+  // Without --pipeline=, --solver=<tier> runs the one-tier pipeline
+  // --pipeline=<tier>: the same --verbose report and exit code on every
+  // case study, and on a refuted program, whose counterexample is
+  // compared too. The bounded tier runs under its budgets, so it always
+  // terminates with a verdict.
+  TempProgram Refuted("int x;\nrequires (x >= 0 && x <= 3);\n"
+                      "{ x = x + 1; assert x <= 3; }\n");
+  std::vector<std::string> Paths = {Refuted.Path};
   for (const char *Name : CaseStudies) {
     RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
-    std::string Path = relax::test::examplePath(Name);
-    RunResult Backend = runDriver({"verify", Path, "--solver=bounded"});
-    RunResult Pipeline = runDriver({"verify", Path, "--pipeline=bounded"});
-    EXPECT_TRUE(Pipeline.Exit == 1 || Pipeline.Exit == 3)
-        << Name << "\n" << Pipeline.Output;
-    EXPECT_EQ(Backend.Exit, Pipeline.Exit) << Name << "\n" << Backend.Output;
+    Paths.push_back(relax::test::examplePath(Name));
+  }
+  for (std::string Tier : {"bounded", "z3"}) {
+    if (Tier == "z3" && !relax::test::haveZ3())
+      continue;
+    for (const std::string &Path : Paths) {
+      RunResult Solver =
+          runDriver({"verify", Path, "--solver=" + Tier, "--verbose"});
+      RunResult Pipeline =
+          runDriver({"verify", Path, "--pipeline=" + Tier, "--verbose"});
+      std::string Tag = Tier + " " + Path;
+      if (Path == Refuted.Path) {
+        EXPECT_EQ(Pipeline.Exit, 1) << Tag << "\n" << Pipeline.Output;
+        EXPECT_NE(Pipeline.Output.find("counterexample: "), std::string::npos)
+            << Tag << "\n" << Pipeline.Output;
+      } else if (Tier == "bounded") {
+        EXPECT_TRUE(Pipeline.Exit == 1 || Pipeline.Exit == 3)
+            << Tag << "\n" << Pipeline.Output;
+      }
+      EXPECT_EQ(Solver.Exit, Pipeline.Exit) << Tag << "\n" << Solver.Output;
+      EXPECT_EQ(stripMs(Solver.Output), stripMs(Pipeline.Output)) << Tag;
+    }
+  }
+}
+
+TEST(DriverSolverFlag, SolverAndItsOneTierPipelineShareTheCache) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // Every tier settles every obligation of this program, so a run that
+  // reads another's cache answers with zero portfolio queries — but only
+  // if both computed the same fingerprint.
+  TempProgram P("int x;\nrequires (x >= 0 && x <= 2);\n"
+                "{ x = x + 1; assert x >= 1; }\n");
+  char Dir[] = "/tmp/relaxc_cli_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  for (std::string Tier : {"bounded", "z3"}) {
+    if (Tier == "z3" && !relax::test::haveZ3())
+      continue;
+    VerifyWireRequest BySolver, ByPipeline;
+    BySolver.SolverName = Tier;
+    ByPipeline.Pipeline = Tier;
+    EXPECT_EQ(verifyJobFingerprint(BySolver), verifyJobFingerprint(ByPipeline))
+        << Tier;
+    std::string Solver = "--solver=" + Tier, Pipeline = "--pipeline=" + Tier;
+    for (bool SolverFirst : {true, false}) {
+      std::string Cache =
+          std::string(Dir) + "/" + Tier + (SolverFirst ? "-s" : "-p");
+      const std::string &First = SolverFirst ? Solver : Pipeline;
+      const std::string &Second = SolverFirst ? Pipeline : Solver;
+      std::string Tag = First + " then " + Second;
+      RunResult Cold = runDriver({"verify", P.Path, First, "--solver-stats",
+                                  "--cache-dir=" + Cache});
+      ASSERT_EQ(Cold.Exit, 0) << Tag << "\n" << Cold.Output;
+      EXPECT_EQ(Cold.Output.find("queries: 0,"), std::string::npos)
+          << Tag << "\n" << Cold.Output;
+      RunResult Warm = runDriver({"verify", P.Path, Second, "--solver-stats",
+                                  "--cache-dir=" + Cache});
+      EXPECT_EQ(Warm.Exit, 0) << Tag << "\n" << Warm.Output;
+      EXPECT_NE(Warm.Output.find("queries: 0,"), std::string::npos)
+          << Tag << ": the second run missed the first's cache\n"
+          << Warm.Output;
+    }
+  }
+  EXPECT_EQ(std::system(("rm -rf '" + std::string(Dir) + "'").c_str()), 0);
+}
+
+TEST(DriverSolverFlag, BuildWithoutZ3RefusesTheZ3Solver) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  if (relax::test::haveZ3())
+    GTEST_SKIP() << "pins the build without Z3 (RELAXC_ENABLE_Z3=OFF)";
+  // The default configuration is the one-tier z3 pipeline. Without Z3 it
+  // would degrade to the bounded search at full domain and print
+  // bounded-domain verdicts as proofs and refutations, so the run is
+  // refused up front — with a worker pool too, whose workers would
+  // degrade the same way.
+  TempProgram P("int x;\n{ skip; }\n");
+  for (std::vector<std::string> Flags :
+       {std::vector<std::string>{}, {"--solver=z3"}, {"--shards=2"}}) {
+    std::vector<std::string> Args = {"verify", P.Path};
+    Args.insert(Args.end(), Flags.begin(), Flags.end());
+    RunResult R = runDriver(Args);
+    EXPECT_EQ(R.Exit, 2) << R.Output;
+    EXPECT_NE(R.Output.find("--solver=bounded"), std::string::npos)
+        << R.Output;
+    EXPECT_NE(R.Output.find("--pipeline="), std::string::npos) << R.Output;
+  }
+  // A named pipeline opts into the degraded z3 tier; --solver=bounded
+  // runs the bounded tier.
+  for (const char *Flag : {"--pipeline=z3", "--solver=bounded"}) {
+    RunResult R = runDriver({"verify", P.Path, Flag});
+    EXPECT_EQ(R.Exit, 0) << Flag << "\n" << R.Output;
   }
 }
 

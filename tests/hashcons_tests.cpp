@@ -15,8 +15,8 @@
 ///  * simplification is idempotent and memo-consistent across Simplifier
 ///    instances (the memo lives in the context);
 ///  * CachingSolver verifies entries on hit and counts hits/misses;
-///  * parallel VC discharge produces verdicts identical to the sequential
-///    path.
+///  * a one-tier pipeline at several jobs produces verdicts identical to
+///    its plain backend at one job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -246,19 +246,22 @@ TEST(ParallelVerifier, VerdictsMatchSequential) {
     ParsedProgram P = parseProgram(Source);
     ASSERT_TRUE(P.ok()) << P.diagnostics();
 
-    // Sequential: the classic single-solver path (Jobs = 1).
+    // Sequential: the plain backend, one job.
     BoundedSolver SeqSolver;
     Verifier SeqV(*P.Ctx, *P.Prog, SeqSolver, P.Diags);
     Verifier::Options SeqOpts;
     SeqOpts.Jobs = 1;
     VerifyReport Seq = SeqV.run(SeqOpts);
 
-    // Parallel: four workers, each with its own backend.
+    // Parallel: the one-tier bounded pipeline on four slots, each with
+    // its own backend, under the plain backend's budgets.
     BoundedSolver Unused;
     Verifier ParV(*P.Ctx, *P.Prog, Unused, P.Diags);
     Verifier::Options ParOpts;
     ParOpts.Jobs = 4;
-    ParOpts.SolverFactory = [] { return std::make_unique<BoundedSolver>(); };
+    ParOpts.Portfolio = PortfolioOptions();
+    ParOpts.Portfolio->Tiers = {TierKind::Bounded};
+    ParOpts.Portfolio->Bounded = BoundedSolverOptions();
     VerifyReport Par = ParV.run(ParOpts);
 
     EXPECT_EQ(Seq.verified(), Par.verified()) << Source;
@@ -289,7 +292,9 @@ TEST(ParallelVerifier, VerdictsMatchSequentialWithZ3) {
     Verifier ParV(*P.Ctx, *P.Prog, Unused, P.Diags);
     Verifier::Options ParOpts;
     ParOpts.Jobs = 3;
-    ParOpts.SolverFactory = [&P] {
+    ParOpts.Portfolio = PortfolioOptions();
+    ParOpts.Portfolio->Tiers = {TierKind::Smt};
+    ParOpts.SmtFactory = [&P] {
       return std::make_unique<Z3Solver>(P.Ctx->symbols());
     };
     VerifyReport Par = ParV.run(ParOpts);

@@ -3,7 +3,7 @@
 // Part of the relaxc project: a verifier for relaxed nondeterministic
 // approximate programs (Carbin et al., PLDI 2012).
 //
-// The tiered portfolio is pinned five ways:
+// The tiered portfolio is pinned six ways:
 //
 //  * tier-0 soundness: the simplify tier never settles a query with a
 //    verdict the bounded search (or Z3) contradicts — in particular it
@@ -20,6 +20,10 @@
 //    every verdict equals the cheapest-first order's, a failed
 //    obligation's counterexample is the bounded witness whenever the
 //    search finds one, and the case studies cost the search nothing.
+//  * one discharge path: at one job the backend sees every uncached
+//    query in VC order, each failed obligation's counterexample re-query
+//    in its turn, whether it is the caller's solver, a one-tier
+//    pipeline, or behind a simplify prefix.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +40,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 using namespace relax;
 
@@ -483,6 +488,123 @@ TEST(PortfolioScheduler, QuantifiedCorpusDischargesWithBudgetTrips) {
   EXPECT_EQ(Stats.Portfolio.Tiers[1].Settled + Stats.Portfolio.Tiers[1].GaveUp,
             0u);
   EXPECT_EQ(Stats.BoundedQuantSteps, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// One discharge path: what the backend sees at one job
+//===----------------------------------------------------------------------===//
+
+/// A backend that answers through the bounded search and logs every call,
+/// in order, as "check <query>" or "model <query>".
+class RecordingSolver : public Solver {
+public:
+  RecordingSolver(AstContext &Ctx, std::vector<std::string> &Log)
+      : Inner(BoundedSolverOptions(), &Ctx), Print(Ctx.symbols()), Log(Log) {}
+
+  const char *name() const override { return "recording"; }
+
+  Result<SatResult>
+  checkSat(const std::vector<const BoolExpr *> &Formulas) override {
+    Log.push_back("check " + text(Formulas));
+    return Inner.checkSat(Formulas);
+  }
+
+  Result<SatResult>
+  checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
+                    const VarRefSet &Vars, Model &ModelOut) override {
+    Log.push_back("model " + text(Formulas));
+    return Inner.checkSatWithModel(Formulas, Vars, ModelOut);
+  }
+
+private:
+  std::string text(const std::vector<const BoolExpr *> &Formulas) {
+    std::string Out;
+    for (const BoolExpr *F : Formulas)
+      Out += Print.print(F) + ";";
+    return Out;
+  }
+
+  BoundedSolver Inner;
+  Printer Print;
+  std::vector<std::string> &Log;
+};
+
+TEST(OneDischargePath, BackendSeesEveryQueryInVCOrderAtOneJob) {
+  AstContext Ctx;
+  const Expr *X = Ctx.var("x"), *Y = Ctx.var("y"), *Z = Ctx.var("z");
+  // Validity obligations no simplifier folds: B holds, the rest fail.
+  // E fails too, but the simplify tier settles it.
+  const BoolExpr *A = Ctx.lt(X, Y);
+  const BoolExpr *B = Ctx.ge(Ctx.mul(X, X), Ctx.intLit(0));
+  const BoolExpr *C = Ctx.lt(Y, Z);
+  const BoolExpr *D = Ctx.lt(Z, X);
+  const BoolExpr *E = Ctx.falseExpr();
+  // A repeats within the first pass; C, E, A and B repeat across passes.
+  const std::vector<const BoolExpr *> Passes[] = {{A, B, A, E, C},
+                                                  {C, D, E, A, B}};
+  auto SetOf = [](const std::vector<const BoolExpr *> &Formulas) {
+    VCSet Set;
+    for (const BoolExpr *F : Formulas) {
+      VC V;
+      V.Formula = F;
+      V.Rule = "assert";
+      V.Id = static_cast<uint32_t>(Set.VCs.size());
+      Set.VCs.push_back(V);
+    }
+    return Set;
+  };
+
+  // The same backend as the caller's solver, as a one-tier pipeline, and
+  // behind a simplify prefix, whose prepare stage must not reach it.
+  Printer Print(Ctx.symbols());
+  std::vector<std::string> CallerDetails;
+  for (const char *Spec : {"", "z3", "simplify,z3"}) {
+    // Each query the cache has not seen, in VC order, and after every
+    // failed obligation, cached or not, its counterexample re-query —
+    // except for E behind the simplify prefix, which settles it and its
+    // counterexample alike.
+    bool Simplify = std::strncmp(Spec, "simplify", 8) == 0;
+    std::vector<std::string> Want;
+    std::set<const BoolExpr *> Seen;
+    for (const std::vector<const BoolExpr *> &Pass : Passes)
+      for (const BoolExpr *F : Pass) {
+        if (F == E && Simplify)
+          continue;
+        std::string Query = Print.print(Ctx.notExpr(F)) + ";";
+        if (Seen.insert(F).second)
+          Want.push_back("check " + Query);
+        if (F != B)
+          Want.push_back("model " + Query);
+      }
+
+    std::vector<std::string> Log;
+    RecordingSolver Caller(Ctx, Log);
+    DischargeScheduler::Config Cfg;
+    if (*Spec) {
+      Cfg.Portfolio = PortfolioOptions();
+      Cfg.Portfolio->Tiers = *parsePipelineSpec(Spec);
+      Cfg.SmtFactory = [&] {
+        return std::make_unique<RecordingSolver>(Ctx, Log);
+      };
+    }
+    DischargeScheduler Sched(Ctx, std::move(Cfg));
+    std::vector<std::string> Details;
+    for (const std::vector<const BoolExpr *> &Pass : Passes) {
+      JudgmentReport Report;
+      Sched.discharge(SetOf(Pass), Report, Caller);
+      ASSERT_EQ(Report.Outcomes.size(), Pass.size()) << Spec;
+      for (size_t I = 0; I != Pass.size(); ++I) {
+        EXPECT_EQ(Report.Outcomes[I].Status,
+                  Pass[I] == B ? VCStatus::Proved : VCStatus::Failed)
+            << "pipeline '" << Spec << "' VC #" << I;
+        Details.push_back(Report.Outcomes[I].Detail);
+      }
+    }
+    EXPECT_EQ(Log, Want) << "pipeline '" << Spec << "'";
+    if (!*Spec)
+      CallerDetails = Details;
+    EXPECT_EQ(Details, CallerDetails) << "pipeline '" << Spec << "'";
+  }
 }
 
 //===----------------------------------------------------------------------===//

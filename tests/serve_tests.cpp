@@ -675,25 +675,45 @@ TEST(CliMatchesSession, CaseStudiesUnderEachFlagSet) {
 
 TEST(CliMatchesSession, PoolOnlyChoosesWhereTheFinalTierRuns) {
   RELAXC_SKIP_WITHOUT_DRIVER();
-  // What `--pipeline=simplify,bounded --shards=2` runs: the session moves
-  // the final bounded tier onto the pool's workers, and nothing else.
+  // What `--shards=2` runs: the session moves the final tier onto the
+  // pool's workers, and nothing else — for a pipeline, for the default
+  // configuration (the one-tier z3 pipeline), and for --solver=bounded.
   ShardPoolOptions SO;
   SO.Shards = 2;
   SO.WorkerExe = relax::test::driverPath();
   auto Pool = ShardPool::create(std::move(SO));
   ASSERT_TRUE(Pool.ok()) << Pool.message();
+  const FlagSet Sets[] = {
+      {{"--pipeline=simplify,bounded"}, false,
+       [](VerifyWireRequest &R) { R.Pipeline = "simplify,bounded"; }},
+      {{}, true, [](VerifyWireRequest &) {}},
+      {{"--solver=bounded"}, false,
+       [](VerifyWireRequest &R) { R.SolverName = "bounded"; }},
+  };
   for (const char *Name : CaseStudies) {
     RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
-    VerifyWireRequest R = boundedRequest(Name, Source);
-    R.Verbose = true;
-    VerifyWireResponse Local = runVerifyJob(R, nullptr);
-    VerifyWireResponse Sharded = runVerifyJob(R, nullptr, Pool->get());
-    ASSERT_FALSE(Sharded.IsError) << Name << ": " << Sharded.Error;
-    EXPECT_EQ(Sharded.ExitStatus, Local.ExitStatus) << Name;
-    EXPECT_EQ(stripMs(Sharded.Report), stripMs(Local.Report)) << Name;
-    EXPECT_EQ(Sharded.Diagnostics, Local.Diagnostics) << Name;
+    for (const FlagSet &Set : Sets) {
+      if (Set.NeedsZ3 && !relax::test::haveZ3())
+        continue;
+      std::string Tag = Name;
+      for (const std::string &F : Set.Flags)
+        Tag += " " + F;
+      VerifyWireRequest R;
+      R.FileName = Name;
+      R.Source = Source;
+      R.Verbose = true;
+      Set.Apply(R);
+      uint64_t Before = (*Pool)->stats().Requests;
+      VerifyWireResponse Local = runVerifyJob(R, nullptr);
+      VerifyWireResponse Sharded = runVerifyJob(R, nullptr, Pool->get());
+      ASSERT_FALSE(Sharded.IsError) << Tag << ": " << Sharded.Error;
+      EXPECT_EQ(Sharded.ExitStatus, Local.ExitStatus) << Tag;
+      EXPECT_EQ(stripMs(Sharded.Report), stripMs(Local.Report)) << Tag;
+      EXPECT_EQ(Sharded.Diagnostics, Local.Diagnostics) << Tag;
+      EXPECT_GT((*Pool)->stats().Requests, Before)
+          << Tag << ": no obligation reached the pool";
+    }
   }
-  EXPECT_GT((*Pool)->stats().Requests, 0u) << "no obligation reached the pool";
 
   // A pipeline with no final bounded or z3 tier has nothing to move.
   VerifyWireRequest R = boundedRequest("skip.rlx", "int x;\n{ skip; }\n");
