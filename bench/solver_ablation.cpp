@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../tests/EnumerateSolver.h"
 #include "BenchUtil.h"
 
 #include "solver/BoundedSolver.h"
@@ -86,11 +87,11 @@ void BM_Solver_Z3(benchmark::State &State) {
       /*Simplify=*/true);
 }
 
-/// Discharges the A1 corpus on the bounded backend with the given engine,
-/// recording the candidate-assignment counter next to the timings — the
-/// metric the search engine exists to shrink.
-void dischargeBoundedCorpus(benchmark::State &State,
-                            BoundedSolverOptions::Engine Eng,
+/// Discharges the A1 corpus on the bounded backend (or, with
+/// \p Odometer, on the odometer it replaced), recording the
+/// candidate-assignment counter next to the timings — the metric the
+/// search exists to shrink.
+void dischargeBoundedCorpus(benchmark::State &State, bool Odometer,
                             bool Learning = true) {
   size_t Undecided = 0, Total = 0;
   uint64_t Cands = 0, Conflicts = 0;
@@ -106,12 +107,13 @@ void dischargeBoundedCorpus(benchmark::State &State,
         return;
       }
       BoundedSolverOptions O;
-      O.Eng = Eng;
       O.Learning = Learning;
       O.Restarts = Learning;
-      BoundedSolver Solver(O, L.Ctx.get());
+      BoundedSolver Search(O, L.Ctx.get());
+      relax::test::EnumerateSolver Enum(O);
+      Solver &S = Odometer ? static_cast<Solver &>(Enum) : Search;
       DiagnosticEngine Diags;
-      Verifier V(*L.Ctx, *L.Prog, Solver, Diags);
+      Verifier V(*L.Ctx, *L.Prog, S, Diags);
       Verifier::Options Opts;
       Opts.GenOpts.Simplify = true;
       VerifyReport R = V.run(Opts);
@@ -121,8 +123,9 @@ void dischargeBoundedCorpus(benchmark::State &State,
                    R.Original.count(VCStatus::SolverError) +
                    R.Relaxed.count(VCStatus::Unknown) +
                    R.Relaxed.count(VCStatus::SolverError);
-      Cands += Solver.candidatesEvaluated();
-      Conflicts += Solver.searchStats().Conflicts;
+      Cands += Odometer ? Enum.candidatesEvaluated()
+                        : Search.candidatesEvaluated();
+      Conflicts += Search.searchStats().Conflicts;
     }
   }
   State.counters["vcs"] = static_cast<double>(Total);
@@ -132,7 +135,7 @@ void dischargeBoundedCorpus(benchmark::State &State,
 }
 
 void BM_Solver_Bounded(benchmark::State &State) {
-  dischargeBoundedCorpus(State, BoundedSolverOptions::Engine::Search);
+  dischargeBoundedCorpus(State, /*Odometer=*/false);
 }
 
 /// The conflict-driven-machinery ablation on the same corpus: learning
@@ -140,19 +143,18 @@ void BM_Solver_Bounded(benchmark::State &State) {
 /// the learning row is pinned by the differential suites; this row
 /// measures what the machinery costs (or saves) end to end.
 void BM_Solver_Bounded_NoLearning(benchmark::State &State) {
-  dischargeBoundedCorpus(State, BoundedSolverOptions::Engine::Search,
-                         /*Learning=*/false);
+  dischargeBoundedCorpus(State, /*Odometer=*/false, /*Learning=*/false);
 }
 
 void BM_Solver_Bounded_Enumerate(benchmark::State &State) {
-  dischargeBoundedCorpus(State, BoundedSolverOptions::Engine::Enumerate);
+  dischargeBoundedCorpus(State, /*Odometer=*/true);
 }
 
-/// The pruning ablation the search engine is built for: a K-variable
-/// query whose conjuncts each constrain one variable, with a
-/// contradiction on the first. The odometer enumerates 13^K full models;
-/// the search engine refutes the query at depth 0 in 13 assignments.
-/// Counters record both engines' candidate counts per run.
+/// The pruning ablation the search is built for: a K-variable query
+/// whose conjuncts each constrain one variable, with a contradiction on
+/// the first. The odometer enumerates 13^K full models; the search
+/// refutes the query at depth 0 in 13 assignments. Counters record both
+/// candidate counts per run.
 void BM_Solver_Bounded_PruningAblation(benchmark::State &State) {
   AstContext Ctx;
   std::vector<const BoolExpr *> Parts;
@@ -168,12 +170,10 @@ void BM_Solver_Bounded_PruningAblation(benchmark::State &State) {
   for (auto _ : State) {
     BoundedSolver Search(BoundedSolverOptions(), &Ctx);
     auto RS = Search.checkSat({F});
-    BoundedSolverOptions EO;
-    EO.Eng = BoundedSolverOptions::Engine::Enumerate;
-    BoundedSolver Enum(EO, &Ctx);
+    relax::test::EnumerateSolver Enum;
     auto RE = Enum.checkSat({F});
     if (!RS.ok() || !RE.ok() || *RS != *RE) {
-      State.SkipWithError("engines disagree");
+      State.SkipWithError("search and odometer disagree");
       return;
     }
     SearchCands = Search.candidatesEvaluated();

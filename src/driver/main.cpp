@@ -26,12 +26,12 @@
 #include "solver/ShardPool.h"
 #include "solver/Z3Solver.h"
 #include "support/FaultInjection.h"
+#include "support/IntMath.h"
 #include "support/PersistentCache.h"
 #include "support/Subprocess.h"
 #include "support/Transport.h"
 #include "vcgen/Verifier.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -104,24 +104,15 @@ void printUsage() {
       "                            bounded search, as a pipeline tier and\n"
       "                            as --solver=bounded (default 200000;\n"
       "                            0 = unlimited)\n"
-      "  --bounded-learning=<on|off>\n"
-      "                            conflict-driven nogood learning in the\n"
-      "                            bounded search (default on; verdicts\n"
-      "                            are identical either way)\n"
-      "  --bounded-restarts=<on|off>\n"
-      "                            Luby restarts with activity-based\n"
-      "                            variable ordering (default on; implies\n"
-      "                            nothing unless learning is on)\n"
-      "  --bounded-max-nogoods=<n> learned-nogood store cap of the bounded\n"
-      "                            search (default 10000; 0 = unlimited)\n"
       "  --explain=<o:N|r:N|proc:name>\n"
       "                            after `verify`, print obligation N of\n"
       "                            the |-o / |-r pass (provenance, formula,\n"
       "                            and which tier settled it), or list every\n"
       "                            obligation of one procedure's summaries\n"
       "  --solver-stats            print per-tier settled/escalated counts,\n"
-      "                            cache/work counters, and per-procedure\n"
-      "                            obligation counts after `verify`\n"
+      "                            cache/work counters, per-pass times, and\n"
+      "                            per-procedure obligation counts after\n"
+      "                            `verify`\n"
       "  --oracle=<solver|random|identity>\n"
       "                            havoc/relax resolution strategy\n"
       "  --semantics=<original|relaxed>   for `run` (default relaxed)\n"
@@ -134,8 +125,6 @@ void printUsage() {
       "  --vc-timeout-ms=<n>       per-obligation wall-clock budget\n"
       "  --jobs=<n>                parallel VC discharge workers for "
       "`verify` (default 1)\n"
-      "  --solver-jobs=<n>         parallel search workers inside the "
-      "bounded backend (default 1)\n"
       "  --shards=<n>              discharge escalated obligations on <n> "
       "worker\n"
       "                            processes: the pipeline's final tier "
@@ -187,21 +176,6 @@ void printUsage() {
       "(solver gave up or errored)\n");
 }
 
-/// Strict decimal parse: the whole string must be digits. strtoull alone
-/// maps garbage to 0, which for budget flags silently means "unlimited" —
-/// the exact failure the flag exists to prevent.
-bool parseUnsigned(const char *V, uint64_t &Out) {
-  // strtoull alone is too forgiving for a flag value: it skips leading
-  // whitespace, accepts (and silently negates) a minus sign, and wraps on
-  // overflow. A decimal flag must be digits from the first character on.
-  if (*V < '0' || *V > '9')
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  Out = std::strtoull(V, &End, 10);
-  return *End == '\0' && errno != ERANGE;
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   if (Argc < 3)
     return false;
@@ -231,37 +205,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       Opts.Verify.Pipeline = formatPipeline(*Tiers);
     } else if (const char *V = Value("--bounded-steps=")) {
-      if (!parseUnsigned(V, Opts.Verify.BoundedSteps)) {
+      if (!parseDecimal(V, Opts.Verify.BoundedSteps)) {
         std::fprintf(stderr,
                      "relaxc: error: bad --bounded-steps value '%s' "
                      "(expected a decimal step count; 0 = unlimited)\n",
-                     V);
-        return false;
-      }
-    } else if (const char *V = Value("--bounded-learning=")) {
-      if (std::strcmp(V, "on") != 0 && std::strcmp(V, "off") != 0) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-learning value '%s' "
-                     "(expected on or off)\n",
-                     V);
-        return false;
-      }
-      Opts.Verify.BoundedLearning = std::strcmp(V, "on") == 0;
-    } else if (const char *V = Value("--bounded-restarts=")) {
-      if (std::strcmp(V, "on") != 0 && std::strcmp(V, "off") != 0) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-restarts value '%s' "
-                     "(expected on or off)\n",
-                     V);
-        return false;
-      }
-      Opts.Verify.BoundedRestarts = std::strcmp(V, "on") == 0;
-    } else if (const char *V = Value("--bounded-max-nogoods=")) {
-      if (!parseUnsigned(V, Opts.Verify.BoundedMaxNogoods) ||
-          Opts.Verify.BoundedMaxNogoods > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-max-nogoods value '%s' "
-                     "(expected a decimal nogood count; 0 = unlimited)\n",
                      V);
         return false;
       }
@@ -277,7 +224,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       // Strict, like every other numeric flag: bare strtoull mapped
       // --seed=garbage to 0 and --seed=12abc to 12, silently changing
       // which runs a reported failure reproduces.
-      if (!parseUnsigned(V, Opts.Seed)) {
+      if (!parseDecimal(V, Opts.Seed)) {
         std::fprintf(stderr,
                      "relaxc: error: bad --seed value '%s' (expected a "
                      "decimal seed)\n",
@@ -286,7 +233,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
     } else if (const char *V = Value("--runs=")) {
       uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > UINT32_MAX) {
+      if (!parseDecimal(V, N) || N > UINT32_MAX) {
         std::fprintf(stderr,
                      "relaxc: error: bad --runs value '%s' (expected a "
                      "decimal run count)\n",
@@ -296,7 +243,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Runs = static_cast<unsigned>(N);
     } else if (const char *V = Value("--array-len=")) {
       uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > UINT32_MAX) {
+      if (!parseDecimal(V, N) || N > UINT32_MAX) {
         std::fprintf(stderr,
                      "relaxc: error: bad --array-len value '%s' (expected a "
                      "decimal length)\n",
@@ -306,7 +253,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.ArrayLen = static_cast<size_t>(N);
     } else if (const char *V = Value("--jobs=")) {
       uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > 1024) {
+      if (!parseDecimal(V, N) || N > 1024) {
         std::fprintf(stderr,
                      "relaxc: error: bad --jobs value '%s' (expected a "
                      "decimal worker count <= 1024)\n",
@@ -314,16 +261,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
       Opts.Verify.Jobs = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--solver-jobs=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > 1024) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --solver-jobs value '%s' (expected "
-                     "a decimal worker count <= 1024)\n",
-                     V);
-        return false;
-      }
-      Opts.Verify.SolverJobs = static_cast<unsigned>(N);
     } else if (const char *V = Value("--cache-dir=")) {
       if (*V == '\0') {
         std::fprintf(stderr,
@@ -333,7 +270,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       Opts.CacheDir = V;
     } else if (const char *V = Value("--cache-verify=")) {
-      if (!parseUnsigned(V, Opts.CacheVerifyPpm) ||
+      if (!parseDecimal(V, Opts.CacheVerifyPpm) ||
           Opts.CacheVerifyPpm > 1'000'000) {
         std::fprintf(stderr,
                      "relaxc: error: bad --cache-verify value '%s' "
@@ -344,7 +281,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.CacheVerifySet = true;
     } else if (const char *V = Value("--shards=")) {
       uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > 256) {
+      if (!parseDecimal(V, N) || N > 256) {
         std::fprintf(stderr,
                      "relaxc: error: bad --shards value '%s' (expected a "
                      "decimal worker count <= 256; 0 = in-process)\n",
@@ -369,7 +306,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Connect = V;
     } else if (const char *V = Value("--timeout-ms=")) {
       uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
+      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
         std::fprintf(stderr,
                      "relaxc: error: bad --timeout-ms value '%s' (expected "
                      "a decimal millisecond count)\n",
@@ -379,7 +316,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Verify.TimeoutMs = static_cast<int64_t>(N);
     } else if (const char *V = Value("--vc-timeout-ms=")) {
       uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
+      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
         std::fprintf(stderr,
                      "relaxc: error: bad --vc-timeout-ms value '%s' "
                      "(expected a decimal millisecond count)\n",
@@ -538,7 +475,7 @@ bool printExplain(const VerifyReport &Report, const std::string &Id,
   const char *PassName = nullptr;
   uint64_t N = 0;
   if (Id.size() > 2 && Id[1] == ':' && (Id[0] == 'o' || Id[0] == 'r') &&
-      parseUnsigned(Id.c_str() + 2, N)) {
+      parseDecimal(Id.c_str() + 2, N)) {
     Pass = Id[0] == 'o' ? &Report.Original : &Report.Relaxed;
     PassName = Id[0] == 'o' ? "|-o" : "|-r";
   }
@@ -705,28 +642,28 @@ int runServe(int Argc, char **Argv) {
     } else if (const char *V = Value("--cache-dir=")) {
       SO.CacheDir = V;
     } else if (const char *V = Value("--serve-threads=")) {
-      if (!parseUnsigned(V, N) || N == 0 || N > 1024) {
+      if (!parseDecimal(V, N) || N == 0 || N > 1024) {
         std::fprintf(stderr, "relaxc: error: bad --serve-threads value "
                              "'%s' (expected 1..1024)\n", V);
         return 2;
       }
       SO.MaxConnections = static_cast<unsigned>(N);
     } else if (const char *V = Value("--serve-queue=")) {
-      if (!parseUnsigned(V, N) || N == 0 || N > 4096) {
+      if (!parseDecimal(V, N) || N == 0 || N > 4096) {
         std::fprintf(stderr, "relaxc: error: bad --serve-queue value "
                              "'%s' (expected 1..4096)\n", V);
         return 2;
       }
       SO.AcceptBacklog = static_cast<int>(N);
     } else if (const char *V = Value("--serve-frame-timeout-ms=")) {
-      if (!parseUnsigned(V, N) || N > uint64_t(INT32_MAX)) {
+      if (!parseDecimal(V, N) || N > uint64_t(INT32_MAX)) {
         std::fprintf(stderr, "relaxc: error: bad --serve-frame-timeout-ms "
                              "value '%s'\n", V);
         return 2;
       }
       SO.FrameReadTimeoutMs = static_cast<int>(N);
     } else if (const char *V = Value("--serve-max-request-ms=")) {
-      if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
+      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
         std::fprintf(stderr, "relaxc: error: bad --serve-max-request-ms "
                              "value '%s'\n", V);
         return 2;

@@ -11,6 +11,7 @@
 #include "solver/BoundedSolver.h"
 #include "solver/Z3Solver.h"
 #include "support/FaultInjection.h"
+#include "support/IntMath.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -133,7 +134,7 @@ bool relax::isVerifyRequestPayload(std::string_view Payload) {
 
 namespace {
 
-const char *VerifyRequestMagic = "relax-verify-request 1";
+const char *VerifyRequestMagic = "relax-verify-request 2";
 const char *VerifyResponseMagic = "relax-verify-response 1";
 
 void putLine(std::string &Out, const std::string &S) {
@@ -198,20 +199,6 @@ struct WireCursor {
   }
 };
 
-bool parseWireUnsigned(std::string_view V, uint64_t &Out) {
-  if (V.empty())
-    return false;
-  Out = 0;
-  for (char C : V) {
-    if (C < '0' || C > '9')
-      return false;
-    if (Out > UINT64_MAX / 10)
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
 /// `<key> <value>` with exact key match; -1 is the only allowed negative.
 Status takeKeyed(WireCursor &C, const char *Key, std::string_view &Value) {
   std::string_view L;
@@ -230,7 +217,7 @@ Status takeUnsigned(WireCursor &C, const char *Key, uint64_t &Out) {
   std::string_view V;
   if (Status S = takeKeyed(C, Key, V); !S.ok())
     return S;
-  if (!parseWireUnsigned(V, Out))
+  if (!parseDecimal(V, Out))
     return Status::error(std::string("bad '") + Key + "' value '" +
                          std::string(V) + "'");
   return Status::success();
@@ -245,21 +232,10 @@ Status takeMs(WireCursor &C, const char *Key, int64_t &Out) {
     return Status::success();
   }
   uint64_t N = 0;
-  if (!parseWireUnsigned(V, N) || N > uint64_t(INT64_MAX))
+  if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX))
     return Status::error(std::string("bad '") + Key + "' value '" +
                          std::string(V) + "'");
   Out = static_cast<int64_t>(N);
-  return Status::success();
-}
-
-Status takeOnOff(WireCursor &C, const char *Key, bool &Out) {
-  std::string_view V;
-  if (Status S = takeKeyed(C, Key, V); !S.ok())
-    return S;
-  if (V != "on" && V != "off")
-    return Status::error(std::string("bad '") + Key + "' value '" +
-                         std::string(V) + "' (expected on or off)");
-  Out = V == "on";
   return Status::success();
 }
 
@@ -271,11 +247,7 @@ std::string relax::serializeVerifyRequest(const VerifyWireRequest &R) {
   putLine(Out, "solver " + R.SolverName);
   putLine(Out, "pipeline " + (R.Pipeline.empty() ? "-" : R.Pipeline));
   putLine(Out, "bounded-steps " + std::to_string(R.BoundedSteps));
-  putLine(Out, std::string("learning ") + (R.BoundedLearning ? "on" : "off"));
-  putLine(Out, std::string("restarts ") + (R.BoundedRestarts ? "on" : "off"));
-  putLine(Out, "max-nogoods " + std::to_string(R.BoundedMaxNogoods));
   putLine(Out, "jobs " + std::to_string(R.Jobs));
-  putLine(Out, "solver-jobs " + std::to_string(R.SolverJobs));
   putLine(Out, "timeout-ms " + std::to_string(R.TimeoutMs));
   putLine(Out, "vc-timeout-ms " + std::to_string(R.VcTimeoutMs));
   std::string Flags;
@@ -315,19 +287,10 @@ Result<VerifyWireRequest> relax::parseVerifyRequest(std::string_view Payload) {
   R.Pipeline = V == "-" ? std::string() : std::string(V);
   if (Status S = takeUnsigned(C, "bounded-steps", R.BoundedSteps); !S.ok())
     return Bad(S.message());
-  if (Status S = takeOnOff(C, "learning", R.BoundedLearning); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeOnOff(C, "restarts", R.BoundedRestarts); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeUnsigned(C, "max-nogoods", R.BoundedMaxNogoods); !S.ok())
-    return Bad(S.message());
   uint64_t N = 0;
   if (Status S = takeUnsigned(C, "jobs", N); !S.ok() || N > 1024)
     return Bad(S.ok() ? "bad 'jobs' value (> 1024)" : S.message());
   R.Jobs = static_cast<unsigned>(N);
-  if (Status S = takeUnsigned(C, "solver-jobs", N); !S.ok() || N > 1024)
-    return Bad(S.ok() ? "bad 'solver-jobs' value (> 1024)" : S.message());
-  R.SolverJobs = static_cast<unsigned>(N);
   if (Status S = takeMs(C, "timeout-ms", R.TimeoutMs); !S.ok())
     return Bad(S.message());
   if (Status S = takeMs(C, "vc-timeout-ms", R.VcTimeoutMs); !S.ok())
@@ -391,7 +354,7 @@ relax::parseVerifyResponse(std::string_view Payload) {
   if (Sp == std::string_view::npos)
     return Bad("bad 'status' line '" + std::string(V) + "'");
   uint64_t N = 0;
-  if (!parseWireUnsigned(V.substr(0, Sp), N) || N > 3)
+  if (!parseDecimal(V.substr(0, Sp), N) || N > 3)
     return Bad("bad exit status '" + std::string(V.substr(0, Sp)) + "'");
   R.ExitStatus = static_cast<int>(N);
   std::string_view Kind = V.substr(Sp + 1);
@@ -433,10 +396,13 @@ void appendf(std::string &Out, const char *Fmt, ...) {
     Out.append(Buf, std::min(static_cast<size_t>(N), sizeof(Buf) - 1));
 }
 
-/// The `--solver-stats` block of a run over the tier chain \p Tiers.
+/// The `--solver-stats` block of a run over the tier chain \p Tiers. The
+/// per-pass wall times live here, not in the report body, so a report is
+/// a deterministic function of the program and its configuration.
 std::string renderSolverStats(const std::vector<TierKind> &Tiers,
                               const DischargeStats &S,
-                              const PersistentCache *PCache) {
+                              const PersistentCache *PCache,
+                              const VerifyReport &Report) {
   auto U = [](uint64_t N) { return static_cast<unsigned long long>(N); };
   std::string Out;
   Out += "solver stats:\n";
@@ -479,6 +445,8 @@ std::string renderSolverStats(const std::vector<TierKind> &Tiers,
           U(S.Search.Backjumps), U(S.Search.Restarts),
           U(S.Search.MaxTrailDepth));
   appendf(Out, "  scheduler: %llu stolen tasks\n", U(S.StolenTasks));
+  appendf(Out, "  pass times: |-o %.1f ms, |-r %.1f ms\n",
+          Report.Original.TotalMillis, Report.Relaxed.TotalMillis);
   return Out;
 }
 
@@ -515,16 +483,13 @@ std::string renderProcObligations(const VerifyReport &Report) {
 
 namespace {
 
-/// The bounded configuration of a request. The portfolio's `bounded` tier
+/// The bounded configuration of a request: the portfolio's defaults with
+/// the request's quantifier-step budget. The portfolio's `bounded` tier
 /// and the oracle solver `makeVerifyBackend` builds both run it, so the
 /// oracle gets the tier's candidate and quantifier-step budgets.
 BoundedSolverOptions boundedOptionsFor(const VerifyWireRequest &R) {
   BoundedSolverOptions BO = PortfolioOptions().Bounded;
   BO.MaxQuantSteps = R.BoundedSteps;
-  BO.Jobs = R.SolverJobs == 0 ? 1 : R.SolverJobs;
-  BO.Learning = R.BoundedLearning;
-  BO.Restarts = R.BoundedRestarts;
-  BO.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
   return BO;
 }
 
@@ -637,7 +602,8 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
     Job.Diagnostics = Diags.render();
   Job.Report = renderReport(Job.Verdicts, Ctx.symbols(), Req.Verbose);
   if (Req.SolverStats) {
-    Job.Report += renderSolverStats(VO.Portfolio->Tiers, Stats, PCache);
+    Job.Report +=
+        renderSolverStats(VO.Portfolio->Tiers, Stats, PCache, Job.Verdicts);
     Job.Report += renderProcObligations(Job.Verdicts);
   }
   Job.ExitStatus = Job.Verdicts.exitStatus();

@@ -99,11 +99,7 @@ struct VerifyWireRequest {
   std::string SolverName = "z3";      ///< the one tier when no Pipeline
   std::string Pipeline;               ///< tier spec; "" = SolverName alone
   uint64_t BoundedSteps = 200'000;
-  bool BoundedLearning = true;
-  bool BoundedRestarts = true;
-  uint64_t BoundedMaxNogoods = 10'000;
   unsigned Jobs = 1;
-  unsigned SolverJobs = 1;
   int64_t TimeoutMs = -1;   ///< request-scoped global deadline (< 0 none)
   int64_t VcTimeoutMs = -1; ///< per-obligation budget (< 0 none)
   bool NoSafety = false;

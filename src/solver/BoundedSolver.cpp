@@ -11,10 +11,14 @@
 #include "solver/FormulaProgram.h"
 #include "support/Casting.h"
 #include "support/FaultInjection.h"
+#include "support/IntMath.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <thread>
+#include <type_traits>
 
 using namespace relax;
 
@@ -698,7 +702,7 @@ private:
         // themselves still run on the surviving values, so an evaluator
         // mismatch could only lose witnesses, never admit false ones —
         // and the differential suite pins witness identity against the
-        // non-propagating engines.
+        // non-propagating odometer.
         const int64_t H0 = static_cast<int64_t>(Hi);
         int64_t NLo = static_cast<int64_t>(Lo), NHi = H0;
         for (const ForcedRef &FR : ForcedAt[Depth]) {
@@ -1213,7 +1217,7 @@ private:
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Search engine
+// Search
 //===----------------------------------------------------------------------===//
 
 SatResult BoundedSolver::search(const std::vector<const BoolExpr *> &Formulas,
@@ -1354,115 +1358,86 @@ SatResult BoundedSolver::search(const std::vector<const BoolExpr *> &Formulas,
 }
 
 //===----------------------------------------------------------------------===//
-// Legacy enumerate engine (differential partner / ablation baseline)
+// Text form
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Odometer over the full assignment space: scalars range over
-/// [IntLo, IntHi]; arrays range over lengths 0..MaxArrayLen with elements
-/// in [ArrayElemLo, ArrayElemHi].
-class AssignmentEnumerator {
-public:
-  AssignmentEnumerator(const std::vector<VarRef> &Vars,
-                       const BoundedSolverOptions &Opts)
-      : Vars(Vars), Opts(Opts), Dom(arrayDomain(Opts)) {
-    for (const VarRef &V : Vars) {
-      if (V.Kind == VarKind::Int) {
-        Current.Ints[V] = Opts.IntLo;
-      } else {
-        Current.Arrays[V] = ArrayModelValue(); // length 0
-      }
-    }
+/// Calls \p F(key, field) for every field of the text form, in its fixed
+/// order: the one list of the configuration's fields outside the struct.
+template <typename OptionsT, typename Fn>
+void forEachField(OptionsT &O, Fn &&F) {
+  F("lo", O.IntLo);
+  F("hi", O.IntHi);
+  F("alen", O.MaxArrayLen);
+  F("elo", O.ArrayElemLo);
+  F("ehi", O.ArrayElemHi);
+  F("cands", O.MaxCandidates);
+  F("steps", O.MaxQuantSteps);
+  F("exhaust", O.ExhaustionMeansUnsat);
+  F("jobs", O.Jobs);
+  F("learn", O.Learning);
+  F("restarts", O.Restarts);
+  F("nogoods", O.MaxNogoods);
+}
+
+/// Parses one field value: 0 or 1 for a flag, else a strict decimal that
+/// must fit the field's type.
+template <typename T> bool parseField(std::string_view V, T &Out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (V != "0" && V != "1")
+      return false;
+    Out = V == "1";
+    return true;
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return parseDecimal(V, Out);
+  } else {
+    uint64_t N = 0;
+    if (!parseDecimal(V, N) || N > std::numeric_limits<T>::max())
+      return false;
+    Out = static_cast<T>(N);
+    return true;
   }
-
-  const Model &current() const { return Current; }
-
-  /// Advances to the next assignment; returns false when wrapped around.
-  bool advance() {
-    for (const VarRef &V : Vars) {
-      if (V.Kind == VarKind::Int) {
-        int64_t &Val = Current.Ints[V];
-        if (Val < Opts.IntHi) {
-          ++Val;
-          return true;
-        }
-        Val = Opts.IntLo; // carry
-        continue;
-      }
-      if (Dom.advance(Current.Arrays[V]))
-        return true;
-      Current.Arrays[V] = ArrayModelValue(); // carry
-    }
-    return false;
-  }
-
-private:
-  const std::vector<VarRef> &Vars;
-  const BoundedSolverOptions &Opts;
-  ArrayDomain Dom;
-  Model Current;
-};
+}
 
 } // namespace
 
-SatResult
-BoundedSolver::enumerate(const std::vector<const BoolExpr *> &Formulas,
-                         const VarRefSet &ExtraVars, Model *ModelOut) {
-  if (ModelOut) {
-    ModelOut->Ints.clear();
-    ModelOut->Arrays.clear();
-  }
+std::string relax::formatBoundedOptions(const BoundedSolverOptions &Opts) {
+  std::string Out;
+  forEachField(Opts, [&](const char *Key, const auto &V) {
+    if (!Out.empty())
+      Out += ' ';
+    Out += Key;
+    Out += '=';
+    Out += std::to_string(V);
+  });
+  return Out;
+}
 
-  VarRefSet VarSet = ExtraVars;
-  for (const BoolExpr *F : Formulas)
-    collectFreeVars(F, VarSet);
-  std::vector<VarRef> Vars(VarSet.begin(), VarSet.end());
-
-  FormulaEvalOptions EvalOpts;
-  EvalOpts.IntLo = Opts.IntLo;
-  EvalOpts.IntHi = Opts.IntHi;
-  EvalOpts.MaxArrayLen = Opts.MaxArrayLen;
-  EvalOpts.ArrayElemLo = Opts.ArrayElemLo;
-  EvalOpts.ArrayElemHi = Opts.ArrayElemHi;
-
-  LastStop = StopReason::Decided;
-  LastQueryConflicts = 0;
-  if (QueryDeadline.expired()) {
-    LastStop = StopReason::Deadline;
-    return SatResult::Unknown;
-  }
-  AssignmentEnumerator Enum(Vars, Opts);
-  uint64_t Evaluated = 0;
-  do {
-    if (++Evaluated > Opts.MaxCandidates) {
-      Candidates += Evaluated - 1;
-      LastStop = StopReason::CandidateBudget;
-      return SatResult::Unknown;
-    }
-    if ((Evaluated & 0xFFF) == 0 && QueryDeadline.expired()) {
-      Candidates += Evaluated;
-      LastStop = StopReason::Deadline;
-      return SatResult::Unknown;
-    }
-    const Model &M = Enum.current();
-    bool AllHold = true;
-    for (const BoolExpr *F : Formulas) {
-      if (!evalFormula(F, M, EvalOpts)) {
-        AllHold = false;
-        break;
-      }
-    }
-    if (AllHold) {
-      Candidates += Evaluated;
-      if (ModelOut)
-        *ModelOut = M;
-      return SatResult::Sat;
-    }
-  } while (Enum.advance());
-
-  Candidates += Evaluated;
-  return Opts.ExhaustionMeansUnsat ? SatResult::Unsat : SatResult::Unknown;
+Result<BoundedSolverOptions>
+relax::parseBoundedOptions(std::string_view Text) {
+  BoundedSolverOptions O;
+  std::string_view Rest = Text;
+  std::string Err;
+  forEachField(O, [&](const char *Key, auto &V) {
+    size_t Sp = std::min(Rest.find(' '), Rest.size());
+    std::string_view Tok = Rest.substr(0, Sp);
+    Rest.remove_prefix(std::min(Sp + 1, Rest.size()));
+    size_t KeyLen = std::strlen(Key);
+    if (Err.empty() && (Tok.substr(0, KeyLen) != Key ||
+                        Tok.substr(KeyLen, 1) != "=" ||
+                        !parseField(Tok.substr(KeyLen + 1), V)))
+      Err = "bad field '" + std::string(Tok) + "' (expected " + Key +
+            "=<value>)";
+  });
+  // Only the printed form is accepted: no extra fields, spaces or zeros.
+  if (Err.empty() && formatBoundedOptions(O) != Text)
+    Err = "'" + std::string(Text) + "' is not in the printed form";
+  if (Err.empty() && (O.Jobs < 1 || O.Jobs > 1024))
+    Err = "jobs must be 1..1024, got " + std::to_string(O.Jobs);
+  if (!Err.empty())
+    return Result<BoundedSolverOptions>::error("bad bounded options: " + Err);
+  return O;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1472,16 +1447,12 @@ BoundedSolver::enumerate(const std::vector<const BoolExpr *> &Formulas,
 Result<SatResult>
 BoundedSolver::checkSat(const std::vector<const BoolExpr *> &Formulas) {
   ++Queries;
-  return Opts.Eng == BoundedSolverOptions::Engine::Search
-             ? search(Formulas, VarRefSet(), nullptr)
-             : enumerate(Formulas, VarRefSet(), nullptr);
+  return search(Formulas, VarRefSet(), nullptr);
 }
 
 Result<SatResult>
 BoundedSolver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
                                  const VarRefSet &Vars, Model &ModelOut) {
   ++Queries;
-  return Opts.Eng == BoundedSolverOptions::Engine::Search
-             ? search(Formulas, Vars, &ModelOut)
-             : enumerate(Formulas, Vars, &ModelOut);
+  return search(Formulas, Vars, &ModelOut);
 }

@@ -16,19 +16,18 @@
 /// (b) as a differential-testing partner for the Z3 translation, and
 /// (c) as a fallback when Z3 is unavailable.
 ///
-/// The default engine is a backtracking search: the query is split into
-/// conjuncts — through P ∧ Q, and through the negations ¬(P ∨ Q),
-/// ¬(P → Q), ¬¬P, which conjoin under De Morgan; negation is tracked as
-/// a flag so no AST node is built. Each conjunct is compiled once into a flat
+/// The search backtracks over conjuncts: the query is split through
+/// P ∧ Q, and through the negations ¬(P ∨ Q), ¬(P → Q), ¬¬P, which
+/// conjoin under De Morgan; negation is tracked as a flag so no AST node
+/// is built. Each conjunct is compiled once into a flat
 /// `FormulaProgram`, variables are ordered so every conjunct is checked
 /// the moment its last support variable is assigned, and a failing prefix
 /// backtracks immediately — pruning whole subtrees of the assignment
 /// space. With `Jobs > 1` the top variable's domain is chunked across a
 /// worker pool; a replay of the per-chunk outcomes in domain order keeps
 /// verdicts, witnesses, and budget behavior identical to the sequential
-/// path. The pre-refactor generate-and-test odometer survives as
-/// `Engine::Enumerate` for differential testing and candidate-count
-/// ablation.
+/// path. The generate-and-test odometer it replaced lives on as a test
+/// oracle (tests/EnumerateSolver.h).
 ///
 /// The search is conflict-driven: a failing conjunct records the assigned
 /// support variables that fed the failing program as a *nogood*, unit
@@ -39,7 +38,9 @@
 /// re-search so the reported model is always the one the non-learning
 /// search returns. All learned state is local to one top-variable value,
 /// which is what keeps the `Jobs` chunk replay bit-identical to the
-/// sequential path. See the conflict-driven-search section of
+/// sequential path. Every shipped configuration runs with learning and
+/// restarts on; tests and benches switch them off for the reference
+/// search. See the conflict-driven-search section of
 /// `src/support/README.md` for the invariants.
 ///
 //===----------------------------------------------------------------------===//
@@ -59,25 +60,20 @@ struct BoundedSolverOptions {
   int64_t MaxArrayLen = 3;
   int64_t ArrayElemLo = -2;
   int64_t ArrayElemHi = 2;
-  /// Abort with Unknown after this many candidate assignments. The search
-  /// engine counts every variable-value assignment it attempts (partial
-  /// assignments included); the enumerate engine counts full models.
+  /// Abort with Unknown after this many candidate assignments: every
+  /// variable-value assignment the search attempts, partial assignments
+  /// included.
   uint64_t MaxCandidates = 4'000'000;
   /// Per-query budget on quantifier-body evaluations inside conjunct
   /// checks (see EvalBudget in FormulaEval.h); 0 = unlimited. Candidate
   /// counting does not bound quantifier enumeration — this does, which is
   /// what makes quantified corpora safely dischargeable at full domains.
-  /// Tripping reports Unknown at a deterministic point (search engine
-  /// only; the legacy enumerate engine ignores it).
+  /// Tripping reports Unknown at a deterministic point.
   uint64_t MaxQuantSteps = 0;
   /// When false, domain exhaustion reports Unknown instead of Unsat.
   bool ExhaustionMeansUnsat = true;
-  /// Search = compiled programs + prefix pruning (default);
-  /// Enumerate = the legacy full-space odometer.
-  enum class Engine : uint8_t { Search, Enumerate };
-  Engine Eng = Engine::Search;
-  /// Worker threads for the search engine; the top variable's domain is
-  /// chunked across them. Verdicts and witnesses are independent of Jobs.
+  /// Worker threads; the top variable's domain is chunked across them.
+  /// Verdicts and witnesses are independent of Jobs.
   unsigned Jobs = 1;
   /// Nogood learning: record the support of each failing conjunct as a
   /// forbidden partial assignment and propagate it so the forbidden value
@@ -86,15 +82,25 @@ struct BoundedSolverOptions {
   /// witnesses, and budget trips are identical to the non-learning search.
   bool Learning = true;
   /// Activity-ordered restarts on a Luby schedule of conflict counts
-  /// (search engine, Learning only). A witness found under a permuted
-  /// order is re-derived in canonical order, so the reported model is
-  /// unchanged.
+  /// (Learning only). A witness found under a permuted order is
+  /// re-derived in canonical order, so the reported model is unchanged.
   bool Restarts = true;
   /// Cap on stored nogoods per top-variable value; 0 = unlimited. When
   /// full, new conflicts stop being stored (trail-scoped forbids still
   /// apply) and restarts compact the store to the most active half.
   uint32_t MaxNogoods = 10'000;
 };
+
+/// The one text form of a bounded configuration: every field as
+/// `key=value`, space-separated, in a fixed order (booleans as 0/1). The
+/// shard wire carries it and the persistent-cache fingerprint embeds it,
+/// so a field added to the struct reaches both by being added here.
+std::string formatBoundedOptions(const BoundedSolverOptions &Opts);
+
+/// Parses exactly what formatBoundedOptions prints: every key in order,
+/// strict decimals, overflow an error, and `jobs` within 1..1024 (a
+/// shard peer must not pick the worker's thread count).
+Result<BoundedSolverOptions> parseBoundedOptions(std::string_view Text);
 
 /// Counters for the conflict-driven search, cumulative across queries.
 /// Sums are independent of `Jobs` for queries that exhaust their domain
@@ -123,7 +129,7 @@ struct BoundedSearchStats {
   }
 };
 
-/// Bounded-domain solver (backtracking search or exhaustive enumeration).
+/// Bounded-domain solver (backtracking search).
 class BoundedSolver : public Solver {
 public:
   /// \p Ctx, when given, supplies the context-owned compiled-program memo
@@ -143,13 +149,13 @@ public:
                     const VarRefSet &Vars, Model &ModelOut) override;
 
   /// Cumulative candidate assignments attempted across all queries — the
-  /// ablation metric the search engine is built to shrink.
+  /// ablation metric the search is built to shrink.
   uint64_t candidatesEvaluated() const { return Candidates; }
 
   /// Cumulative quantifier-body evaluations across all queries.
   uint64_t quantStepsEvaluated() const { return QuantSteps; }
 
-  /// Cumulative conflict-driven-search counters (search engine only).
+  /// Cumulative conflict-driven-search counters.
   const BoundedSearchStats &searchStats() const { return SearchStats; }
 
   /// Why the most recent query stopped. Budget reasons accompany an
@@ -182,8 +188,6 @@ private:
 
   SatResult search(const std::vector<const BoolExpr *> &Formulas,
                    const VarRefSet &Vars, Model *ModelOut);
-  SatResult enumerate(const std::vector<const BoolExpr *> &Formulas,
-                      const VarRefSet &Vars, Model *ModelOut);
 };
 
 } // namespace relax

@@ -58,8 +58,8 @@ struct EvalBudget {
 /// The bounded domain of one array variable: lengths 0..MaxLen ascending,
 /// then element digits least-significant first over [ElemLo, ElemHi].
 /// Every enumerator of array values (the quantifier evaluators, the
-/// compiled Exists instruction, the bounded search and its legacy
-/// odometer) shares this one definition — witness determinism and the
+/// compiled Exists instruction, the bounded search, and the odometer the
+/// tests check it against) shares this one definition — witness determinism and the
 /// differential suites depend on them agreeing on the order.
 struct ArrayDomain {
   int64_t MaxLen = 0;

@@ -56,7 +56,7 @@ public:
       ArrayCmp,   ///< Bools[Dst] = (Arrs[A] == Arrs[B]) == (Sub != 0)
       Logical,    ///< Bools[Dst] = <Sub: LogicalOp>(Bools[A], Bools[B])
       Not,        ///< Bools[Dst] = !Bools[A]
-      Exists,     ///< Bools[Dst] = enumerate SubPrograms[A] (see below)
+      Exists,     ///< Bools[Dst] = ∃ bound value: SubPrograms[A] (see below)
     };
     Op K;
     uint8_t Sub = 0;

@@ -85,22 +85,9 @@ std::string relax::formatPipeline(const std::vector<TierKind> &Tiers) {
 }
 
 std::string relax::boundedOptionsFingerprint(const BoundedSolverOptions &O) {
-  std::string Out = "bounded=";
-  for (int64_t V : {O.IntLo, O.IntHi, O.MaxArrayLen, O.ArrayElemLo,
-                    O.ArrayElemHi})
-    Out += std::to_string(V) + ",";
-  Out += std::to_string(O.MaxCandidates) + ",";
-  Out += std::to_string(O.MaxQuantSteps) + ",";
-  Out += O.ExhaustionMeansUnsat ? "exhaust-unsat," : "exhaust-unknown,";
-  Out += O.Eng == BoundedSolverOptions::Engine::Enumerate ? "enumerate"
-                                                          : "search";
-  // Learning knobs change which budget an identical query trips (skipped
-  // candidates are uncounted), so configs differing only here must never
-  // share persistent-cache keys.
-  Out += O.Learning ? ",learn" : ",no-learn";
-  Out += O.Restarts ? ",restarts" : ",no-restarts";
-  Out += ",max-nogoods=" + std::to_string(O.MaxNogoods);
-  return Out;
+  BoundedSolverOptions Key = O;
+  Key.Jobs = 1;
+  return "bounded=[" + formatBoundedOptions(Key) + "]";
 }
 
 std::string relax::portfolioConfigFingerprint(const PortfolioOptions &Opts,
@@ -146,62 +133,51 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
   Backends.resize(N);
   BoundedTier.resize(N, nullptr);
   TierNames.resize(N);
-  // The Smt tier's construction, shared with the pool-less shard
-  // degradation: the real backend when a factory exists, otherwise
-  // bounded-at-full-domain (same domains, relaxed budgets, authoritative
-  // exhaustion).
-  auto MakeSmtTier = [&](size_t I) {
-    if (SmtFactory) {
-      Backends[I] = SmtFactory();
-      TierNames[I] = Backends[I]->name();
-      return;
-    }
-    BoundedSolverOptions B = this->Opts.Bounded;
-    B.ExhaustionMeansUnsat = true;
-    if (B.MaxQuantSteps != 0)
-      B.MaxQuantSteps *= this->Opts.FinalBoundedStepFactor;
-    B.MaxCandidates *= this->Opts.FinalBoundedStepFactor;
-    auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-    BoundedTier[I] = S.get();
-    Backends[I] = std::move(S);
-    TierNames[I] = "bounded-full";
+  struct Tier {
+    std::unique_ptr<Solver> S;
+    BoundedSolver *B = nullptr; ///< S itself when S is a bounded search
+    const char *Name = nullptr;
   };
-
+  // A bounded search at the configured domains, its budgets multiplied
+  // by Scale. Authoritative exhaustion answers Unsat; otherwise an
+  // exhausted domain only means "no model in the domain" and escalates.
+  auto MakeBounded = [&](bool Authoritative, uint64_t Scale,
+                         const char *Name) {
+    BoundedSolverOptions B = this->Opts.Bounded;
+    B.ExhaustionMeansUnsat = Authoritative;
+    B.MaxQuantSteps *= Scale; // 0 stays unlimited
+    B.MaxCandidates *= Scale;
+    Tier T;
+    auto S = std::make_unique<BoundedSolver>(B, &Ctx);
+    T.B = S.get();
+    T.S = std::move(S);
+    T.Name = Name;
+    return T;
+  };
+  // The `z3` tier: the real backend when a factory exists, otherwise
+  // bounded-at-full-domain (relaxed budgets, authoritative exhaustion).
+  auto MakeSmt = [&] {
+    if (!SmtFactory)
+      return MakeBounded(true, this->Opts.FinalBoundedStepFactor,
+                         "bounded-full");
+    Tier T;
+    T.S = SmtFactory();
+    T.Name = T.S->name();
+    return T;
+  };
   // The in-process tail the shard workers run: exactly what a worker
   // process builds from ShardWorkerPipeline and the request's bounded
   // configuration. Used for the tier itself when there is no pool, and
   // as the runtime fallback when there is one.
-  struct Tail {
-    std::unique_ptr<Solver> S;
-    BoundedSolver *B = nullptr;
-    const char *Name = nullptr;
+  auto MakeShardTail = [&] {
+    return this->Opts.ShardWorkerPipeline == "bounded"
+               ? MakeBounded(true, 1, "bounded")
+               : MakeSmt();
   };
-  auto MakeShardTail = [&]() -> Tail {
-    Tail T;
-    if (this->Opts.ShardWorkerPipeline == "bounded") {
-      BoundedSolverOptions B = this->Opts.Bounded;
-      B.ExhaustionMeansUnsat = true;
-      auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-      T.B = S.get();
-      T.S = std::move(S);
-      T.Name = "bounded";
-      return T;
-    }
-    if (SmtFactory) {
-      T.S = SmtFactory();
-      T.Name = T.S->name();
-      return T;
-    }
-    BoundedSolverOptions B = this->Opts.Bounded;
-    B.ExhaustionMeansUnsat = true;
-    if (B.MaxQuantSteps != 0)
-      B.MaxQuantSteps *= this->Opts.FinalBoundedStepFactor;
-    B.MaxCandidates *= this->Opts.FinalBoundedStepFactor;
-    auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-    T.B = S.get();
-    T.S = std::move(S);
-    T.Name = "bounded-full";
-    return T;
+  auto Install = [&](size_t I, Tier T) {
+    BoundedTier[I] = T.B;
+    Backends[I] = std::move(T.S);
+    TierNames[I] = T.Name;
   };
 
   for (size_t I = 0; I != N; ++I) {
@@ -212,20 +188,14 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
       assert(I == 0 && "simplify tier must come first");
       TierNames[I] = "simplify";
       break;
-    case TierKind::Bounded: {
-      BoundedSolverOptions B = this->Opts.Bounded;
+    case TierKind::Bounded:
       // As a non-final tier, exhaustion escalates: bounded Unsat only
       // means "no model in the domain". As the final tier it keeps the
       // classic authoritative convention.
-      B.ExhaustionMeansUnsat = Last;
-      auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-      BoundedTier[I] = S.get();
-      Backends[I] = std::move(S);
-      TierNames[I] = "bounded";
+      Install(I, MakeBounded(Last, 1, "bounded"));
       break;
-    }
     case TierKind::Smt:
-      MakeSmtTier(I);
+      Install(I, MakeSmt());
       break;
     case TierKind::Shard:
       assert(Last && "shard tier must come last");
@@ -236,7 +206,7 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
         TierNames[I] = "shard";
         // Graceful degradation target: when the pool is unhealthy the
         // tier answers from this identical in-process tail at runtime.
-        Tail T = MakeShardTail();
+        Tier T = MakeShardTail();
         ShardFallback = std::move(T.S);
         ShardFallbackBounded = T.B;
         ShardFallbackName = T.Name;
@@ -245,10 +215,7 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
         // Pool-less degradation to the in-process tail the workers would
         // run (so `--shards=0` and a pool-less test config mean "same
         // pipeline, no processes").
-        Tail T = MakeShardTail();
-        BoundedTier[I] = T.B;
-        Backends[I] = std::move(T.S);
-        TierNames[I] = T.Name;
+        Install(I, MakeShardTail());
       }
       break;
     }

@@ -117,10 +117,10 @@ struct PortfolioOptions {
   std::string ShardWorkerPipeline = "z3";
 };
 
-/// One-line fingerprint of a bounded configuration's verdict-relevant
-/// knobs (domains, budgets, engine, exhaustion authority). `Jobs` is
-/// excluded: the parallel search partitions work but — by the replay
-/// aggregator's construction — never changes a verdict or witness.
+/// The bounded configuration's part of a cache fingerprint: its text
+/// form (formatBoundedOptions) with `Jobs` normalized, since the parallel
+/// search partitions work but — by the replay aggregator's construction —
+/// never changes a verdict or witness. Every other field takes part.
 std::string boundedOptionsFingerprint(const BoundedSolverOptions &Opts);
 
 /// One-line fingerprint of every knob that can change a portfolio

@@ -10,10 +10,10 @@
 #include "ast/Printer.h"
 #include "logic/FormulaOps.h"
 #include "support/FaultInjection.h"
+#include "support/IntMath.h"
 #include "support/Random.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <thread>
 
@@ -27,7 +27,7 @@ using namespace relax;
 
 namespace {
 
-const char *RequestMagic = "relax-shard-request 1";
+const char *RequestMagic = "relax-shard-request 2";
 const char *ResponseMagic = "relax-shard-response 1";
 
 const char *tagWord(VarTag T) {
@@ -91,24 +91,6 @@ std::string_view nextToken(std::string_view &Rest) {
   return Tok;
 }
 
-bool parseInt64(std::string_view Tok, int64_t &Out) {
-  if (Tok.empty())
-    return false;
-  std::string S(Tok);
-  char *End = nullptr;
-  Out = std::strtoll(S.c_str(), &End, 10);
-  return End && *End == '\0';
-}
-
-bool parseUint64(std::string_view Tok, uint64_t &Out) {
-  if (Tok.empty() || Tok[0] == '-')
-    return false;
-  std::string S(Tok);
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End && *End == '\0';
-}
-
 /// Iterates \p Payload line by line, calling \p OnLine(directive, rest).
 /// Stops and returns the error on the first diagnosed line.
 template <typename Fn> Status forEachLine(std::string_view Payload, Fn OnLine) {
@@ -133,23 +115,8 @@ template <typename Fn> Status forEachLine(std::string_view Payload, Fn OnLine) {
 std::string relax::serializeShardRequest(const ShardRequest &R) {
   std::string Out = RequestMagic;
   Out += "\npipeline " + R.Pipeline;
-  Out += "\nbounded";
-  for (int64_t V : {R.Bounded.IntLo, R.Bounded.IntHi, R.Bounded.MaxArrayLen,
-                    R.Bounded.ArrayElemLo, R.Bounded.ArrayElemHi})
-    Out += " " + std::to_string(V);
-  Out += " " + std::to_string(R.Bounded.MaxCandidates);
-  Out += " " + std::to_string(R.Bounded.MaxQuantSteps);
-  Out += " " + std::to_string(R.Bounded.Jobs);
-  Out += " " + std::to_string(R.FinalBoundedStepFactor);
-  Out += R.Bounded.Eng == BoundedSolverOptions::Engine::Enumerate
-             ? " enumerate"
-             : " search";
-  // Conflict-driven-search knobs ride behind keyword markers after the
-  // engine token, so a pre-learning worker's payload (which simply ends
-  // at the engine) still parses and gets the defaults.
-  Out += std::string(" learn ") + (R.Bounded.Learning ? "1" : "0");
-  Out += std::string(" restarts ") + (R.Bounded.Restarts ? "1" : "0");
-  Out += " max-nogoods " + std::to_string(R.Bounded.MaxNogoods);
+  Out += "\nbounded " + formatBoundedOptions(R.Bounded);
+  Out += "\nstep-factor " + std::to_string(R.FinalBoundedStepFactor);
   Out += std::string("\nwant-model ") + (R.WantModel ? "1" : "0");
   for (const auto &[Name, Kind] : R.Vars)
     Out += std::string("\nvar ") + kindWord(Kind) + " " + Name;
@@ -166,7 +133,7 @@ Result<ShardRequest> relax::parseShardRequest(std::string_view Payload) {
   using R = Result<ShardRequest>;
   ShardRequest Req;
   Req.Pipeline.clear();
-  bool SawMagic = false;
+  bool SawMagic = false, SawBounded = false;
 
   Status S = forEachLine(Payload, [&](std::string_view D, std::string_view Rest,
                                       std::string_view Line) -> Status {
@@ -182,72 +149,23 @@ Result<ShardRequest> relax::parseShardRequest(std::string_view Payload) {
       return Status::success();
     }
     if (D == "bounded") {
-      int64_t I[5];
-      uint64_t U[4];
-      for (int64_t &V : I)
-        if (!parseInt64(nextToken(Rest), V))
-          return Status::error("bad bounded-options line");
-      for (uint64_t &V : U)
-        if (!parseUint64(nextToken(Rest), V))
-          return Status::error("bad bounded-options line");
-      Req.Bounded.IntLo = I[0];
-      Req.Bounded.IntHi = I[1];
-      Req.Bounded.MaxArrayLen = I[2];
-      Req.Bounded.ArrayElemLo = I[3];
-      Req.Bounded.ArrayElemHi = I[4];
-      Req.Bounded.MaxCandidates = U[0];
-      Req.Bounded.MaxQuantSteps = U[1];
-      Req.Bounded.Jobs = static_cast<unsigned>(U[2]);
-      Req.FinalBoundedStepFactor = U[3];
-      std::string_view Eng = nextToken(Rest);
-      if (Eng == "search")
-        Req.Bounded.Eng = BoundedSolverOptions::Engine::Search;
-      else if (Eng == "enumerate")
-        Req.Bounded.Eng = BoundedSolverOptions::Engine::Enumerate;
-      else
-        return Status::error("bad bounded-options line (missing engine)");
-      // Optional conflict-driven-search knobs (absent in pre-learning
-      // payloads, which default). Keyword-tagged so a truncated or
-      // misordered line is diagnosed rather than misassigned.
-      auto ParseBool = [&](std::string_view Key, bool &Out) -> Status {
-        std::string_view V = nextToken(Rest);
-        if (V == "0")
-          Out = false;
-        else if (V == "1")
-          Out = true;
-        else
-          return Status::error("bad bounded-options line (bad " +
-                               std::string(Key) + " value '" + std::string(V) +
-                               "')");
-        return Status::success();
-      };
-      std::string_view Key = nextToken(Rest);
-      if (Key.empty())
-        return Status::success(); // old-format line: defaults stand
-      if (Key != "learn")
-        return Status::error("bad bounded-options line (expected 'learn', "
-                             "got '" +
-                             std::string(Key) + "')");
-      if (Status BS = ParseBool("learn", Req.Bounded.Learning); !BS.ok())
-        return BS;
-      if (nextToken(Rest) != "restarts")
-        return Status::error("bad bounded-options line (expected 'restarts')");
-      if (Status BS = ParseBool("restarts", Req.Bounded.Restarts); !BS.ok())
-        return BS;
-      if (nextToken(Rest) != "max-nogoods")
-        return Status::error(
-            "bad bounded-options line (expected 'max-nogoods')");
-      uint64_t MN;
-      if (!parseUint64(nextToken(Rest), MN) || MN > UINT32_MAX)
-        return Status::error("bad bounded-options line (bad max-nogoods "
-                             "count)");
-      Req.Bounded.MaxNogoods = static_cast<uint32_t>(MN);
-      if (!nextToken(Rest).empty())
-        return Status::error("bad bounded-options line (trailing tokens)");
+      Result<BoundedSolverOptions> B = parseBoundedOptions(Rest);
+      if (!B.ok())
+        return B.status();
+      Req.Bounded = *B;
+      SawBounded = true;
+      return Status::success();
+    }
+    if (D == "step-factor") {
+      if (!parseDecimal(Rest, Req.FinalBoundedStepFactor))
+        return Status::error("bad step-factor '" + std::string(Rest) + "'");
       return Status::success();
     }
     if (D == "want-model") {
-      Req.WantModel = nextToken(Rest) == "1";
+      if (Rest != "0" && Rest != "1")
+        return Status::error("bad want-model value '" + std::string(Rest) +
+                             "' (expected 0 or 1)");
+      Req.WantModel = Rest == "1";
       return Status::success();
     }
     if (D == "var") {
@@ -286,6 +204,8 @@ Result<ShardRequest> relax::parseShardRequest(std::string_view Payload) {
     return R::error("empty request payload");
   if (Req.Pipeline.empty())
     return R::error("request is missing its pipeline line");
+  if (!SawBounded)
+    return R::error("request is missing its bounded line");
   if (Req.Formulas.empty())
     return R::error("request carries no formulas");
   return Req;
@@ -363,7 +283,7 @@ Result<ShardResponse> relax::parseShardResponse(std::string_view Payload) {
         return Status::error("bad model-int tag in '" + std::string(Line) +
                              "'");
       E.Var.Name = std::string(nextToken(Rest));
-      if (E.Var.Name.empty() || !parseInt64(nextToken(Rest), E.Value))
+      if (E.Var.Name.empty() || !parseDecimal(nextToken(Rest), E.Value))
         return Status::error("bad model-int line '" + std::string(Line) + "'");
       Resp.Ints.push_back(std::move(E));
       return Status::success();
@@ -376,13 +296,13 @@ Result<ShardResponse> relax::parseShardResponse(std::string_view Payload) {
                              "'");
       E.Var.Name = std::string(nextToken(Rest));
       int64_t Len = 0;
-      if (E.Var.Name.empty() || !parseInt64(nextToken(Rest), Len) || Len < 0)
+      if (E.Var.Name.empty() || !parseDecimal(nextToken(Rest), Len) || Len < 0)
         return Status::error("bad model-array line '" + std::string(Line) +
                              "'");
       E.Value.Length = Len;
       for (int64_t I = 0; I != Len; ++I) {
         int64_t V = 0;
-        if (!parseInt64(nextToken(Rest), V))
+        if (!parseDecimal(nextToken(Rest), V))
           return Status::error("model-array '" + E.Var.Name + "' is missing " +
                                "element " + std::to_string(I));
         E.Value.Elems.push_back(V);

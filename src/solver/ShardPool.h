@@ -29,7 +29,10 @@
 /// — together with the free variables' kind declarations, so the worker
 /// can re-parse them into its own context. Serialization is *total* for
 /// generated VC formulas: element reads over `store(...)` and freshened
-/// names (`x'1`) print and re-parse (pinned by shard_tests).
+/// names (`x'1`) print and re-parse (pinned by shard_tests). The bounded
+/// configuration rides as its one text form (formatBoundedOptions), and
+/// every number is parsed strictly: any peer that connects can send a
+/// frame, so a malformed value is an error, never a clamped guess.
 ///
 /// ## Determinism
 ///

@@ -14,10 +14,12 @@
 #include <z3++.h>
 
 #include <atomic>
+#include <cctype>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 using namespace relax;
@@ -300,6 +302,41 @@ struct ScopedPush {
   }
 };
 
+/// Quotes every symbol holding a `'` (freshened names such as
+/// `variant'1!o`) as `|variant'1!o|`. Z3 prints them bare, and SMT-LIB
+/// parsers, Z3's own included, reject the character in a simple symbol.
+/// Quoted symbols, strings and comments pass through untouched.
+std::string quotePrimedSymbols(const std::string &Script) {
+  auto IsSymbolChar = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) ||
+           std::string_view("~!@$%^&*_-+=<>.?/'").find(C) !=
+               std::string_view::npos;
+  };
+  std::string Out;
+  Out.reserve(Script.size());
+  for (size_t I = 0; I != Script.size();) {
+    char C = Script[I];
+    size_t E = I + 1;
+    bool Quote = false;
+    if (C == '|' || C == '"' || C == ';') {
+      E = Script.find(C == ';' ? '\n' : C, E);
+      E = E == std::string::npos ? Script.size() : E + 1;
+    } else if (IsSymbolChar(C)) {
+      while (E != Script.size() && IsSymbolChar(Script[E]))
+        ++E;
+      Quote = std::string_view(Script.data() + I, E - I).find('\'') !=
+              std::string_view::npos;
+    }
+    if (Quote)
+      Out += '|';
+    Out.append(Script, I, E - I);
+    if (Quote)
+      Out += '|';
+    I = E;
+  }
+  return Out;
+}
+
 } // namespace
 
 Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts)
@@ -327,7 +364,7 @@ Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &Formulas) {
       S.add(T.trFormula(F));
     for (const z3::expr &Axiom : T.lengthAxioms())
       S.add(Axiom);
-    return std::string(S.to_smt2());
+    return quotePrimedSymbols(S.to_smt2());
   } catch (const z3::exception &E) {
     return Result<std::string>::error(std::string("z3 error: ") + E.msg());
   }

@@ -74,7 +74,8 @@ public:
 
   /// Renders the conjunction of \p Formulas (plus the implicit
   /// length-nonnegativity axioms) as an SMT-LIB 2 script, for debugging
-  /// generated VCs or handing them to another solver.
+  /// generated VCs or handing them to another solver. Freshened names
+  /// (`x'1`) are quoted as `|x'1|`, so every script parses back.
   Result<std::string>
   toSmtLib(const std::vector<const BoolExpr *> &Formulas);
 

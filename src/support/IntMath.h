@@ -8,7 +8,8 @@
 /// \file
 /// Euclidean division and modulo with SMT-LIB semantics, shared by every
 /// layer that folds or evaluates integer arithmetic (the logic simplifier,
-/// the formula evaluator, the interpreter). Living in support/ keeps the
+/// the formula evaluator, the interpreter), and the strict decimal parser
+/// every flag and wire value goes through. Living in support/ keeps the
 /// logic and solver libraries from re-implementing each other's two-liners.
 ///
 //===----------------------------------------------------------------------===//
@@ -17,8 +18,38 @@
 #define RELAXC_SUPPORT_INTMATH_H
 
 #include <cstdint>
+#include <string_view>
 
 namespace relax {
+
+/// Strict decimal parsing for flag and wire values: digits only (plus a
+/// leading '-' in the signed form), with no whitespace and no '+'.
+/// Overflow is an error, never a saturated or wrapped value.
+inline bool parseDecimal(std::string_view S, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}
+
+inline bool parseDecimal(std::string_view S, int64_t &Out) {
+  bool Neg = !S.empty() && S[0] == '-';
+  uint64_t Mag = 0;
+  if (!parseDecimal(Neg ? S.substr(1) : S, Mag) ||
+      Mag > uint64_t(INT64_MAX) + (Neg ? 1 : 0))
+    return false;
+  Out = Neg ? static_cast<int64_t>(0 - Mag) : static_cast<int64_t>(Mag);
+  return true;
+}
 
 /// Two's-complement wrapping add/sub/mul. The logic has unbounded
 /// integers and the verified workloads stay far from the int64 edges, but

@@ -9,8 +9,6 @@
 
 #include "ast/Printer.h"
 
-#include <cstdio>
-
 using namespace relax;
 
 const BoolExpr *Verifier::effectiveRelRequires() {
@@ -117,11 +115,7 @@ std::string relax::renderReport(const VerifyReport &Report,
            std::to_string(J.count(VCStatus::Failed)) + " failed, " +
            std::to_string(J.count(VCStatus::Unknown) +
                           J.count(VCStatus::SolverError)) +
-           " undecided";
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), " (%.1f ms)", J.TotalMillis);
-    Out += Buf;
-    Out += "\n";
+           " undecided\n";
     for (const VCOutcome &O : J.Outcomes) {
       bool Bad = O.Status != VCStatus::Proved;
       if (!Bad && !Verbose)

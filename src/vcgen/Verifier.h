@@ -145,7 +145,9 @@ private:
   DiagnosticEngine &Diags;
 };
 
-/// Renders a human-readable report.
+/// Renders a human-readable report. It carries no timings, so it is a
+/// deterministic function of the verdicts (`--solver-stats` prints the
+/// per-pass times).
 std::string renderReport(const VerifyReport &Report, const Interner &Syms,
                          bool Verbose = false);
 

@@ -9,18 +9,22 @@
 //
 //  * against Z3 on random formulas whose models must lie in the bounded
 //    domain (verdict agreement, and every Sat witness re-checked);
-//  * against the legacy generate-and-test odometer on random formulas
-//    with no domain restriction (the engines share the domain, so they
-//    must agree everywhere), with a learning-off leg pinning that
+//  * against the generate-and-test odometer (EnumerateSolver.h) on random
+//    formulas with no domain restriction (the two share the domain, so
+//    they must agree everywhere), with a learning-off leg pinning that
 //    conflict-driven pruning changes neither verdicts nor witnesses;
 //  * sequential vs chunked-parallel search on the six paper case studies
 //    (identical per-VC verdicts and witness strings), plus learning
-//    on/off and search-vs-enumerate leg pairs on the same corpus.
+//    on/off and search-vs-odometer leg pairs on the same corpus;
+//  * learning against the blind scan under the `bounded` pipeline on all
+//    eight case studies: learning may only decide more.
 //
 //===----------------------------------------------------------------------===//
 
+#include "EnumerateSolver.h"
 #include "TestUtil.h"
 
+#include "server/VerifyServer.h"
 #include "solver/BoundedSolver.h"
 #include "solver/Z3Solver.h"
 #include "support/Random.h"
@@ -155,16 +159,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BoundedVsZ3,
                          ::testing::Values(101, 102, 103, 104, 105));
 
 //===----------------------------------------------------------------------===//
-// Search engine vs legacy enumerate engine (no solver dependency)
+// Search vs the odometer (no solver dependency)
 //===----------------------------------------------------------------------===//
 
 TEST_P(SearchVsEnumerate, VerdictsAgreeOnRandomFormulas) {
   AstContext Ctx;
   BoundedSolverOptions SearchOpts;
   BoundedSolver Search(SearchOpts, &Ctx);
-  BoundedSolverOptions EnumOpts;
-  EnumOpts.Eng = BoundedSolverOptions::Engine::Enumerate;
-  BoundedSolver Enum(EnumOpts, &Ctx);
+  relax::test::EnumerateSolver Enum;
   // Conflict-driven machinery off: nogoods, restarts, and backjumping may
   // only skip assignments that are already falsified, so this solver must
   // agree with the learning one formula-for-formula, witness-for-witness.
@@ -178,7 +180,7 @@ TEST_P(SearchVsEnumerate, VerdictsAgreeOnRandomFormulas) {
   // 3 seeds x 70 iterations = 210 generated formulas across the suite,
   // clearing the >= 200 acceptance floor for the learning differential.
   for (int Iter = 0; Iter < 70; ++Iter) {
-    // All engines share one domain, so verdicts must agree with no
+    // All three share one domain, so verdicts must agree with no
     // range bounding at all — including Unsat by exhaustion.
     const BoolExpr *F = Gen.genFormula(3);
     auto RS = Search.checkSat({F});
@@ -213,7 +215,7 @@ TEST_P(SearchVsEnumerate, VerdictsAgreeOnRandomFormulas) {
           << "learning changed the witness on " << P.print(F);
     }
   }
-  // No candidate-count comparison here: the engines count different units
+  // No candidate-count comparison here: the two count different units
   // (partial assignments vs full models), and a corpus dominated by
   // single-conjunct formulas has nothing to prune. The pruning win is
   // pinned deterministically in BoundedSearch.* (solver_tests.cpp) and
@@ -248,14 +250,19 @@ BoundedSolverOptions caseStudyOpts(unsigned Jobs) {
   return O;
 }
 
+/// Runs a full verification of \p P on \p S.
+VerifyReport verifyWith(relax::test::ParsedProgram &P, Solver &S) {
+  DiagnosticEngine Diags;
+  Verifier V(*P.Ctx, *P.Prog, S, Diags);
+  return V.run();
+}
+
 /// Runs a full verification of \p P on the bounded backend with the
 /// given solver configuration.
 VerifyReport verifyBoundedWith(relax::test::ParsedProgram &P,
                                const BoundedSolverOptions &O) {
   BoundedSolver S(O, P.Ctx.get());
-  DiagnosticEngine Diags;
-  Verifier V(*P.Ctx, *P.Prog, S, Diags);
-  return V.run();
+  return verifyWith(P, S);
 }
 
 VerifyReport verifyBounded(relax::test::ParsedProgram &P, unsigned Jobs) {
@@ -342,12 +349,12 @@ TEST(BoundedCaseStudies, LearningAndRestartsNeverChangeVerdicts) {
   }
 }
 
-// The legacy enumerate engine is the ground truth the conflict-driven
-// search must reproduce end-to-end. The engines meter different units
-// (full models vs partial assignments), so budget-limited verdicts are
-// not comparable: the domain is shrunk to a single-point integer range
-// and the budget lifted so full enumeration finishes on every
-// obligation and neither engine trips.
+// The odometer is the ground truth the conflict-driven search must
+// reproduce end-to-end. The two meter different units (full models vs
+// partial assignments), so budget-limited verdicts are not comparable:
+// the domain is shrunk to a two-value integer range and the budget
+// lifted so full enumeration finishes on every obligation and neither
+// trips.
 TEST(BoundedCaseStudies, SearchAndEnumerateDischargeIdentically) {
   const char *Examples[] = {"swish.rlx",     "water.rlx",    "lu.rlx",
                             "task_skip.rlx", "sampling.rlx", "memoize.rlx"};
@@ -370,11 +377,74 @@ TEST(BoundedCaseStudies, SearchAndEnumerateDischargeIdentically) {
     // of two-value domains.
     SearchOpts.Learning = false;
     SearchOpts.Restarts = false;
-    BoundedSolverOptions EnumOpts = SearchOpts;
-    EnumOpts.Eng = BoundedSolverOptions::Engine::Enumerate;
+    relax::test::EnumerateSolver Enum(SearchOpts);
 
     VerifyReport S = verifyBoundedWith(P, SearchOpts);
-    VerifyReport E = verifyBoundedWith(P, EnumOpts);
+    VerifyReport E = verifyWith(P, Enum);
     expectSameReports(S, E, Name, "search vs enumerate");
   }
+}
+
+// The configuration `--pipeline=bounded --bounded-steps=50000` runs, and
+// the same with learning and restarts off. Learning skips candidates the
+// blind scan must count, so it may decide an obligation inside a
+// candidate budget the scan trips on (water's while-VC is the canonical
+// case), but per pass it never changes the VC count, never flips a
+// failed verdict, and never proves less. Water must exercise the
+// machinery. (Bit-identity at equalized budgets is pinned above and by
+// the property suite.) The learning leg is exactly what the session
+// runs for that request, down to the rendered report.
+TEST(BoundedCaseStudies, LearningOnlyAddsProofsUnderTheBoundedPipeline) {
+  const char *Examples[] = {"swish.rlx",         "water.rlx",
+                            "lu.rlx",            "task_skip.rlx",
+                            "sampling.rlx",      "memoize.rlx",
+                            "water_modular.rlx", "shared_callee.rlx"};
+  size_t ProvedOn = 0, ProvedOff = 0;
+  for (const char *Name : Examples) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    auto Run = [&](bool Learning, DischargeStats &Stats) {
+      relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+      EXPECT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+      Verifier::Options VO;
+      VO.Portfolio = PortfolioOptions();
+      VO.Portfolio->Tiers = {TierKind::Bounded};
+      VO.Portfolio->Bounded.MaxQuantSteps = 50'000;
+      VO.Portfolio->Bounded.Learning = Learning;
+      VO.Portfolio->Bounded.Restarts = Learning;
+      VO.StatsOut = &Stats;
+      BoundedSolver Unused;
+      Verifier V(*P.Ctx, *P.Prog, Unused, P.Diags);
+      VerifyReport R = V.run(VO);
+      return std::make_pair(R, renderReport(R, P.Ctx->symbols(), false));
+    };
+    DischargeStats OnStats, OffStats;
+    auto [On, OnText] = Run(true, OnStats);
+    VerifyReport Off = Run(false, OffStats).first;
+
+    VerifyWireRequest Req;
+    Req.FileName = Name;
+    Req.Source = Source;
+    Req.Pipeline = "bounded";
+    Req.BoundedSteps = 50'000;
+    EXPECT_EQ(runVerifyJob(Req, nullptr).Report, OnText) << Name;
+
+    auto Compare = [&](const JudgmentReport &A, const JudgmentReport &B,
+                       const char *Pass) {
+      EXPECT_EQ(A.Outcomes.size(), B.Outcomes.size()) << Name << " " << Pass;
+      EXPECT_EQ(A.count(VCStatus::Failed), B.count(VCStatus::Failed))
+          << Name << " " << Pass;
+      EXPECT_GE(A.count(VCStatus::Proved), B.count(VCStatus::Proved))
+          << Name << " " << Pass << ": learning lost a proof";
+      ProvedOn += A.count(VCStatus::Proved);
+      ProvedOff += B.count(VCStatus::Proved);
+    };
+    Compare(On.Original, Off.Original, "|-o");
+    Compare(On.Relaxed, Off.Relaxed, "|-r");
+    if (std::string(Name) == "water.rlx") {
+      EXPECT_GT(OnStats.Search.Conflicts, 0u);
+      EXPECT_GT(OnStats.Search.LearnedNogoods, 0u);
+    }
+  }
+  // The measured reason learning stays on: it proves strictly more.
+  EXPECT_GT(ProvedOn, ProvedOff);
 }

@@ -16,9 +16,9 @@
 //    loads cold; a flush tears the file and errors, and the torn file
 //    again loads cold);
 //  * end-to-end: cold vs warm `relaxc verify --cache-dir=` runs must
-//    produce bit-identical reports (timings stripped) on the shipped
-//    case studies (including the modular, multi-procedure ones) and on
-//    generated programs, with the warm run settling every obligation
+//    produce bit-identical reports on the shipped case studies
+//    (including the modular, multi-procedure ones) and on generated
+//    programs, with the warm run settling every obligation
 //    from the cache (`queries: 0` under --solver-stats); and procedure
 //    contracts must feed the cache key — two procedures with identical
 //    bodies but different contracts never share a verdict.
@@ -97,12 +97,6 @@ std::string readFileBytes(const std::string &Path) {
 void writeFileBytes(const std::string &Path, const std::string &Bytes) {
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-}
-
-/// Drops "(12.3 ms)" timings, the only nondeterminism in a report.
-std::string stripMs(const std::string &S) {
-  static const std::regex MsRe("\\([0-9.]+ ms\\)");
-  return std::regex_replace(S, MsRe, "");
 }
 
 /// Drops "relaxc: warning: ..." lines (a chaos-armed driver may warn that
@@ -587,7 +581,7 @@ TEST(PersistentCacheDriver, CaseStudiesColdWarmBitIdentical) {
     RunResult Warm = runDriver(Base);
     EXPECT_EQ(Cold.Exit, 0) << Ex << "\n" << Cold.Output;
     EXPECT_EQ(Warm.Exit, Cold.Exit) << Ex;
-    EXPECT_EQ(stripMs(Warm.Output), stripMs(Cold.Output)) << Ex;
+    EXPECT_EQ(Warm.Output, Cold.Output) << Ex;
 
     // A third (still warm) run with stats: every obligation settles from
     // the cache, so the portfolio never runs and nothing new is appended.
@@ -639,7 +633,7 @@ TEST(PersistentCacheDriver, GeneratedProgramsColdWarmBitIdentical) {
     RunResult Cold = runDriver(Base);
     RunResult Warm = runDriver(Base);
     EXPECT_EQ(Warm.Exit, Cold.Exit) << "seed " << Seed << "\n" << Cold.Output;
-    EXPECT_EQ(stripMs(Warm.Output), stripMs(Cold.Output)) << "seed " << Seed;
+    EXPECT_EQ(Warm.Output, Cold.Output) << "seed " << Seed;
   }
   // Same pin over the modular corpus: per-procedure summary obligations
   // and call-site instantiations round-trip through the cache too.
@@ -655,7 +649,7 @@ TEST(PersistentCacheDriver, GeneratedProgramsColdWarmBitIdentical) {
     RunResult Warm = runDriver(Base);
     EXPECT_EQ(Warm.Exit, Cold.Exit)
         << "modular seed " << Seed << "\n" << Cold.Output;
-    EXPECT_EQ(stripMs(Warm.Output), stripMs(Cold.Output))
+    EXPECT_EQ(Warm.Output, Cold.Output)
         << "modular seed " << Seed;
   }
 }
@@ -676,7 +670,7 @@ TEST(PersistentCacheDriver, CorruptedCacheDegradesToColdRun) {
   writeFileBytes(cacheFile(D), Bytes.substr(0, 10));
   RunResult Recover = runDriver(Base);
   EXPECT_EQ(Recover.Exit, Cold.Exit) << Recover.Output;
-  EXPECT_EQ(stripMs(Recover.Output), stripMs(Cold.Output));
+  EXPECT_EQ(Recover.Output, Cold.Output);
 
   // ...and it rewrites the file, so the run after that is warm again.
   std::vector<std::string> WithStats = Base;
@@ -731,8 +725,8 @@ TEST(PersistentCacheChaos, ColdWarmAgreeOnVerifyingProgram) {
   RunResult Warm = runDriver(Base);
   EXPECT_EQ(Cold.Exit, 0) << Cold.Output;
   EXPECT_EQ(Warm.Exit, Cold.Exit) << Warm.Output;
-  EXPECT_EQ(stripWarnings(stripMs(Warm.Output)),
-            stripWarnings(stripMs(Cold.Output)));
+  EXPECT_EQ(stripWarnings(Warm.Output),
+            stripWarnings(Cold.Output));
 }
 
 TEST(PersistentCacheChaos, ColdWarmAgreeOnRefutedProgram) {
@@ -745,8 +739,8 @@ TEST(PersistentCacheChaos, ColdWarmAgreeOnRefutedProgram) {
   RunResult Warm = runDriver(Base);
   EXPECT_EQ(Cold.Exit, 1) << Cold.Output;
   EXPECT_EQ(Warm.Exit, Cold.Exit) << Warm.Output;
-  EXPECT_EQ(stripWarnings(stripMs(Warm.Output)),
-            stripWarnings(stripMs(Cold.Output)));
+  EXPECT_EQ(stripWarnings(Warm.Output),
+            stripWarnings(Cold.Output));
 }
 
 } // namespace

@@ -10,9 +10,9 @@
 //  * the verify wire: every request/response field survives a
 //    serialize/parse round trip, and malformed payloads are diagnosed,
 //    never accepted;
-//  * the daemon: served reports are bit-identical (modulo timings) to a
-//    local run on every case study, concurrently and under chaos; the
-//    warm per-config cache answers a repeated request with zero solver
+//  * the daemon: served reports are bit-identical to a local run on
+//    every case study, concurrently and under chaos; the warm
+//    per-config cache answers a repeated request with zero solver
 //    queries; a slow-loris client cannot stall other clients;
 //  * the CLI and the verify session: `relaxc verify` prints exactly the
 //    report, diagnostics and exit status runVerifyJob returns, a pool
@@ -142,14 +142,6 @@ struct ListenWorker : ServerProcess {
             "listening on ") {}
 };
 
-/// Strips the schedule-dependent "(N ms)" timings — the one permitted
-/// difference between a served report and a local one (CI uses the same
-/// sed idiom).
-std::string stripMs(const std::string &S) {
-  static const std::regex MsRe("\\([0-9.]* ms\\)");
-  return std::regex_replace(S, MsRe, "");
-}
-
 /// One verify request over a fresh connection, retrying capacity
 /// refusals (the daemon's backpressure is a *retryable* error) exactly
 /// like the CLI client does.
@@ -210,7 +202,7 @@ VerifyWireRequest boundedRequest(const std::string &Name,
 }
 
 /// Serves \p R and requires the answer to match a local in-process run
-/// field for field (Report modulo ms timings).
+/// field for field, report bytes included.
 void expectServedMatchesLocal(const std::string &Addr,
                               const VerifyWireRequest &R,
                               const std::string &Tag) {
@@ -218,7 +210,7 @@ void expectServedMatchesLocal(const std::string &Addr,
   VerifyWireResponse Served = sendVerify(Addr, R);
   ASSERT_FALSE(Served.IsError) << Tag << ": " << Served.Error;
   EXPECT_EQ(Served.ExitStatus, Local.ExitStatus) << Tag;
-  EXPECT_EQ(stripMs(Served.Report), stripMs(Local.Report)) << Tag;
+  EXPECT_EQ(Served.Report, Local.Report) << Tag;
   EXPECT_EQ(Served.Diagnostics, Local.Diagnostics) << Tag;
 }
 
@@ -359,11 +351,7 @@ TEST(VerifyWire, RequestRoundTripsEveryField) {
   R.SolverName = "bounded";
   R.Pipeline = "simplify,bounded,z3";
   R.BoundedSteps = 123'456;
-  R.BoundedLearning = false;
-  R.BoundedRestarts = false;
-  R.BoundedMaxNogoods = 77;
   R.Jobs = 4;
-  R.SolverJobs = 3;
   R.TimeoutMs = 90'000;
   R.VcTimeoutMs = 1'000;
   R.NoSafety = true;
@@ -381,11 +369,7 @@ TEST(VerifyWire, RequestRoundTripsEveryField) {
   EXPECT_EQ(P->SolverName, R.SolverName);
   EXPECT_EQ(P->Pipeline, R.Pipeline);
   EXPECT_EQ(P->BoundedSteps, R.BoundedSteps);
-  EXPECT_EQ(P->BoundedLearning, R.BoundedLearning);
-  EXPECT_EQ(P->BoundedRestarts, R.BoundedRestarts);
-  EXPECT_EQ(P->BoundedMaxNogoods, R.BoundedMaxNogoods);
   EXPECT_EQ(P->Jobs, R.Jobs);
-  EXPECT_EQ(P->SolverJobs, R.SolverJobs);
   EXPECT_EQ(P->TimeoutMs, R.TimeoutMs);
   EXPECT_EQ(P->VcTimeoutMs, R.VcTimeoutMs);
   EXPECT_EQ(P->NoSafety, R.NoSafety);
@@ -426,6 +410,11 @@ TEST(VerifyWire, MalformedPayloadsAreDiagnosedNeverAccepted) {
   EXPECT_NE(Bad.message().find("not speaking the verify protocol"),
             std::string::npos)
       << Bad.message();
+  // The format that still carried the bounded-search knobs is refused.
+  std::string Old = serializeVerifyRequest(VerifyWireRequest());
+  ASSERT_EQ(Old.rfind("relax-verify-request 2\n", 0), 0u);
+  Old[std::strlen("relax-verify-request ")] = '1';
+  EXPECT_FALSE(parseVerifyRequest(Old).ok());
 
   // Every truncation of a valid payload is rejected with a diagnosis.
   VerifyWireRequest R;
@@ -543,7 +532,7 @@ TEST(ServeDaemon, ConcurrentClientsMatchSequentialAnswers) {
         << Requests[I].FileName << ": " << Served[I].Error;
     EXPECT_EQ(Served[I].ExitStatus, Local[I].ExitStatus)
         << Requests[I].FileName;
-    EXPECT_EQ(stripMs(Served[I].Report), stripMs(Local[I].Report))
+    EXPECT_EQ(Served[I].Report, Local[I].Report)
         << Requests[I].FileName;
     EXPECT_EQ(Served[I].Diagnostics, Local[I].Diagnostics)
         << Requests[I].FileName;
@@ -604,13 +593,13 @@ TEST(ServeDaemon, ChaosDaemonStaysVerdictIdentical) {
 // The CLI and the verify session
 //===----------------------------------------------------------------------===//
 
-/// Timings, and the counters of the --solver-stats block, are the only
-/// permitted differences: under --jobs=N the thread schedule decides
-/// which worker wins a race to the shared result cache and how many
-/// tasks are stolen, so those counts vary between any two runs. The
-/// block's shape and the per-procedure obligation counts must match.
-std::string stripSchedule(const std::string &S) {
-  std::string Out = stripMs(S);
+/// The numbers of the --solver-stats block are the only permitted
+/// differences: it holds the pass times, and under --jobs=N the thread
+/// schedule decides which worker wins a race to the shared result cache
+/// and how many tasks are stolen, so those counts vary between any two
+/// runs. The block's shape and the per-procedure obligation counts must
+/// match.
+std::string stripSchedule(const std::string &Out) {
   size_t From = Out.find("solver stats:\n");
   size_t To = Out.find("  obligations by procedure:\n");
   if (From == std::string::npos || To == std::string::npos || To < From)
@@ -708,7 +697,7 @@ TEST(CliMatchesSession, PoolOnlyChoosesWhereTheFinalTierRuns) {
       VerifyWireResponse Sharded = runVerifyJob(R, nullptr, Pool->get());
       ASSERT_FALSE(Sharded.IsError) << Tag << ": " << Sharded.Error;
       EXPECT_EQ(Sharded.ExitStatus, Local.ExitStatus) << Tag;
-      EXPECT_EQ(stripMs(Sharded.Report), stripMs(Local.Report)) << Tag;
+      EXPECT_EQ(Sharded.Report, Local.Report) << Tag;
       EXPECT_EQ(Sharded.Diagnostics, Local.Diagnostics) << Tag;
       EXPECT_GT((*Pool)->stats().Requests, Before)
           << Tag << ": no obligation reached the pool";
@@ -748,7 +737,7 @@ TEST(CliMatchesSession, WarmCacheSessionBuildsNoZ3Context) {
       uint64_t Before = Z3Solver::contextsBuilt();
       VerifyWireResponse Warm = runVerifyJob(R, &Cache);
       EXPECT_EQ(Warm.ExitStatus, 0) << Tag;
-      EXPECT_EQ(stripMs(Warm.Report), stripMs(Cold.Report)) << Tag;
+      EXPECT_EQ(Warm.Report, Cold.Report) << Tag;
       EXPECT_EQ(Z3Solver::contextsBuilt(), Before) << Tag;
     }
 }

@@ -24,6 +24,7 @@
 
 #include "ast/Structural.h"
 #include "logic/FormulaOps.h"
+#include "solver/Portfolio.h"
 #include "solver/ShardPool.h"
 #include "support/Random.h"
 #include "support/Subprocess.h"
@@ -51,8 +52,8 @@ TEST(ShardWire, RequestRoundTrips) {
   R.Bounded.ArrayElemHi = 1;
   R.Bounded.MaxCandidates = 1234;
   R.Bounded.MaxQuantSteps = 77;
+  R.Bounded.ExhaustionMeansUnsat = false;
   R.Bounded.Jobs = 3;
-  R.Bounded.Eng = BoundedSolverOptions::Engine::Enumerate;
   R.Bounded.Learning = false;
   R.Bounded.Restarts = false;
   R.Bounded.MaxNogoods = 4321;
@@ -68,10 +69,13 @@ TEST(ShardWire, RequestRoundTrips) {
   EXPECT_EQ(P->Pipeline, "bounded");
   EXPECT_EQ(P->Bounded.IntLo, -3);
   EXPECT_EQ(P->Bounded.IntHi, 5);
+  EXPECT_EQ(P->Bounded.MaxArrayLen, 2);
+  EXPECT_EQ(P->Bounded.ArrayElemLo, -1);
+  EXPECT_EQ(P->Bounded.ArrayElemHi, 1);
   EXPECT_EQ(P->Bounded.MaxCandidates, 1234u);
   EXPECT_EQ(P->Bounded.MaxQuantSteps, 77u);
+  EXPECT_FALSE(P->Bounded.ExhaustionMeansUnsat);
   EXPECT_EQ(P->Bounded.Jobs, 3u);
-  EXPECT_EQ(P->Bounded.Eng, BoundedSolverOptions::Engine::Enumerate);
   EXPECT_FALSE(P->Bounded.Learning);
   EXPECT_FALSE(P->Bounded.Restarts);
   EXPECT_EQ(P->Bounded.MaxNogoods, 4321u);
@@ -119,55 +123,105 @@ TEST(ShardWire, ResponseRoundTrips) {
   EXPECT_NE(PE->Error.find("something broke"), std::string::npos);
 }
 
-TEST(ShardWire, OldFormatBoundedLineKeepsDefaults) {
-  // A payload from a pre-learning worker ends its bounded line at the
-  // engine token; the parser must accept it and leave the
-  // conflict-driven-search knobs at their defaults.
-  const char *Old = "relax-shard-request 1\n"
-                    "pipeline bounded\n"
-                    "bounded -6 6 3 -2 2 4000000 0 1 32 search\n"
-                    "want-model 0\n"
-                    "var int x\n"
-                    "formula x > 0\n";
-  auto P = parseShardRequest(Old);
-  ASSERT_TRUE(P.ok()) << P.message();
-  BoundedSolverOptions Defaults;
-  EXPECT_EQ(P->Bounded.Learning, Defaults.Learning);
-  EXPECT_EQ(P->Bounded.Restarts, Defaults.Restarts);
-  EXPECT_EQ(P->Bounded.MaxNogoods, Defaults.MaxNogoods);
+// Every field of the bounded text form survives the shard wire, and
+// every field but Jobs keys the persistent cache: changing it changes
+// boundedOptionsFingerprint. The fields are walked through the text form
+// itself, so a field added to the codec is covered without a test edit.
+TEST(ShardWire, EveryBoundedFieldRoundTripsAndAllButJobsKeyTheCache) {
+  const BoundedSolverOptions Defaults;
+  const std::string Text = formatBoundedOptions(Defaults);
+  size_t Fields = 0;
+  for (size_t Pos = 0; Pos <= Text.size(); ++Fields) {
+    size_t End = std::min(Text.find(' ', Pos), Text.size());
+    size_t Eq = Text.find('=', Pos);
+    ASSERT_LT(Eq, End) << Text;
+    std::string Key = Text.substr(Pos, Eq - Pos);
+    std::string Value = Text.substr(Eq + 1, End - Eq - 1);
+    // A different legal value: one higher, or a set flag cleared.
+    auto WithValue = [&](const std::string &V) {
+      return Text.substr(0, Eq + 1) + V + Text.substr(End);
+    };
+    std::string Changed = WithValue(std::to_string(std::stoll(Value) + 1));
+    if (!parseBoundedOptions(Changed).ok())
+      Changed = WithValue("0");
+    Result<BoundedSolverOptions> O = parseBoundedOptions(Changed);
+    ASSERT_TRUE(O.ok()) << O.message();
+
+    ShardRequest R;
+    R.Pipeline = "bounded";
+    R.Bounded = *O;
+    R.Formulas = {"true"};
+    Result<ShardRequest> P = parseShardRequest(serializeShardRequest(R));
+    ASSERT_TRUE(P.ok()) << P.message();
+    EXPECT_EQ(formatBoundedOptions(P->Bounded), Changed) << Key;
+    EXPECT_NE(Changed, Text) << Key;
+    EXPECT_EQ(boundedOptionsFingerprint(*O) ==
+                  boundedOptionsFingerprint(Defaults),
+              Key == "jobs")
+        << Key;
+    Pos = End + 1;
+  }
+  EXPECT_GT(Fields, 0u);
 }
 
 TEST(ShardWire, MalformedPayloadsAreDiagnosed) {
-  const char *BadRequests[] = {
+  // A well-formed request, then edits of one line at a time.
+  ShardRequest Valid;
+  Valid.Pipeline = "bounded";
+  Valid.Vars = {{"x", VarKind::Int}};
+  Valid.Formulas = {"x > 0"};
+  const std::string ValidWire = serializeShardRequest(Valid);
+  ASSERT_TRUE(parseShardRequest(ValidWire).ok());
+  auto With = [&](std::vector<std::pair<std::string, std::string>> Edits) {
+    std::string S = ValidWire;
+    for (const auto &[From, To] : Edits) {
+      size_t At = S.find(From);
+      EXPECT_NE(At, std::string::npos) << From;
+      if (At != std::string::npos)
+        S.replace(At, From.size(), To);
+    }
+    return S;
+  };
+  const std::string Head = "relax-shard-request 2\n";
+  const std::string BadRequests[] = {
       "",
       "relax-shard-request 999",
       "not a request at all",
-      "relax-shard-request 1\nbogus-directive x",
-      "relax-shard-request 1\npipeline z3", // no formulas
-      "relax-shard-request 1\nformula x > 0", // no pipeline
-      "relax-shard-request 1\npipeline z3\nbounded 1 2\nformula x > 0",
-      "relax-shard-request 1\npipeline z3\nvar notakind x\nformula x > 0",
-      "relax-shard-request 1\npipeline z3\nmodel-var int badtag x\n"
-      "formula x > 0",
-      // Conflict-driven-search knobs: wrong keyword, bad value,
-      // truncated tail, and trailing garbage must all be diagnosed.
-      "relax-shard-request 1\npipeline bounded\n"
-      "bounded -6 6 3 -2 2 10 0 1 32 search learning 1 restarts 1 "
-      "max-nogoods 5\nformula x > 0",
-      "relax-shard-request 1\npipeline bounded\n"
-      "bounded -6 6 3 -2 2 10 0 1 32 search learn yes restarts 1 "
-      "max-nogoods 5\nformula x > 0",
-      "relax-shard-request 1\npipeline bounded\n"
-      "bounded -6 6 3 -2 2 10 0 1 32 search learn 1 restarts 1\n"
-      "formula x > 0",
-      "relax-shard-request 1\npipeline bounded\n"
-      "bounded -6 6 3 -2 2 10 0 1 32 search learn 1 restarts 1 "
-      "max-nogoods 99999999999\nformula x > 0",
-      "relax-shard-request 1\npipeline bounded\n"
-      "bounded -6 6 3 -2 2 10 0 1 32 search learn 1 restarts 1 "
-      "max-nogoods 5 extra\nformula x > 0",
+      // The pre-codec request format is no longer spoken.
+      With({{"relax-shard-request 2", "relax-shard-request 1"}}),
+      Head + "bogus-directive x",
+      Head + "pipeline z3", // no formulas
+      Head + "formula x > 0", // no pipeline
+      With({{"\nbounded " + formatBoundedOptions(Valid.Bounded), ""}}),
+      Head + "pipeline z3\nbounded 1 2\nformula x > 0",
+      Head + "pipeline z3\nvar notakind x\nformula x > 0",
+      Head + "pipeline z3\nmodel-var int badtag x\nformula x > 0",
+      // The bounded text form: every key, in order, and nothing else.
+      With({{"hi=6 ", ""}}),
+      With({{"lo=-6 hi=6", "hi=6 lo=-6"}}),
+      With({{"learn=1", "learning=1"}}),
+      With({{"learn=1", "learn=yes"}}),
+      With({{"nogoods=10000", "nogoods=10000 extra"}}),
+      With({{"nogoods=10000", "nogoods=10000 "}}),
+      With({{"nogoods=10000", "nogoods=99999999999"}}),
+      // Every number parses strictly and jobs stays within 1..1024: a
+      // peer must not pick the worker's thread count. These requests are
+      // only ever parsed, never run.
+      With({{"lo=-6 hi=6", "lo=-1000000000 hi=1000000000"},
+            {"jobs=1", "jobs=4000000000"}}),
+      With({{"jobs=1", "jobs=4294967297"}}),
+      With({{"jobs=1", "jobs=1025"}}),
+      With({{"jobs=1", "jobs=0"}}),
+      With({{"cands=4000000", "cands=99999999999999999999999"}}),
+      With({{"steps=0", "steps=+100"}}),
+      With({{"hi=6", "hi=+100"}}),
+      With({{"lo=-6", "lo=-99999999999999999999"}}),
+      With({{"step-factor 16", "step-factor +100"}}),
+      With({{"step-factor 16", "step-factor 99999999999999999999999"}}),
+      With({{"want-model 0", "want-model banana"}}),
+      With({{"want-model 0", "want-model 2"}}),
   };
-  for (const char *S : BadRequests)
+  for (const std::string &S : BadRequests)
     EXPECT_FALSE(parseShardRequest(S).ok()) << "accepted: " << S;
 
   const char *BadResponses[] = {
@@ -176,7 +230,12 @@ TEST(ShardWire, MalformedPayloadsAreDiagnosed) {
       "relax-shard-response 1", // no verdict
       "relax-shard-response 1\nverdict maybe",
       "relax-shard-response 1\nverdict sat\nmodel-int plain x notanumber",
+      "relax-shard-response 1\nverdict sat\nmodel-int plain x +5",
+      "relax-shard-response 1\nverdict sat\nmodel-int plain x "
+      "99999999999999999999",
       "relax-shard-response 1\nverdict sat\nmodel-array plain A 3 1 2",
+      "relax-shard-response 1\nverdict sat\nmodel-array plain A +1 2",
+      "relax-shard-response 1\nverdict sat\nmodel-array plain A 1 +2",
       "relax-shard-response 1\nverdict sat\nwhatever",
   };
   for (const char *S : BadResponses)

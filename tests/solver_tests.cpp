@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EnumerateSolver.h"
 #include "TestUtil.h"
 
 #include "ast/Printer.h"
@@ -12,10 +13,15 @@
 #include "solver/CachingSolver.h"
 #include "solver/FormulaEval.h"
 #include "solver/FormulaProgram.h"
+#include "server/VerifyServer.h"
 #include "solver/Z3Solver.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#if RELAXC_HAVE_Z3
+#include <z3++.h>
+#endif
 
 #include <limits>
 
@@ -431,6 +437,102 @@ TEST(Z3Solver, SmtLibExportRoundTripsThroughZ3Syntax) {
   EXPECT_NE(Script->find("A!len"), std::string::npos) << "length axiom";
 }
 
+#if RELAXC_HAVE_Z3
+namespace {
+
+/// Parses \p Script back through Z3's own SMT-LIB front end and checks it.
+SatResult checkSmtLibScript(const std::string &Script) {
+  try {
+    z3::context C;
+    z3::solver S(C);
+    S.from_string(Script.c_str());
+    switch (S.check()) {
+    case z3::sat:
+      return SatResult::Sat;
+    case z3::unsat:
+      return SatResult::Unsat;
+    default:
+      return SatResult::Unknown;
+    }
+  } catch (const z3::exception &E) {
+    ADD_FAILURE() << "z3 rejected the script: " << E.msg();
+    return SatResult::Unknown;
+  }
+}
+
+} // namespace
+#endif
+
+// Freshened names (`x'1`, loop-variant snapshots and bound variables)
+// hold a character no simple SMT-LIB symbol may contain; the dump
+// quotes them so Z3's own parser reads the script back.
+TEST(Z3Solver, SmtLibQuotesPrimedNames) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  AstContext Ctx;
+  Z3Solver S(Ctx.symbols());
+  Symbol I = Ctx.sym("i'3");
+  const BoolExpr *F = Ctx.andExpr(
+      Ctx.lt(Ctx.varO("variant'1"), Ctx.intLit(0)),
+      Ctx.exists(I, VarTag::Plain, VarKind::Int,
+                 Ctx.eq(Ctx.var(I), Ctx.varO("variant'1"))));
+  Result<std::string> Script = S.toSmtLib({F});
+  ASSERT_TRUE(Script.ok()) << Script.message();
+  EXPECT_NE(Script->find("|variant'1!o|"), std::string::npos) << *Script;
+  EXPECT_NE(Script->find("|i'3|"), std::string::npos) << *Script;
+#if RELAXC_HAVE_Z3
+  EXPECT_EQ(checkSmtLibScript(*Script), SatResult::Sat) << *Script;
+#endif
+}
+
+// Every `dump-vcs --smtlib` script of the case-study corpus parses back
+// through Z3 and gives the verdict `verify` reported for its obligation,
+// so any verdict can be re-checked offline without trusting relaxc's
+// own query translation.
+TEST(Z3Solver, CorpusSmtLibScriptsReplayTheReportedVerdicts) {
+  RELAXC_SKIP_WITHOUT_Z3();
+#if RELAXC_HAVE_Z3
+  const char *Examples[] = {"swish.rlx",         "water.rlx",
+                            "lu.rlx",            "task_skip.rlx",
+                            "sampling.rlx",      "memoize.rlx",
+                            "water_modular.rlx", "shared_callee.rlx"};
+  size_t Scripts = 0, Quoted = 0;
+  for (const char *Name : Examples) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    VerifyWireRequest Req;
+    Req.FileName = Name;
+    Req.Source = Source;
+    VerifyJobResult Job = runVerifyJob(Req, nullptr);
+    ASSERT_TRUE(Job.Ctx) << Name << ": " << Job.Error << Job.Diagnostics;
+    AstContext &Ctx = *Job.Ctx;
+    Z3Solver Dumper(Ctx.symbols());
+    for (const JudgmentReport *Pass :
+         {&Job.Verdicts.Original, &Job.Verdicts.Relaxed})
+      for (const VCOutcome &O : Pass->Outcomes) {
+        ASSERT_TRUE(O.Status == VCStatus::Proved ||
+                    O.Status == VCStatus::Failed)
+            << Name << " " << O.Condition.Rule;
+        bool Validity = O.Condition.Kind == VCKind::Validity;
+        // Validity obligations are dumped negated: unsat means proved.
+        Result<std::string> Script = Dumper.toSmtLib(
+            {Validity ? Ctx.notExpr(O.Condition.Formula)
+                      : O.Condition.Formula});
+        ASSERT_TRUE(Script.ok()) << Script.message();
+        bool Holds = O.Status == VCStatus::Proved;
+        SatResult Expected =
+            Holds == Validity ? SatResult::Unsat : SatResult::Sat;
+        EXPECT_EQ(checkSmtLibScript(*Script), Expected)
+            << Name << " obligation " << O.Condition.Id << " ("
+            << O.Condition.Rule << "):\n"
+            << *Script;
+        ++Scripts;
+        Quoted += Script->find('|') != std::string::npos;
+      }
+  }
+  EXPECT_GT(Scripts, 0u);
+  EXPECT_GT(Quoted, 0u) << "no script exercised the quoting";
+#endif
+}
+
 TEST(Z3Solver, BuildsItsContextOnFirstUse) {
   AstContext Ctx;
   uint64_t Before = Z3Solver::contextsBuilt();
@@ -783,9 +885,7 @@ TEST(BoundedSearch, PrefixPruningBeatsEnumerationByOrdersOfMagnitude) {
   ASSERT_TRUE(RS.ok());
   EXPECT_EQ(*RS, SatResult::Unsat);
 
-  BoundedSolverOptions EnumOpts;
-  EnumOpts.Eng = BoundedSolverOptions::Engine::Enumerate;
-  BoundedSolver Enum(EnumOpts, &Ctx);
+  relax::test::EnumerateSolver Enum;
   auto RE = Enum.checkSat({F});
   ASSERT_TRUE(RE.ok());
   EXPECT_EQ(*RE, SatResult::Unsat);
