@@ -253,31 +253,31 @@ std::optional<int64_t> evalInt(z3::model &M, const z3::expr &E) {
 
 struct Z3Solver::Impl {
   // One context + translator + incremental solver from this Z3Solver's
-  // first query to its destruction: constructing a z3::context (~10ms)
-  // and a fresh z3::solver (~5ms) used to dominate small-query discharge
-  // time, while a push/pop scope on a persistent solver costs
-  // microseconds (bench/solver_ablation measures the difference). The
-  // persistent context also lets translated terms be memoized across
-  // queries.
+  // first query to its destruction: constructing a z3::context (~12 ms)
+  // and a fresh z3::solver used to dominate small-query discharge time,
+  // while a push/pop scope on a persistent solver costs microseconds
+  // (bench/solver_ablation measures the difference). The persistent
+  // context also lets translated terms be memoized across queries.
+  //
+  // The solver is Z3's incremental SMT core (`simple`), which is what the
+  // default solver runs every push/pop query on anyway; the default one
+  // also builds its whole default tactic on its first check (8-14 ms, vs
+  // under 2 ms for the core). Its timeout is the context's `timeout`,
+  // written before every check: that write costs well under a
+  // microsecond, where setting a solver's params costs ~2 ms.
   z3::context C;
   Translator T;
   std::optional<z3::solver> S;
-  unsigned TimeoutMs;
 
-  Impl(const Interner &Syms, unsigned TimeoutMs)
-      : T(C, Syms), TimeoutMs(TimeoutMs) {
+  explicit Impl(const Interner &Syms) : T(C, Syms) {
     ContextsBuilt.fetch_add(1, std::memory_order_relaxed);
   }
 
   static inline std::atomic<uint64_t> ContextsBuilt{0};
 
   z3::solver &solver() {
-    if (!S) {
-      S.emplace(C);
-      z3::params Params(C);
-      Params.set("timeout", TimeoutMs);
-      S->set(Params);
-    }
+    if (!S)
+      S.emplace(C, z3::solver::simple());
     return *S;
   }
 
@@ -347,7 +347,7 @@ uint64_t Z3Solver::contextsBuilt() { return Impl::ContextsBuilt.load(); }
 
 Z3Solver::Impl &Z3Solver::impl() {
   if (!P)
-    P = std::make_unique<Impl>(Syms, Opts.TimeoutMs);
+    P = std::make_unique<Impl>(Syms);
   return *P;
 }
 
@@ -390,21 +390,25 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
   }
   try {
     Impl &Z = impl();
-    z3::solver &S = Z.solver();
     // Cap the per-query timeout by the time the deadline leaves, so a
     // query started just before expiry cannot overrun by a full
-    // Opts.TimeoutMs. Unarmed deadlines restore the configured value.
-    {
-      unsigned EffTimeoutMs = Opts.TimeoutMs;
-      if (QueryDeadline.armed()) {
-        int64_t Left = QueryDeadline.remainingMs();
-        if (Left < static_cast<int64_t>(EffTimeoutMs))
-          EffTimeoutMs = static_cast<unsigned>(Left);
+    // Opts.TimeoutMs. Building the context can eat a short budget, and
+    // Z3 reads a 0 timeout as none, so a deadline with under a
+    // millisecond left settles here. The cap rounds the truncated
+    // remainder up: a capped check that times out returns only after the
+    // deadline has expired, and so is reported as a deadline gave-up.
+    unsigned EffTimeoutMs = Opts.TimeoutMs;
+    if (QueryDeadline.armed()) {
+      int64_t Left = QueryDeadline.remainingMs();
+      if (Left == 0) {
+        LastDeadlined = true;
+        return SatResult::Unknown;
       }
-      z3::params Params(Z.C);
-      Params.set("timeout", EffTimeoutMs);
-      S.set(Params);
+      if (Left < static_cast<int64_t>(EffTimeoutMs))
+        EffTimeoutMs = static_cast<unsigned>(Left + 1);
     }
+    Z.C.set("timeout", std::to_string(EffTimeoutMs).c_str());
+    z3::solver &S = Z.solver();
     ScopedPush Scope(S);
 
     for (const BoolExpr *F : Formulas)

@@ -40,6 +40,8 @@ namespace relax {
 
 /// Options for the Z3 backend.
 struct Z3SolverOptions {
+  /// Per-query timeout; an armed query deadline caps it by the time it
+  /// leaves.
   unsigned TimeoutMs = 30000;
   /// Cap on extracted array lengths (models with larger lengths are
   /// truncated; the oracle never requests arrays this large).
@@ -56,7 +58,9 @@ struct Z3SolverOptions {
 /// identity; consequently an instance must only be fed formulas from one
 /// live AstContext, and is not safe for concurrent use — the parallel
 /// verifier builds one instance per worker. Building the context costs
-/// about 10 ms, so a solver that is never queried never builds one.
+/// about 12 ms, so a solver that is never queried never builds one.
+/// Queries run in push/pop scopes on Z3's incremental SMT core, under a
+/// timeout written to the context before each check.
 class Z3Solver : public Solver {
 public:
   explicit Z3Solver(const Interner &Syms,

@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 namespace relax {
 namespace test {
@@ -69,6 +71,14 @@ inline std::string examplePath(const std::string &Name) {
   return std::string(RELAXC_EXAMPLES_DIR) + "/" + Name;
 }
 
+/// Source of the named example program; nullopt when it is missing.
+inline std::optional<std::string> slurpExample(const std::string &Name) {
+  SourceManager SM;
+  if (!SM.loadFile(examplePath(Name)).ok())
+    return std::nullopt;
+  return std::string(SM.buffer());
+}
+
 /// Path to the built relaxc driver binary (set by CMake; the shard and
 /// CLI suites spawn it as a real subprocess).
 inline std::string driverPath() {
@@ -112,11 +122,11 @@ inline bool haveZ3() { return RELAXC_HAVE_Z3 != 0; }
 #define RELAXC_SLURP_EXAMPLE_OR_SKIP(Var, Name)                                \
   std::string Var;                                                             \
   do {                                                                         \
-    relax::SourceManager SlurpSM_;                                             \
-    if (!SlurpSM_.loadFile(relax::test::examplePath(Name)).ok())               \
+    std::optional<std::string> Slurped_ = relax::test::slurpExample(Name);     \
+    if (!Slurped_)                                                             \
       GTEST_SKIP() << "example program not found: "                            \
                    << relax::test::examplePath(Name);                          \
-    Var = std::string(SlurpSM_.buffer());                                      \
+    Var = std::move(*Slurped_);                                                \
   } while (0)
 
 #endif // RELAXC_TESTS_TESTUTIL_H

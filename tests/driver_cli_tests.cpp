@@ -12,7 +12,8 @@
 //    are diagnosed on stderr and exit 2;
 //  * --shards= validation;
 //  * deadlines: an expired --timeout-ms / --vc-timeout-ms budget exits 3
-//    with "deadline" in the report, never hangs;
+//    with "deadline" in the report, never hangs, and so does a budget of
+//    a few milliseconds on a query Z3 cannot settle;
 //  * fault injection: a fully dead worker pool degrades to the
 //    in-process tail ("shard pool degraded" under --solver-stats) with
 //    the fault-free exit code, and a bad --faults= spec exits 2;
@@ -33,6 +34,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <poll.h>
 #include <regex>
 #include <sstream>
 #include <unistd.h>
@@ -44,11 +46,15 @@ namespace {
 struct RunResult {
   int Exit = -1;
   std::string Output; ///< stdout + stderr, merged
+  bool Overran = false; ///< killed when the read deadline expired
 };
 
 /// Runs the driver with \p Args, returning its exit code and merged
-/// output. The 60s frame-less read bounds a wedged driver.
-RunResult runDriver(const std::vector<std::string> &Args) {
+/// output. A driver still running when \p D expires is killed and
+/// reported as Overran, so a wedged driver fails its test instead of
+/// hanging the suite.
+RunResult runDriver(const std::vector<std::string> &Args,
+                    Deadline D = Deadline::never()) {
   RunResult R;
   Subprocess P;
   Status S = P.spawn(relax::test::driverPath(), Args, /*MergeStderr=*/true);
@@ -58,6 +64,12 @@ RunResult runDriver(const std::vector<std::string> &Args) {
   P.closeStdin();
   char Buf[4096];
   for (;;) {
+    pollfd Fd{P.readFd(), POLLIN, 0};
+    if (::poll(&Fd, 1, D.clampTimeoutMs(-1)) == 0) {
+      P.terminate();
+      R.Overran = true;
+      return R;
+    }
     ssize_t N = ::read(P.readFd(), Buf, sizeof(Buf));
     if (N <= 0)
       break;
@@ -265,6 +277,26 @@ TEST(DriverDeadlines, ExpiredGlobalDeadlineIsExitThree) {
   RunResult R3 =
       runDriver({"verify", P.Path, BoundedPipeline, "--timeout-ms=60000"});
   EXPECT_EQ(R3.Exit, 0) << R3.Output;
+}
+
+TEST(DriverDeadlines, ShortDeadlinesStopZ3) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_Z3();
+  // Z3 neither refutes nor proves this within its 30-s default timeout.
+  // Building the Z3 context on the first query can eat a deadline of a
+  // few milliseconds; the query must then settle as a deadline gave-up,
+  // because Z3 reads the 0-ms timeout left over as none and runs on.
+  TempProgram P("int x, y, z;\nrequires (x > 1 && y > 1 && z > 1);\n"
+                "{ assert x * x * x + y * y * y != z * z * z; }\n");
+  for (const char *Flag :
+       {"--vc-timeout-ms=1", "--vc-timeout-ms=5", "--vc-timeout-ms=8",
+        "--vc-timeout-ms=12", "--timeout-ms=5"}) {
+    RunResult R = runDriver({"verify", P.Path, Flag}, Deadline::inMs(10'000));
+    EXPECT_FALSE(R.Overran) << Flag << ": still running after 10 s";
+    EXPECT_EQ(R.Exit, 3) << Flag << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("deadline"), std::string::npos)
+        << Flag << "\n" << R.Output;
+  }
 }
 
 TEST(DriverDeadlines, BadTimeoutValuesAreExitTwo) {

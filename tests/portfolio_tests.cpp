@@ -27,7 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "GenProgram.h"
+#include "Corpus.h"
 #include "TestUtil.h"
 
 #include "solver/FormulaEval.h"
@@ -611,31 +611,6 @@ TEST(OneDischargePath, BackendSeesEveryQueryInVCOrderAtOneJob) {
 // The bounded tier behind the decision tier
 //===----------------------------------------------------------------------===//
 
-const char *AllCaseStudies[] = {"swish.rlx",         "water.rlx",
-                                "lu.rlx",            "task_skip.rlx",
-                                "sampling.rlx",      "memoize.rlx",
-                                "water_modular.rlx", "shared_callee.rlx"};
-
-/// The ExamplesMutated mutants of verifier_tests.cpp: an exact
-/// annotation substring of a case study and its replacement.
-struct Mutation {
-  const char *File, *From, *To;
-};
-const Mutation ExampleMutants[] = {
-    {"swish.rlx", "10 <= max_r));", "9 <= max_r));"},
-    {"swish.rlx", "10 <= num_r<o> && 10 <= num_r<r>",
-     "10 <= num_r<o> && 11 <= num_r<r>"},
-    {"water.rlx", "assume (K < len_FF);\n    if", "skip;\n    if"},
-    {"water.rlx", "requires (N >= 0 && N <= len(RS)",
-     "requires (N >= 0 && N - 1 <= len(RS)"},
-    {"lu.rlx", "relate lipschitz : max<o> - max<r> <= e<o>",
-     "relate lipschitz : max<o> - max<r> <= e<o> - 1"},
-    {"lu.rlx", "relax (a) st (original_a - e <= a && a <= original_a + e)",
-     "relax (a) st (original_a - 2 * e <= a && a <= original_a + 2 * e)"},
-    {"shared_callee.rlx", "rensures (0 <= x<o> && 0 <= x<r>);",
-     "rensures (true);"},
-};
-
 /// An e with `x == e` or `e == x` among the conjuncts of \p B (looking
 /// through nested existentials that neither rebind x nor bind a
 /// variable of e), x not free in e; null if there is none.
@@ -694,29 +669,12 @@ const BoolExpr *eliminateOnePoint(AstContext &Ctx, const BoolExpr *B) {
 
 TEST(RescueOrder, ChangesNoVerdictAndNoBoundedWitness) {
   RELAXC_SKIP_WITHOUT_Z3();
-  std::vector<std::pair<std::string, std::string>> Corpus;
-  for (const char *Name : AllCaseStudies) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
-    Corpus.emplace_back(Name, Source);
-  }
-  for (const Mutation &M : ExampleMutants) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, M.File);
-    size_t At = Source.find(M.From);
-    ASSERT_NE(At, std::string::npos) << M.File << ": " << M.From;
-    Source.replace(At, std::strlen(M.From), M.To);
-    Corpus.emplace_back(std::string(M.File) + " mutated to '" + M.To + "'",
-                        Source);
-  }
-  relax::test::ProgramGen::Options Falsifiable;
-  Falsifiable.InjectFalsifiableAssert = true;
-  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
-    relax::test::ProgramGen Gen(
-        Seed, Seed % 2 ? relax::test::ProgramGen::Options() : Falsifiable);
-    Corpus.emplace_back("seed " + std::to_string(Seed), Gen.gen());
-  }
+  auto Corpus = relax::test::mixedCorpus();
+  if (!Corpus)
+    GTEST_SKIP() << "case studies not found";
 
   size_t Witnessed = 0, Modeled = 0;
-  for (const auto &[Name, Source] : Corpus) {
+  for (const auto &[Name, Source] : *Corpus) {
     relax::test::ParsedProgram P = relax::test::parseProgram(Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
     const Interner &Syms = P.Ctx->symbols();
@@ -773,7 +731,7 @@ TEST(RescueOrder, ChangesNoVerdictAndNoBoundedWitness) {
 
 TEST(RescueOrder, CaseStudiesSpendNoBoundedCandidates) {
   RELAXC_SKIP_WITHOUT_Z3();
-  for (const char *Name : AllCaseStudies) {
+  for (const char *Name : relax::test::CaseStudies) {
     RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
     relax::test::ParsedProgram P = relax::test::parseProgram(Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
@@ -800,7 +758,7 @@ TEST(RescueOrder, WorkerBackendsCountEachQueryOnceAcrossPasses) {
   // One scheduler runs both passes at Jobs = 4 and keeps its worker
   // backends between them; their statistics must still count every
   // query once. The Z3-free pipeline keeps this running without Z3.
-  for (const char *Name : AllCaseStudies) {
+  for (const char *Name : relax::test::CaseStudies) {
     RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
     relax::test::ParsedProgram P = relax::test::parseProgram(Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();

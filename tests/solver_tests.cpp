@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "EnumerateSolver.h"
 #include "TestUtil.h"
 
@@ -23,6 +24,7 @@
 #include <z3++.h>
 #endif
 
+#include <chrono>
 #include <limits>
 
 using namespace relax;
@@ -484,20 +486,21 @@ TEST(Z3Solver, SmtLibQuotesPrimedNames) {
 #endif
 }
 
-// Every `dump-vcs --smtlib` script of the case-study corpus parses back
+// Every `dump-vcs --smtlib` script of the mixed corpus parses back
 // through Z3 and gives the verdict `verify` reported for its obligation,
 // so any verdict can be re-checked offline without trusting relaxc's
-// own query translation.
+// own query translation. The replay runs on Z3's default solver, which
+// also retries a quantifier-free Unknown with a tactic: an independent
+// reference for the incremental core that `verify` runs on. The mutants
+// add refuted obligations, and the generated programs nonlinear products.
 TEST(Z3Solver, CorpusSmtLibScriptsReplayTheReportedVerdicts) {
   RELAXC_SKIP_WITHOUT_Z3();
 #if RELAXC_HAVE_Z3
-  const char *Examples[] = {"swish.rlx",         "water.rlx",
-                            "lu.rlx",            "task_skip.rlx",
-                            "sampling.rlx",      "memoize.rlx",
-                            "water_modular.rlx", "shared_callee.rlx"};
-  size_t Scripts = 0, Quoted = 0;
-  for (const char *Name : Examples) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+  auto Corpus = relax::test::mixedCorpus();
+  if (!Corpus)
+    GTEST_SKIP() << "case studies not found";
+  size_t Scripts = 0, Quoted = 0, Refuted = 0, Products = 0;
+  for (const auto &[Name, Source] : *Corpus) {
     VerifyWireRequest Req;
     Req.FileName = Name;
     Req.Source = Source;
@@ -526,10 +529,14 @@ TEST(Z3Solver, CorpusSmtLibScriptsReplayTheReportedVerdicts) {
             << *Script;
         ++Scripts;
         Quoted += Script->find('|') != std::string::npos;
+        Refuted += !Holds;
+        Products += Script->find("(* ") != std::string::npos;
       }
   }
   EXPECT_GT(Scripts, 0u);
   EXPECT_GT(Quoted, 0u) << "no script exercised the quoting";
+  EXPECT_GT(Refuted, 0u) << "no refuted obligation was replayed";
+  EXPECT_GT(Products, 0u) << "no nonlinear product was replayed";
 #endif
 }
 
@@ -559,6 +566,50 @@ TEST(Z3Solver, BuildsItsContextOnFirstUse) {
   ASSERT_TRUE(Script.ok()) << Script.message();
   EXPECT_NE(Script->find("(check-sat)"), std::string::npos);
   EXPECT_EQ(Z3Solver::contextsBuilt(), Before + 2);
+}
+
+// A deadline caps the Z3 timeout of the query it is installed for, and
+// no later one: the timeout lives on the solver's context, which every
+// query re-writes.
+TEST(Z3Solver, DeadlineCapsOnlyItsOwnQuery) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  AstContext Ctx;
+  Z3SolverOptions Opts;
+  Opts.TimeoutMs = 400;
+  Z3Solver S(Ctx.symbols(), Opts);
+  // x^3 + y^3 == z^3 over x, y, z > 1: Z3 neither refutes nor satisfies
+  // it before any timeout.
+  auto Cube = [&](const char *Name) {
+    const Expr *V = Ctx.var(Name);
+    return Ctx.mul(Ctx.mul(V, V), V);
+  };
+  const BoolExpr *F = Ctx.conj(
+      {Ctx.gt(Ctx.var("x"), Ctx.intLit(1)),
+       Ctx.gt(Ctx.var("y"), Ctx.intLit(1)),
+       Ctx.gt(Ctx.var("z"), Ctx.intLit(1)),
+       Ctx.eq(Ctx.add(Cube("x"), Cube("y")), Cube("z"))});
+  auto TimedUnknown = [&](Deadline D) {
+    S.setDeadline(D);
+    auto Start = std::chrono::steady_clock::now();
+    Result<SatResult> R = S.checkSat({F});
+    auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count();
+    EXPECT_TRUE(R.ok() && *R == SatResult::Unknown);
+    return Ms;
+  };
+
+  auto Capped = TimedUnknown(Deadline::inMs(50));
+  EXPECT_TRUE(S.lastQueryDeadlined());
+  EXPECT_LT(Capped, 300) << "the 50 ms deadline did not cap the timeout";
+
+  auto Full = TimedUnknown(Deadline::never());
+  EXPECT_FALSE(S.lastQueryDeadlined());
+  EXPECT_GE(Full, 300) << "the earlier cap outlived its query";
+
+  auto CappedAgain = TimedUnknown(Deadline::inMs(50));
+  EXPECT_TRUE(S.lastQueryDeadlined());
+  EXPECT_LT(CappedAgain, 300) << "the configured timeout outlived its query";
 }
 
 TEST(ModelFormatting, RendersScalarsAndArraysWithTags) {
