@@ -110,8 +110,8 @@ void printUsage() {
       "                            and which tier settled it), or list every\n"
       "                            obligation of one procedure's summaries\n"
       "  --solver-stats            print per-tier settled/escalated counts,\n"
-      "                            cache/work counters, per-pass times, and\n"
-      "                            per-procedure obligation counts after\n"
+      "                            cache/work counters, per-pass wall times,\n"
+      "                            and per-procedure obligation counts after\n"
       "                            `verify`\n"
       "  --oracle=<solver|random|identity>\n"
       "                            havoc/relax resolution strategy\n"
@@ -160,7 +160,11 @@ void printUsage() {
       "                            addressed by printed formula, var kinds, "
       "and\n"
       "                            pipeline config; deadline and gave-up\n"
-      "                            verdicts are never stored)\n"
+      "                            verdicts are never stored); a refutation "
+      "keeps\n"
+      "                            its counterexample, so a warm run prints "
+      "what\n"
+      "                            the cold run printed\n"
       "  --cache-verify=<ppm>      re-discharge a deterministic sample of "
       "cache\n"
       "                            hits (parts per million of lookups) and\n"

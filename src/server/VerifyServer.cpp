@@ -109,14 +109,8 @@ ShardResponse relax::serveShardRequest(ShardWorkerState &W,
   Resp.Verdict = *R;
   Resp.SettledBy = W.Port->settledBy();
   Resp.Trail = W.Port->giveUpTrail();
-  if (Req->WantModel && *R == SatResult::Sat) {
-    for (const auto &[V, Val] : Mod.Ints)
-      Resp.Ints.push_back(
-          {{std::string(W.Ctx->text(V.Name)), V.Tag, V.Kind}, Val});
-    for (const auto &[V, Val] : Mod.Arrays)
-      Resp.Arrays.push_back(
-          {{std::string(W.Ctx->text(V.Name)), V.Tag, V.Kind}, Val});
-  }
+  if (Req->WantModel && *R == SatResult::Sat)
+    Resp.Model = wireModelOf(Mod, W.Ctx->symbols());
   return Resp;
 }
 

@@ -36,6 +36,14 @@
 
 namespace relax {
 
+/// A settled verdict as the result caches keep it. A `sat` may carry a
+/// witness: the model a model query returned for the query, which a
+/// failed validity obligation prints as its counterexample.
+struct CachedVerdict {
+  SatResult R = SatResult::Unknown;
+  std::optional<Model> Witness;
+};
+
 /// A verified sat-result memo table, shared by CachingSolver and the
 /// parallel VC discharger (which guards it with a mutex).
 class SolverResultCache {
@@ -67,19 +75,18 @@ public:
     return Key;
   }
 
-  std::optional<SatResult>
-  lookup(const std::vector<const BoolExpr *> &Formulas) {
-    return lookupCanonical(canonicalize(Formulas));
+  CachedVerdict insert(const std::vector<const BoolExpr *> &Formulas,
+                       CachedVerdict V) {
+    return insertCanonical(canonicalize(Formulas), std::move(V));
   }
 
-  void insert(const std::vector<const BoolExpr *> &Formulas, SatResult R) {
-    insertCanonical(canonicalize(Formulas), R);
-  }
-
-  /// Variants taking an already-canonicalized query, so a miss-then-insert
-  /// caller sorts the query once, not twice.
-  std::optional<SatResult>
-  lookupCanonical(const std::vector<const BoolExpr *> &Canonical) {
+  /// The cached verdict of an already-canonicalized query, so a
+  /// miss-then-insert caller sorts the query once, not twice. With
+  /// \p WantWitness, a `sat` that carries no witness is a miss: the
+  /// caller recomputes it, and its insert supplies the witness.
+  std::optional<CachedVerdict>
+  lookupCanonical(const std::vector<const BoolExpr *> &Canonical,
+                  bool WantWitness = false) {
     auto It = Cache.find(keyOf(Canonical));
     if (It == Cache.end()) {
       ++Misses;
@@ -87,8 +94,12 @@ public:
     }
     for (const Entry &E : It->second)
       if (sameQuery(E.Formulas, Canonical)) {
+        if (WantWitness && E.V.R == SatResult::Sat && !E.V.Witness) {
+          ++Misses;
+          return std::nullopt;
+        }
         ++Hits;
-        return E.R;
+        return E.V;
       }
     // 64-bit key matched a different query: a genuine hash collision.
     ++Collisions;
@@ -96,12 +107,20 @@ public:
     return std::nullopt;
   }
 
-  void insertCanonical(std::vector<const BoolExpr *> Canonical, SatResult R) {
+  /// Returns the entry as stored. One already present keeps its verdict
+  /// and witness (a racing insert in the parallel path computed the same
+  /// verdict); it only gains a witness it lacked.
+  CachedVerdict insertCanonical(std::vector<const BoolExpr *> Canonical,
+                                CachedVerdict V) {
     std::vector<Entry> &Bucket = Cache[keyOf(Canonical)];
-    for (const Entry &E : Bucket)
-      if (sameQuery(E.Formulas, Canonical))
-        return; // already present (racing insert in the parallel path)
-    Bucket.push_back(Entry{std::move(Canonical), R});
+    for (Entry &E : Bucket)
+      if (sameQuery(E.Formulas, Canonical)) {
+        if (!E.V.Witness)
+          E.V.Witness = std::move(V.Witness);
+        return E.V;
+      }
+    Bucket.push_back(Entry{std::move(Canonical), std::move(V)});
+    return Bucket.back().V;
   }
 
   uint64_t hitCount() const { return Hits; }
@@ -111,7 +130,7 @@ public:
 private:
   struct Entry {
     std::vector<const BoolExpr *> Formulas;
-    SatResult R;
+    CachedVerdict V;
   };
 
   static bool sameQuery(const std::vector<const BoolExpr *> &A,
@@ -145,13 +164,13 @@ public:
     ++Queries;
     std::vector<const BoolExpr *> Canonical =
         SolverResultCache::canonicalize(Formulas);
-    if (std::optional<SatResult> Cached = Cache.lookupCanonical(Canonical))
-      return *Cached;
+    if (std::optional<CachedVerdict> Cached = Cache.lookupCanonical(Canonical))
+      return Cached->R;
     Result<SatResult> R = Underlying.checkSat(Formulas);
     // Deadline gave-ups are time-dependent, not verdicts about the query;
     // caching one would freeze "ran out of time" into "unknowable".
     if (R.ok() && !Underlying.lastQueryDeadlined())
-      Cache.insertCanonical(std::move(Canonical), *R);
+      Cache.insertCanonical(std::move(Canonical), CachedVerdict{*R, {}});
     return R;
   }
 

@@ -30,65 +30,12 @@ namespace {
 const char *RequestMagic = "relax-shard-request 2";
 const char *ResponseMagic = "relax-shard-response 1";
 
-const char *tagWord(VarTag T) {
-  switch (T) {
-  case VarTag::Plain:
-    return "plain";
-  case VarTag::Orig:
-    return "o";
-  case VarTag::Rel:
-    return "r";
-  }
-  return "?";
-}
-
-bool parseTagWord(std::string_view W, VarTag &Out) {
-  if (W == "plain")
-    Out = VarTag::Plain;
-  else if (W == "o")
-    Out = VarTag::Orig;
-  else if (W == "r")
-    Out = VarTag::Rel;
-  else
-    return false;
-  return true;
-}
-
-const char *kindWord(VarKind K) {
-  return K == VarKind::Int ? "int" : "array";
-}
-
-bool parseKindWord(std::string_view W, VarKind &Out) {
-  if (W == "int")
-    Out = VarKind::Int;
-  else if (W == "array")
-    Out = VarKind::Array;
-  else
-    return false;
-  return true;
-}
-
 /// Trails and error messages must stay single-line on the wire.
 std::string oneLine(std::string S) {
   for (char &C : S)
     if (C == '\n' || C == '\r')
       C = ' ';
   return S;
-}
-
-/// Splits the next whitespace-delimited token off \p Rest.
-std::string_view nextToken(std::string_view &Rest) {
-  size_t B = Rest.find_first_not_of(' ');
-  if (B == std::string_view::npos) {
-    Rest = std::string_view();
-    return std::string_view();
-  }
-  size_t E = Rest.find(' ', B);
-  std::string_view Tok = Rest.substr(B, E == std::string_view::npos
-                                            ? std::string_view::npos
-                                            : E - B);
-  Rest = E == std::string_view::npos ? std::string_view() : Rest.substr(E + 1);
-  return Tok;
 }
 
 /// Iterates \p Payload line by line, calling \p OnLine(directive, rest).
@@ -103,7 +50,7 @@ template <typename Fn> Status forEachLine(std::string_view Payload, Fn OnLine) {
     if (Line.empty())
       continue;
     std::string_view Rest = Line;
-    std::string_view Directive = nextToken(Rest);
+    std::string_view Directive = nextWireToken(Rest);
     if (Status S = OnLine(Directive, Rest, Line); !S.ok())
       return S;
   }
@@ -119,10 +66,10 @@ std::string relax::serializeShardRequest(const ShardRequest &R) {
   Out += "\nstep-factor " + std::to_string(R.FinalBoundedStepFactor);
   Out += std::string("\nwant-model ") + (R.WantModel ? "1" : "0");
   for (const auto &[Name, Kind] : R.Vars)
-    Out += std::string("\nvar ") + kindWord(Kind) + " " + Name;
+    Out += std::string("\nvar ") + varKindWord(Kind) + " " + Name;
   for (const WireVar &V : R.ModelVars)
-    Out += std::string("\nmodel-var ") + kindWord(V.Kind) + " " +
-           tagWord(V.Tag) + " " + V.Name;
+    Out += std::string("\nmodel-var ") + varKindWord(V.Kind) + " " +
+           varTagWord(V.Tag) + " " + V.Name;
   for (const std::string &F : R.Formulas)
     Out += "\nformula " + oneLine(F);
   Out += "\n";
@@ -170,9 +117,9 @@ Result<ShardRequest> relax::parseShardRequest(std::string_view Payload) {
     }
     if (D == "var") {
       VarKind K;
-      if (!parseKindWord(nextToken(Rest), K))
+      if (!parseVarKindWord(nextWireToken(Rest), K))
         return Status::error("bad var-kind in '" + std::string(Line) + "'");
-      std::string_view Name = nextToken(Rest);
+      std::string_view Name = nextWireToken(Rest);
       if (Name.empty())
         return Status::error("missing var name in '" + std::string(Line) +
                              "'");
@@ -181,10 +128,10 @@ Result<ShardRequest> relax::parseShardRequest(std::string_view Payload) {
     }
     if (D == "model-var") {
       WireVar V;
-      if (!parseKindWord(nextToken(Rest), V.Kind) ||
-          !parseTagWord(nextToken(Rest), V.Tag))
+      if (!parseVarKindWord(nextWireToken(Rest), V.Kind) ||
+          !parseVarTagWord(nextWireToken(Rest), V.Tag))
         return Status::error("bad model-var in '" + std::string(Line) + "'");
-      std::string_view Name = nextToken(Rest);
+      std::string_view Name = nextWireToken(Rest);
       if (Name.empty())
         return Status::error("missing model-var name in '" +
                              std::string(Line) + "'");
@@ -222,16 +169,8 @@ std::string relax::serializeShardResponse(const ShardResponse &R) {
     Out += "\nsettled-by " + oneLine(R.SettledBy);
   if (!R.Trail.empty())
     Out += "\ntrail " + oneLine(R.Trail);
-  for (const ShardResponse::IntEntry &E : R.Ints)
-    Out += std::string("\nmodel-int ") + tagWord(E.Var.Tag) + " " +
-           E.Var.Name + " " + std::to_string(E.Value);
-  for (const ShardResponse::ArrayEntry &E : R.Arrays) {
-    Out += std::string("\nmodel-array ") + tagWord(E.Var.Tag) + " " +
-           E.Var.Name + " " + std::to_string(E.Value.Length);
-    for (int64_t V : E.Value.Elems)
-      Out += " " + std::to_string(V);
-  }
   Out += "\n";
+  appendModelLines(Out, R.Model);
   return Out;
 }
 
@@ -250,7 +189,7 @@ Result<ShardResponse> relax::parseShardResponse(std::string_view Payload) {
       return Status::success();
     }
     if (D == "verdict") {
-      std::string_view V = nextToken(Rest);
+      std::string_view V = nextWireToken(Rest);
       SawVerdict = true;
       if (V == "sat")
         Resp.Verdict = SatResult::Sat;
@@ -276,40 +215,8 @@ Result<ShardResponse> relax::parseShardResponse(std::string_view Payload) {
       Resp.Trail = std::string(Rest);
       return Status::success();
     }
-    if (D == "model-int") {
-      ShardResponse::IntEntry E;
-      E.Var.Kind = VarKind::Int;
-      if (!parseTagWord(nextToken(Rest), E.Var.Tag))
-        return Status::error("bad model-int tag in '" + std::string(Line) +
-                             "'");
-      E.Var.Name = std::string(nextToken(Rest));
-      if (E.Var.Name.empty() || !parseDecimal(nextToken(Rest), E.Value))
-        return Status::error("bad model-int line '" + std::string(Line) + "'");
-      Resp.Ints.push_back(std::move(E));
-      return Status::success();
-    }
-    if (D == "model-array") {
-      ShardResponse::ArrayEntry E;
-      E.Var.Kind = VarKind::Array;
-      if (!parseTagWord(nextToken(Rest), E.Var.Tag))
-        return Status::error("bad model-array tag in '" + std::string(Line) +
-                             "'");
-      E.Var.Name = std::string(nextToken(Rest));
-      int64_t Len = 0;
-      if (E.Var.Name.empty() || !parseDecimal(nextToken(Rest), Len) || Len < 0)
-        return Status::error("bad model-array line '" + std::string(Line) +
-                             "'");
-      E.Value.Length = Len;
-      for (int64_t I = 0; I != Len; ++I) {
-        int64_t V = 0;
-        if (!parseDecimal(nextToken(Rest), V))
-          return Status::error("model-array '" + E.Var.Name + "' is missing " +
-                               "element " + std::to_string(I));
-        E.Value.Elems.push_back(V);
-      }
-      Resp.Arrays.push_back(std::move(E));
-      return Status::success();
-    }
+    if (isModelDirective(D))
+      return parseModelLine(D, Rest, Line, Resp.Model);
     return Status::error("unknown response directive '" + std::string(D) +
                          "'");
   });
@@ -661,25 +568,7 @@ ShardSolver::roundTrip(const std::vector<const BoolExpr *> &Formulas,
       "shard:" + (Resp->SettledBy.empty() ? std::string("?") : Resp->SettledBy);
   LastTrail = Resp->Trail;
 
-  if (Req.WantModel && Resp->Verdict == SatResult::Sat) {
-    // Match wire entries back to the caller's VarRefs by (name, tag).
-    std::map<std::pair<std::string, int>, VarRef> ByName;
-    for (const VarRef &V : *Vars)
-      ByName.emplace(std::make_pair(std::string(Syms.text(V.Name)),
-                                    static_cast<int>(V.Tag)),
-                     V);
-    for (const ShardResponse::IntEntry &E : Resp->Ints) {
-      auto It =
-          ByName.find({E.Var.Name, static_cast<int>(E.Var.Tag)});
-      if (It != ByName.end() && It->second.Kind == VarKind::Int)
-        ModelOut->Ints[It->second] = E.Value;
-    }
-    for (const ShardResponse::ArrayEntry &E : Resp->Arrays) {
-      auto It =
-          ByName.find({E.Var.Name, static_cast<int>(E.Var.Tag)});
-      if (It != ByName.end() && It->second.Kind == VarKind::Array)
-        ModelOut->Arrays[It->second] = E.Value;
-    }
-  }
+  if (Req.WantModel && Resp->Verdict == SatResult::Sat)
+    *ModelOut = modelOfWire(Resp->Model, *Vars, Syms);
   return Resp->Verdict;
 }

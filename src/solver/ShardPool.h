@@ -48,6 +48,7 @@
 #define RELAXC_SOLVER_SHARDPOOL_H
 
 #include "solver/BoundedSolver.h"
+#include "solver/ModelCodec.h"
 #include "support/Subprocess.h"
 #include "support/Transport.h"
 
@@ -57,13 +58,6 @@
 #include <mutex>
 
 namespace relax {
-
-/// A logical variable on the wire: base name text + execution tag + kind.
-struct WireVar {
-  std::string Name;
-  VarTag Tag = VarTag::Plain;
-  VarKind Kind = VarKind::Int;
-};
 
 /// One discharge request: the tail tier chain the worker should run, its
 /// bounded-tier configuration, the query formulas (printed), the free
@@ -88,16 +82,7 @@ struct ShardResponse {
   SatResult Verdict = SatResult::Unknown;
   std::string SettledBy;
   std::string Trail;
-  struct IntEntry {
-    WireVar Var;
-    int64_t Value = 0;
-  };
-  struct ArrayEntry {
-    WireVar Var;
-    ArrayModelValue Value;
-  };
-  std::vector<IntEntry> Ints;
-  std::vector<ArrayEntry> Arrays;
+  WireModel Model; ///< its lines are the model codec's (ModelCodec.h)
 };
 
 /// Wire codecs. Parsers return diagnosed errors on any malformed payload

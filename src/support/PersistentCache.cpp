@@ -10,6 +10,7 @@
 #include "support/FaultInjection.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +24,7 @@ using namespace relax;
 
 namespace {
 
-const char *HeaderLine = "relaxc-verdict-cache 1\n";
+const char *HeaderLine = "relaxc-verdict-cache 2\n";
 const char *FileName = "verdicts.rlxcache";
 
 /// CRC-32 (the zlib/PNG polynomial, reflected 0xEDB88320), table built on
@@ -60,14 +61,81 @@ uint32_t getU32(const char *P) {
          static_cast<uint32_t>(static_cast<unsigned char>(P[3])) << 24;
 }
 
-/// A record payload: the verdict line, then the key text verbatim. The
-/// key is self-delimiting because the record is length-prefixed.
-std::string payloadFor(const std::string &Key, SatResult R) {
+/// A record payload: the verdict line, the witness's model lines, then
+/// the key text verbatim. The key is self-delimiting because the record
+/// is length-prefixed.
+std::string payloadFor(const std::string &Key,
+                       const PersistentCache::Entry &E) {
   std::string P = "verdict ";
-  P += satResultName(R);
-  P += '\n';
+  P += satResultName(E.R);
+  if (E.Witness) {
+    P += " model\n";
+    appendModelLines(P, *E.Witness);
+  } else {
+    P += '\n';
+  }
   P += Key;
   return P;
+}
+
+/// Parses one record payload into \p Key and \p E; an error names the
+/// damage.
+Status parsePayload(std::string_view P, std::string &Key,
+                    PersistentCache::Entry &E) {
+  size_t Nl = P.find('\n');
+  if (Nl == std::string_view::npos || P.substr(0, 8) != "verdict ")
+    return Status::error("malformed record");
+  std::string_view Rest = P.substr(8, Nl - 8);
+  std::string_view Word = nextWireToken(Rest);
+  if (Word == "sat")
+    E.R = SatResult::Sat;
+  else if (Word == "unsat")
+    E.R = SatResult::Unsat;
+  else // includes "unknown": gave-ups must never have been persisted
+    return Status::error("unknown verdict word '" + std::string(Word) + "'");
+  if (!Rest.empty()) {
+    if (Rest != "model" || E.R != SatResult::Sat)
+      return Status::error("bad verdict line '" +
+                           std::string(P.substr(0, Nl)) + "'");
+    E.Witness.emplace();
+  }
+  // Model lines run up to the first line that is not one: the key.
+  size_t Pos = Nl + 1;
+  while (Pos < P.size()) {
+    size_t End = P.find('\n', Pos);
+    std::string_view Line = P.substr(
+        Pos, End == std::string_view::npos ? std::string_view::npos
+                                           : End - Pos);
+    std::string_view LineRest = Line;
+    std::string_view Directive = nextWireToken(LineRest);
+    if (!isModelDirective(Directive))
+      break;
+    if (!E.Witness)
+      return Status::error("model line on a record without a model");
+    if (Status S = parseModelLine(Directive, LineRest, Line, *E.Witness);
+        !S.ok())
+      return S;
+    Pos = End == std::string_view::npos ? P.size() : End + 1;
+  }
+  Key = std::string(P.substr(Pos));
+  if (Key.empty())
+    return Status::error("record with empty key");
+  if (E.Witness) {
+    std::string Lines = "\n" + Key + "\n";
+    auto Declared = [&](const WireVar &V) {
+      return Lines.find("\n" + PersistentCache::keyVarLine(V) + "\n") !=
+             std::string::npos;
+    };
+    for (const WireModel::IntEntry &I : E.Witness->Ints)
+      if (!Declared(I.Var))
+        return Status::error("model names undeclared variable '" +
+                             I.Var.Name + "'");
+    for (const WireModel::ArrayEntry &A : E.Witness->Arrays)
+      if (!Declared(A.Var))
+        return Status::error("model names undeclared variable '" +
+                             A.Var.Name + "'");
+  }
+  return Status::success();
 }
 
 void frameRecord(std::string &Out, const std::string &Payload) {
@@ -126,6 +194,11 @@ void PersistentCache::setDivergenceHandler(DivergenceHandler H) {
 PersistentCacheStats PersistentCache::stats() const {
   std::lock_guard<std::mutex> L(M);
   return St;
+}
+
+std::string PersistentCache::keyVarLine(const WireVar &V) {
+  return std::string("var ") + varKindWord(V.Kind) + " " + varTagWord(V.Tag) +
+         " " + V.Name;
 }
 
 bool PersistentCache::sampledForVerify(const std::string &Key, uint64_t Ppm) {
@@ -191,34 +264,29 @@ void PersistentCache::load() {
       return goColdLocked("record crc mismatch");
     Pos += Len;
 
-    std::string_view P(Payload, Len);
-    size_t Nl = P.find('\n');
-    if (Nl == std::string_view::npos || P.substr(0, 8) != "verdict ")
-      return goColdLocked("malformed record");
-    std::string_view Word = P.substr(8, Nl - 8);
-    SatResult R;
-    if (Word == "sat")
-      R = SatResult::Sat;
-    else if (Word == "unsat")
-      R = SatResult::Unsat;
-    else // includes "unknown": gave-ups must never have been persisted
-      return goColdLocked("unknown verdict word '" + std::string(Word) + "'");
-    std::string Key(P.substr(Nl + 1));
-    if (Key.empty())
-      return goColdLocked("record with empty key");
-    auto [It, Inserted] = Entries.emplace(std::move(Key), R);
-    if (!Inserted && It->second != R)
+    std::string Key;
+    Entry E;
+    if (Status S = parsePayload(std::string_view(Payload, Len), Key, E);
+        !S.ok())
+      return goColdLocked(S.message());
+    auto [It, Inserted] = Entries.emplace(std::move(Key), E);
+    if (Inserted)
+      continue;
+    if (It->second.R != E.R)
       return goColdLocked("conflicting duplicate records");
+    It->second.Witness = std::move(E.Witness); // the later record supersedes
   }
 
   RewriteNeeded = false;
   St.Loaded = Entries.size();
 }
 
-std::optional<SatResult> PersistentCache::lookup(const std::string &Key) {
+std::optional<PersistentCache::Entry>
+PersistentCache::lookup(const std::string &Key, bool WantWitness) {
   std::lock_guard<std::mutex> L(M);
   auto It = Entries.find(Key);
-  if (It == Entries.end()) {
+  if (It == Entries.end() ||
+      (WantWitness && It->second.R == SatResult::Sat && !It->second.Witness)) {
     ++St.Misses;
     return std::nullopt;
   }
@@ -233,37 +301,50 @@ std::optional<SatResult> PersistentCache::lookup(const std::string &Key) {
   return It->second;
 }
 
-void PersistentCache::insert(const std::string &Key, SatResult R) {
+std::optional<WireModel>
+PersistentCache::insert(const std::string &Key, SatResult R,
+                        std::optional<WireModel> Witness) {
   DivergenceHandler Diverged;
   SatResult Stored = SatResult::Unknown;
   {
     std::lock_guard<std::mutex> L(M);
     if (R == SatResult::Unknown)
-      return; // gave-ups (budget, deadline, solver unknown) never persist
+      return std::nullopt; // gave-ups (budget, deadline, solver unknown)
+                           // never persist
+    if (R != SatResult::Sat)
+      Witness.reset();
     auto It = Entries.find(Key);
-    if (It != Entries.end()) {
-      if (It->second != R) {
-        Diverged = OnDivergence;
-        Stored = It->second;
-      } else if (AwaitingVerify.erase(Key)) {
-        ++St.VerifiedHits;
-      }
-    } else {
-      Entries.emplace(Key, R);
+    if (It == Entries.end()) {
+      Entries.emplace(Key, Entry{R, Witness});
       Fresh.push_back(Key);
       ++St.Appended;
+      return Witness;
     }
+    if (It->second.R == R) {
+      if (AwaitingVerify.erase(Key))
+        ++St.VerifiedHits;
+      if (!It->second.Witness && Witness) {
+        It->second.Witness = std::move(Witness);
+        if (std::find(Fresh.begin(), Fresh.end(), Key) == Fresh.end())
+          Fresh.push_back(Key);
+        ++St.Appended;
+      }
+      return It->second.Witness;
+    }
+    Diverged = OnDivergence;
+    Stored = It->second.R;
   }
   // Outside the lock: the default handler aborts, and a test handler may
   // call back into the cache.
   if (Diverged)
     Diverged(Key, Stored, R);
+  return std::nullopt;
 }
 
 Status PersistentCache::writeAllLocked() {
   std::string Data = HeaderLine;
-  for (const auto &[Key, R] : Entries)
-    frameRecord(Data, payloadFor(Key, R));
+  for (const auto &[Key, E] : Entries)
+    frameRecord(Data, payloadFor(Key, E));
   // Temp-and-rename so a crash mid-rewrite leaves either the old file or
   // the new one, not a torn hybrid. (The injected cache-write fault
   // bypasses the discipline on purpose — it exists to produce the torn

@@ -30,7 +30,7 @@
 /// the full key text (exact string equality), so a hash collision cannot
 /// alias two queries.
 ///
-/// ## What is never persisted
+/// ## What is persisted
 ///
 /// Only final Sat/Unsat verdicts are stored. `Unknown` covers every
 /// give-up shape (budget trips, deadline expiry, solver "unknown"), all
@@ -39,16 +39,34 @@
 /// Callers additionally filter deadline verdicts before insert, mirroring
 /// the in-memory cache's rule.
 ///
+/// A `sat` may carry its witness: the model the model query returned
+/// when the entry was made, which a failed validity obligation prints as
+/// its counterexample. A hit then settles that obligation with no
+/// backend, printing what the computation that filled the entry printed.
+/// A `sat` without one (a satisfiability obligation's, or one whose model
+/// query did not answer `sat`) is a miss for a lookup that wants a
+/// witness; the recomputed entry supersedes it.
+///
 /// ## File format and corruption tolerance
 ///
-/// One file, `<dir>/verdicts.rlxcache`: a header line, then crc-checked
-/// length-prefixed records appended as runs finish. *Any* corruption —
-/// truncated header, garbage record, partial final append, crc mismatch,
-/// conflicting duplicate — loads as a fully cold cache (never an error,
-/// never a served bad verdict) and schedules a fresh rewrite on the next
-/// flush. A cache file is a pure accelerator: losing it costs solver
-/// time, trusting a damaged one could cost soundness, so the policy is
-/// maximally suspicious.
+/// One file, `<dir>/verdicts.rlxcache`: the header line
+/// `relaxc-verdict-cache 2`, then crc-checked length-prefixed records
+/// appended as runs finish. A record's payload is its verdict line
+/// (`verdict unsat`, `verdict sat`, or `verdict sat model` for a `sat`
+/// with a witness), then the witness's `model-int` / `model-array` lines
+/// (ModelCodec.h; none for the empty model), then the key, whose first
+/// token is therefore never a model directive. A witness may only name
+/// variables its key's `var` lines declare. A later record with the same
+/// key and verdict supersedes the earlier one's witness.
+///
+/// *Any* corruption — truncated header, another format's header (a file
+/// written before witnesses were kept says `relaxc-verdict-cache 1`),
+/// garbage record, partial final append, crc mismatch, a malformed or
+/// misplaced model line, conflicting verdicts for one key — loads as a
+/// fully cold cache (never an error, never a served bad verdict) and
+/// schedules a fresh rewrite on the next flush. A cache file is a pure
+/// accelerator: losing it costs solver time, trusting a damaged one
+/// could cost soundness, so the policy is maximally suspicious.
 ///
 /// ## Verify-on-hit sampling
 ///
@@ -67,7 +85,7 @@
 #ifndef RELAXC_SUPPORT_PERSISTENTCACHE_H
 #define RELAXC_SUPPORT_PERSISTENTCACHE_H
 
-#include "solver/Solver.h"
+#include "solver/ModelCodec.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -96,6 +114,13 @@ struct PersistentCacheStats {
 /// The on-disk verdict cache (see the file comment).
 class PersistentCache {
 public:
+  /// A stored verdict; a `sat` may carry its witness (the counterexample
+  /// model), named by text because entries outlive every AstContext.
+  struct Entry {
+    SatResult R = SatResult::Unknown;
+    std::optional<WireModel> Witness;
+  };
+
   /// Called when a recomputed verdict contradicts a stored one — a
   /// soundness alarm, not a recoverable condition.
   using DivergenceHandler = std::function<void(
@@ -119,15 +144,21 @@ public:
   /// succeeds — a damaged accelerator must never fail the run.
   void load();
 
-  /// Returns the stored verdict for \p Key, or nullopt on a miss — or on
-  /// a verify-sampled hit, which the caller must then recompute.
-  std::optional<SatResult> lookup(const std::string &Key);
+  /// Returns the stored entry for \p Key, or nullopt on a miss — or on a
+  /// verify-sampled hit, which the caller must then recompute. With
+  /// \p WantWitness, a `sat` entry without a witness is a miss too.
+  std::optional<Entry> lookup(const std::string &Key,
+                              bool WantWitness = false);
 
-  /// Records \p R for \p Key. Unknown is never persisted (the never-
-  /// persist-gave-up rule). A conflicting existing entry triggers the
-  /// divergence handler; a matching one on a verify-sampled key counts as
-  /// a verified hit.
-  void insert(const std::string &Key, SatResult R);
+  /// Records \p R, with \p Witness for a `sat`, for \p Key, and returns
+  /// the witness the entry carries afterwards. Unknown is never persisted
+  /// (the never-persist-gave-up rule). A conflicting existing entry
+  /// triggers the divergence handler; a matching one on a verify-sampled
+  /// key counts as a verified hit, keeps its witness if it has one, and
+  /// otherwise takes \p Witness (appended as a superseding record).
+  std::optional<WireModel>
+  insert(const std::string &Key, SatResult R,
+         std::optional<WireModel> Witness = std::nullopt);
 
   /// Writes pending entries: an append of the fresh records normally, a
   /// full temp-file-and-rename rewrite after a corrupt load. Failure
@@ -144,6 +175,10 @@ public:
   /// so tests can pin the sample.
   static bool sampledForVerify(const std::string &Key, uint64_t Ppm);
 
+  /// A key's declaration of free variable \p V: `var <kind> <tag> <name>`.
+  /// A stored witness may only name variables its key declares.
+  static std::string keyVarLine(const WireVar &V);
+
 private:
   std::string Dir;
   std::string Path;
@@ -153,7 +188,7 @@ private:
 
   mutable std::mutex M;
   /// Ordered so a rewrite emits records deterministically.
-  std::map<std::string, SatResult> Entries;
+  std::map<std::string, Entry> Entries;
   /// Keys inserted this process, in insertion order (the append batch).
   std::vector<std::string> Fresh;
   /// Keys whose hit was withheld for verification; cleared as the

@@ -8,6 +8,7 @@
 #include "vcgen/Discharge.h"
 
 #include "ast/Printer.h"
+#include "solver/ModelCodec.h"
 #include "support/PersistentCache.h"
 
 #include <algorithm>
@@ -56,18 +57,11 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-/// Re-queries a solver with model extraction; parameterized so a slot can
-/// skip the simplify prefix (which builds nodes and must not run on a
-/// worker thread).
-using ModelQueryFn = std::function<Result<SatResult>(
-    const std::vector<const BoolExpr *> &, const VarRefSet &, Model &)>;
-
-/// Maps a sat verdict \p R for \p Out's condition onto a discharge
-/// status and detail. Out.Condition must already be set. \p ModelQuery
-/// supplies the counterexample for a failed validity obligation.
+/// Maps a verdict \p R for \p Out's condition onto a discharge status
+/// and detail. Out.Condition must already be set. A failed validity
+/// obligation shows \p Witness as its counterexample.
 void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
-                  const Interner &Syms, const ModelQueryFn &ModelQuery,
-                  const std::vector<const BoolExpr *> &Formulas) {
+                  const std::optional<Model> &Witness, const Interner &Syms) {
   if (!R.ok()) {
     Out.Status = VCStatus::SolverError;
     Out.Detail = R.message();
@@ -78,20 +72,11 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
     case SatResult::Unsat:
       Out.Status = VCStatus::Proved;
       break;
-    case SatResult::Sat: {
+    case SatResult::Sat:
       Out.Status = VCStatus::Failed;
-      // Re-query with model extraction so the report shows a concrete
-      // witness state (pair) falsifying the obligation.
-      Model Counterexample;
-      Result<SatResult> WithModel =
-          ModelQuery(Formulas, freeVars(Out.Condition.Formula),
-                     Counterexample);
-      if (WithModel.ok() && *WithModel == SatResult::Sat)
-        Out.Detail = "counterexample: " + formatModel(Syms, Counterexample);
-      else
-        Out.Detail = "counterexample exists";
+      Out.Detail = Witness ? "counterexample: " + formatModel(Syms, *Witness)
+                           : "counterexample exists";
       break;
-    }
     case SatResult::Unknown:
       Out.Status = VCStatus::Unknown;
       Out.Detail = "solver returned unknown";
@@ -114,21 +99,29 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
   }
 }
 
-/// The counterexample re-query on \p S; a portfolio runs its tiers from
-/// \p From on. A model query runs the portfolio's bounded tier in front
-/// of the decision tier, so the counterexample is the search's canonical
-/// witness whenever it finds one.
-ModelQueryFn modelQueryOn(Solver &S, size_t From = 0) {
-  // A portfolio re-runs its tier chain for the model; pause its stats so
-  // the re-query does not double-count queries / per-tier settlements.
-  if (auto *P = dynamic_cast<PortfolioSolver *>(&S))
-    return [P, From](const std::vector<const BoolExpr *> &F,
-                     const VarRefSet &Vars, Model &M) {
-      PortfolioSolver::ScopedStatsPause Pause(*P);
-      return P->checkRange(From, P->tierCount(), F, &Vars, &M);
-    };
-  return [&S](const std::vector<const BoolExpr *> &F, const VarRefSet &Vars,
-              Model &M) { return S.checkSatWithModel(F, Vars, M); };
+/// The counterexample of a failed validity obligation: a concrete
+/// witness state (pair) falsifying it, from a model query on \p S, or
+/// nullopt when that query does not answer `sat`. A portfolio runs its
+/// tiers from \p From on, with its bounded tier in front of the decision
+/// tier, so the counterexample is the search's canonical witness
+/// whenever it finds one.
+std::optional<Model> counterexample(const VC &Condition,
+                                    const std::vector<const BoolExpr *> &F,
+                                    Solver &S, size_t From) {
+  VarRefSet Vars = freeVars(Condition.Formula);
+  Model M;
+  Result<SatResult> R = SatResult::Unknown;
+  if (auto *P = dynamic_cast<PortfolioSolver *>(&S)) {
+    // The model query re-runs the tier chain; pause the stats so it does
+    // not double-count queries / per-tier settlements.
+    PortfolioSolver::ScopedStatsPause Pause(*P);
+    R = P->checkRange(From, P->tierCount(), F, &Vars, &M);
+  } else {
+    R = S.checkSatWithModel(F, Vars, M);
+  }
+  if (R.ok() && *R == SatResult::Sat)
+    return M;
+  return std::nullopt;
 }
 
 void appendTrail(std::string &Trail, const std::string &More) {
@@ -139,15 +132,6 @@ void appendTrail(std::string &Trail, const std::string &More) {
   Trail += More;
 }
 
-/// Rewrites an Unknown outcome's detail when the solver gave up on the
-/// query deadline, so reports (and the driver's give-up summary) name the
-/// reason. Safe after applyVerdict: Unknown means no counterexample
-/// re-query ran, so the solver's last-query state is still this query's.
-void noteDeadline(VCOutcome &Out, const Solver &S) {
-  if (Out.Status == VCStatus::Unknown && S.lastQueryDeadlined())
-    Out.Detail = "gave up: deadline expired";
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -156,16 +140,11 @@ void noteDeadline(VCOutcome &Out, const Solver &S) {
 
 namespace {
 
-const char *cacheTagWord(VarTag T) {
-  switch (T) {
-  case VarTag::Plain:
-    return "plain";
-  case VarTag::Orig:
-    return "o";
-  case VarTag::Rel:
-    return "r";
-  }
-  return "?";
+VarRefSet freeVarsOf(const std::vector<const BoolExpr *> &Query) {
+  VarRefSet Free;
+  for (const BoolExpr *F : Query)
+    collectFreeVars(F, Free);
+  return Free;
 }
 
 } // namespace
@@ -177,15 +156,10 @@ relax::persistentCacheKey(const std::string &Fingerprint,
   std::string Key = "config " + Fingerprint + "\n";
   // Kind declarations first (the portable analogue of the shard wire
   // format's var lines), sorted for canonicity.
-  VarRefSet Free;
-  for (const BoolExpr *F : Query)
-    collectFreeVars(F, Free);
   std::vector<std::string> VarLines;
-  for (const VarRef &V : Free)
-    VarLines.push_back(std::string("var ") +
-                       (V.Kind == VarKind::Int ? "int" : "array") + " " +
-                       cacheTagWord(V.Tag) + " " +
-                       std::string(Syms.text(V.Name)));
+  for (const VarRef &V : freeVarsOf(Query))
+    VarLines.push_back(PersistentCache::keyVarLine(
+        {std::string(Syms.text(V.Name)), V.Tag, V.Kind}));
   std::sort(VarLines.begin(), VarLines.end());
   for (const std::string &L : VarLines)
     Key += L + "\n";
@@ -201,35 +175,46 @@ relax::persistentCacheKey(const std::string &Fingerprint,
   return Key;
 }
 
-std::optional<SatResult>
-SharedSolverCache::lookup(const std::vector<const BoolExpr *> &Query) {
+std::optional<CachedVerdict>
+SharedSolverCache::lookup(const std::vector<const BoolExpr *> &Query,
+                          bool WantWitness) {
   std::lock_guard<std::mutex> Lock(M);
   std::vector<const BoolExpr *> Canonical =
       SolverResultCache::canonicalize(Query);
-  if (std::optional<SatResult> R = Cache.lookupCanonical(Canonical))
-    return R;
+  if (std::optional<CachedVerdict> V =
+          Cache.lookupCanonical(Canonical, WantWitness))
+    return V;
   if (!Persist)
     return std::nullopt;
-  std::optional<SatResult> R =
-      Persist->lookup(persistentCacheKey(Persist->fingerprint(), Query,
-                                         *Syms));
+  std::optional<PersistentCache::Entry> E = Persist->lookup(
+      persistentCacheKey(Persist->fingerprint(), Query, *Syms), WantWitness);
+  if (!E)
+    return std::nullopt;
+  CachedVerdict V{E->R, std::nullopt};
+  if (E->Witness)
+    V.Witness = modelOfWire(*E->Witness, freeVarsOf(Query), *Syms);
   // Pull a disk hit into the memory tier so this run's duplicates skip
   // the key build (and so the stats keep counting them as memory hits).
-  if (R)
-    Cache.insertCanonical(std::move(Canonical), *R);
-  return R;
+  Cache.insertCanonical(std::move(Canonical), V);
+  return V;
 }
 
-void SharedSolverCache::insert(const std::vector<const BoolExpr *> &Query,
-                               SatResult R) {
+std::optional<Model>
+SharedSolverCache::insert(const std::vector<const BoolExpr *> &Query,
+                          CachedVerdict V) {
   std::lock_guard<std::mutex> Lock(M);
-  Cache.insert(Query, R);
   // Callers only insert final non-deadline verdicts (the discipline this
   // cache documents), so forwarding is safe; the persistent tier drops
   // Unknown itself and checks verify-sampled recomputations here.
-  if (Persist)
-    Persist->insert(persistentCacheKey(Persist->fingerprint(), Query, *Syms),
-                    R);
+  if (Persist) {
+    std::optional<WireModel> Stored = Persist->insert(
+        persistentCacheKey(Persist->fingerprint(), Query, *Syms), V.R,
+        V.Witness ? std::optional<WireModel>(wireModelOf(*V.Witness, *Syms))
+                  : std::nullopt);
+    if (Stored)
+      V.Witness = modelOfWire(*Stored, freeVarsOf(Query), *Syms);
+  }
+  return Cache.insert(Query, std::move(V)).Witness;
 }
 
 void SharedSolverCache::attachPersistent(PersistentCache *P,
@@ -241,6 +226,49 @@ void SharedSolverCache::attachPersistent(PersistentCache *P,
 
 namespace {
 
+/// Settles \p Out, whose Condition is set, from \p Shared or else by
+/// running \p S on \p Query: a portfolio runs its tiers [From, To), any
+/// other solver runs whole. Returns false, with only Out.Trail set, when
+/// those tiers hand the query on to tiers after \p To. A computed final
+/// verdict enters \p Shared with its counterexample, so no cache hit ever
+/// queries a backend.
+bool settle(VCOutcome &Out, const BoolExpr *Query, Solver &S, size_t From,
+            size_t To, const Interner &Syms, SharedSolverCache *Shared) {
+  std::vector<const BoolExpr *> Formulas{Query};
+  bool Validity = Out.Condition.Kind == VCKind::Validity;
+  if (Shared)
+    if (std::optional<CachedVerdict> Hit = Shared->lookup(Formulas, Validity)) {
+      Out.SettledBy = "cache";
+      applyVerdict(Out, Hit->R, Hit->Witness, Syms);
+      return true;
+    }
+
+  auto *P = dynamic_cast<PortfolioSolver *>(&S);
+  Result<SatResult> R = P ? P->checkRange(From, To, Formulas, nullptr, nullptr)
+                          : S.checkSat(Formulas);
+  if (R.ok())
+    Out.Trail = S.giveUpTrail();
+  if (P && To != P->tierCount() && R.ok() && !P->lastSettled())
+    return false;
+  if (R.ok())
+    Out.SettledBy = S.settledBy();
+  // Read before the counterexample query, which would overwrite them.
+  Out.BoundedConflicts = S.lastQueryBoundedConflicts();
+  bool Deadlined = S.lastQueryDeadlined();
+  std::optional<Model> Witness;
+  if (Validity && R.ok() && *R == SatResult::Sat)
+    Witness = counterexample(Out.Condition, Formulas, S, From);
+  // Deadline gave-ups are time-dependent, never cacheable: a later run
+  // of the same query with time left must not be served "unknown".
+  if (Shared && R.ok() && !Deadlined)
+    Witness = Shared->insert(Formulas, CachedVerdict{*R, std::move(Witness)});
+  applyVerdict(Out, R, Witness, Syms);
+  // An Unknown ran no counterexample query, so Deadlined is this query's.
+  if (Out.Status == VCStatus::Unknown && Deadlined)
+    Out.Detail = "gave up: deadline expired";
+  return true;
+}
+
 /// dischargeVC, except that a portfolio \p S runs its tiers from \p From
 /// on: a slot skips the simplify prefix the prepare stage already ran.
 VCOutcome dischargeFrom(const VC &Condition, const BoolExpr *Query, Solver &S,
@@ -248,42 +276,9 @@ VCOutcome dischargeFrom(const VC &Condition, const BoolExpr *Query, Solver &S,
                         SharedSolverCache *Shared) {
   VCOutcome Out;
   Out.Condition = Condition;
-
   auto Start = Clock::now();
-  std::vector<const BoolExpr *> Formulas{Query};
-
-  Result<SatResult> R = SatResult::Unknown;
-  bool FromCache = false;
-  if (Shared) {
-    if (std::optional<SatResult> Cached = Shared->lookup(Formulas)) {
-      R = *Cached;
-      FromCache = true;
-    }
-  }
-  if (!FromCache) {
-    auto *P = dynamic_cast<PortfolioSolver *>(&S);
-    R = P ? P->checkRange(From, P->tierCount(), Formulas, nullptr, nullptr)
-          : S.checkSat(Formulas);
-    // Deadline gave-ups are time-dependent, never cacheable: a later run
-    // of the same query with time left must not be served "unknown".
-    if (Shared && R.ok() && !S.lastQueryDeadlined())
-      Shared->insert(Formulas, *R);
-  }
-
-  if (FromCache)
-    Out.SettledBy = "cache";
-  else if (R.ok()) {
-    Out.SettledBy = S.settledBy();
-    Out.Trail = S.giveUpTrail();
-  }
-  // Captured before applyVerdict: a failed validity obligation re-queries
-  // for a counterexample model, which would overwrite the per-query
-  // conflict delta with the re-query's.
-  if (!FromCache)
-    Out.BoundedConflicts = S.lastQueryBoundedConflicts();
-  applyVerdict(Out, R, Syms, modelQueryOn(S, From), Formulas);
-  if (!FromCache)
-    noteDeadline(Out, S);
+  auto *P = dynamic_cast<PortfolioSolver *>(&S);
+  settle(Out, Query, S, From, P ? P->tierCount() : 0, Syms, Shared);
   Out.Millis = millisSince(Start);
   return Out;
 }
@@ -338,6 +333,7 @@ DischargeStats DischargeScheduler::stats() const {
 
 void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
                                    Solver &Caller) {
+  auto PassStart = Clock::now();
   Report.Derivation = std::move(Set.Derivation);
   const std::vector<VC> &VCs = Set.VCs;
   const Interner &Syms = Ctx.symbols();
@@ -351,8 +347,6 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
   std::vector<const BoolExpr *> Qs;
   Qs.reserve(N);
   std::vector<VCOutcome> Outcomes(N);
-  // Cached refutations whose counterexample re-query waits for a slot.
-  std::vector<std::optional<SatResult>> Hits(N);
   std::vector<size_t> Pending;
   for (size_t I = 0; I != N; ++I) {
     Qs.push_back(vcQuery(Ctx, VCs[I]));
@@ -361,41 +355,11 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
       continue;
     }
     auto Start = Clock::now();
-    std::vector<const BoolExpr *> F{Qs[I]};
     VCOutcome &Out = Outcomes[I];
     Out.Condition = VCs[I];
     MainPortfolio->setDeadline(perVcDeadline());
-    if (std::optional<SatResult> Hit = Shared.lookup(F)) {
-      Out.SettledBy = "cache";
-      // A counterexample comes from the simplify prefix when it settles
-      // the query, as it did on the miss that filled the cache; any other
-      // needs a backend, so it waits for the obligation's slot.
-      bool NeedsBackend = false;
-      if (VCs[I].Kind == VCKind::Validity && *Hit == SatResult::Sat) {
-        PortfolioSolver::ScopedStatsPause Pause(*MainPortfolio);
-        MainPortfolio->checkRange(0, FW, F, nullptr, nullptr);
-        NeedsBackend = !MainPortfolio->lastSettled();
-      }
-      if (NeedsBackend) {
-        Hits[I] = Hit;
-        Pending.push_back(I);
-      } else {
-        applyVerdict(Out, *Hit, Syms, modelQueryOn(*MainPortfolio), F);
-      }
-    } else {
-      Result<SatResult> R =
-          MainPortfolio->checkRange(0, FW, F, nullptr, nullptr);
-      Out.Trail = MainPortfolio->giveUpTrail();
-      if (MainPortfolio->lastSettled() || !R.ok()) {
-        Out.SettledBy = MainPortfolio->settledBy();
-        if (R.ok() && !MainPortfolio->lastQueryDeadlined())
-          Shared.insert(F, *R);
-        applyVerdict(Out, R, Syms, modelQueryOn(*MainPortfolio), F);
-        noteDeadline(Out, *MainPortfolio);
-      } else {
-        Pending.push_back(I);
-      }
-    }
+    if (!settle(Out, Qs[I], *MainPortfolio, 0, FW, Syms, &Shared))
+      Pending.push_back(I);
     Out.Millis = millisSince(Start);
   }
 
@@ -455,12 +419,6 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
       }
       VCOutcome &Out = Outcomes[I];
       S.setDeadline(perVcDeadline());
-      if (Hits[I]) {
-        auto Start = Clock::now();
-        applyVerdict(Out, *Hits[I], Syms, modelQueryOn(S, FW), {Qs[I]});
-        Out.Millis += millisSince(Start);
-        continue;
-      }
       VCOutcome Done = dischargeFrom(VCs[I], Qs[I], S, FW, Syms, &Shared);
       Done.Millis += Out.Millis;
       appendTrail(Out.Trail, Done.Trail);
@@ -479,8 +437,7 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
   StolenTasks += Steals.load();
 
   // VC order, not completion order: reports are deterministic.
-  for (VCOutcome &Out : Outcomes) {
-    Report.TotalMillis += Out.Millis;
+  for (VCOutcome &Out : Outcomes)
     Report.Outcomes.push_back(std::move(Out));
-  }
+  Report.TotalMillis = millisSince(PassStart);
 }

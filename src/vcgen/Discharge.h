@@ -30,10 +30,14 @@
 /// from a victim's deque when their own runs dry. Slot 0 runs on the
 /// submitting thread with the main solver: the scheduler's portfolio, or
 /// the caller's solver (alone, at one job) when no portfolio is
-/// configured. A cache hit whose counterexample re-query needs a backend
-/// waits for its slot's turn, so at one job the backend sees every query
-/// and every re-query in VC order. Each slot's solver lives as long as
-/// the scheduler, so both judgment passes share it (and its Z3 context).
+/// configured. A failed validity obligation's counterexample query runs
+/// right after its verdict query, on the same solver, and its model
+/// enters the shared cache with the verdict, so a cache hit never
+/// queries a backend: at one job the backend sees each query the cache
+/// has not seen in VC order, each failed one followed by its model
+/// query. Each slot's solver lives as long as the scheduler, so both
+/// judgment passes share it (and its Z3 context). `TotalMillis` is the
+/// pass's wall time; each outcome's `Millis` its own.
 ///
 /// ## The verdict-identity rule
 ///
@@ -42,11 +46,17 @@
 /// tier is deterministic, and per-query budgets make give-ups
 /// deterministic too), outcomes are stored by obligation index and
 /// emitted in VC order, and the shared cache only ever stores final
-/// verdicts — a hit returns exactly what recomputation would. The only
-/// observable difference between schedules is *who* settled an obligation
-/// (`VCOutcome::SettledBy` may say "cache" on one run and a tier name on
-/// another), which is why that field is informational and excluded from
-/// the differential pins.
+/// verdicts — a hit returns exactly the verdict recomputation would. A
+/// hit on a refutation returns the counterexample of the computation
+/// that filled the entry (in this run, or in the run that wrote the
+/// persistent cache), so a duplicate refutation within one run prints
+/// the counterexample of its first occurrence, and a warm run prints
+/// what the cold run printed. Z3's models depend on its history, so
+/// which occurrence computes can move a counterexample under `Jobs > 1`,
+/// never a verdict. The other observable difference between schedules
+/// is *who* settled an obligation (`VCOutcome::SettledBy` may say "cache"
+/// on one run and a tier name on another), which is why that field is
+/// informational and excluded from the differential pins.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,6 +112,8 @@ struct JudgmentReport {
   JudgmentKind Judgment = JudgmentKind::Original;
   std::vector<VCOutcome> Outcomes;
   std::vector<DerivationStep> Derivation;
+  /// Wall time of the pass's discharge (under `Jobs > 1`, less than the
+  /// sum of the outcomes' Millis).
   double TotalMillis = 0;
 
   size_t count(VCStatus S) const {
@@ -117,17 +129,26 @@ struct JudgmentReport {
 /// a side condition settled by one worker is a cache hit for every other.
 /// Owned by the scheduler so duplicates across the |-o and |-r passes hit
 /// too. Only final verdicts are inserted (after the full tier chain), so
-/// a hit always equals recomputation.
+/// a hit always equals recomputation; a failed validity obligation's
+/// entry carries its counterexample, so its hit needs no backend either.
 ///
 /// When a PersistentCache is attached it fronts the on-disk store: an
 /// in-memory miss falls through to a portable-key lookup (pulling hits
-/// back into the memory tier), and every final verdict is persisted
-/// alongside the memory insert. Callers are unchanged — the never-cache-
-/// deadline discipline they already apply covers the disk tier too.
+/// back into the memory tier, the witness mapped onto the query's free
+/// variables), and every final verdict is persisted alongside the memory
+/// insert. Callers are unchanged — the never-cache-deadline discipline
+/// they already apply covers the disk tier too.
 class SharedSolverCache {
 public:
-  std::optional<SatResult> lookup(const std::vector<const BoolExpr *> &Query);
-  void insert(const std::vector<const BoolExpr *> &Query, SatResult R);
+  /// With \p WantWitness (a validity obligation's query), a `sat` that
+  /// carries no counterexample is a miss.
+  std::optional<CachedVerdict>
+  lookup(const std::vector<const BoolExpr *> &Query, bool WantWitness);
+  /// Returns the witness the entry carries afterwards: an entry that
+  /// already has one (a racing duplicate's, or the persistent tier's)
+  /// keeps it, so every report of a query prints one counterexample.
+  std::optional<Model> insert(const std::vector<const BoolExpr *> &Query,
+                              CachedVerdict V);
   uint64_t hitCount() const {
     std::lock_guard<std::mutex> Lock(M);
     return Cache.hitCount();

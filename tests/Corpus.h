@@ -54,6 +54,27 @@ inline const Mutation ExampleMutants[] = {
      "rensures (true);"},
 };
 
+/// The name mixedCorpus() gives mutant \p M.
+inline std::string mutantName(const Mutation &M) {
+  return std::string(M.File) + " mutated to '" + M.To + "'";
+}
+
+/// The source of mutant \p M; nullopt when its case study is missing
+/// from the checkout or has lost the anchor (which fails the calling
+/// test).
+inline std::optional<std::string> mutantSource(const Mutation &M) {
+  std::optional<std::string> Source = slurpExample(M.File);
+  if (!Source)
+    return std::nullopt;
+  size_t At = Source->find(M.From);
+  if (At == std::string::npos) {
+    ADD_FAILURE() << M.File << " lost the mutation anchor: " << M.From;
+    return std::nullopt;
+  }
+  Source->replace(At, std::string(M.From).size(), M.To);
+  return Source;
+}
+
 /// Named sources of the case studies, their mutants, and the programs
 /// `ProgramGen` draws from seeds 1..50 (odd seeds plain, even seeds with
 /// `InjectFalsifiableAssert`). nullopt when a case study is missing from
@@ -68,17 +89,9 @@ mixedCorpus() {
       return std::nullopt;
     Out.emplace_back(Name, *Source);
   }
-  for (const Mutation &M : ExampleMutants) {
-    std::string Source = *slurpExample(M.File);
-    size_t At = Source.find(M.From);
-    if (At == std::string::npos) {
-      ADD_FAILURE() << M.File << " lost the mutation anchor: " << M.From;
-      continue;
-    }
-    Source.replace(At, std::string(M.From).size(), M.To);
-    Out.emplace_back(std::string(M.File) + " mutated to '" + M.To + "'",
-                     Source);
-  }
+  for (const Mutation &M : ExampleMutants)
+    if (std::optional<std::string> Source = mutantSource(M))
+      Out.emplace_back(mutantName(M), *Source);
   ProgramGen::Options Falsifiable;
   Falsifiable.InjectFalsifiableAssert = true;
   for (uint64_t Seed = 1; Seed <= 50; ++Seed) {

@@ -7,19 +7,22 @@
 // layers:
 //
 //  * unit: round trips, append-across-processes, the never-persist-
-//    Unknown rule, verify-on-hit sampling and the divergence alarm, and
-//    one test per corruption shape (truncated header, garbage trailer,
-//    partial final append, crc flip, conflicting duplicates) — each must
-//    load as a fully cold cache, never crash, never serve a verdict, and
-//    recover by rewrite on the next flush;
+//    Unknown rule, a `sat` entry's witness (its model codec, the empty
+//    model, the supersede rule), verify-on-hit sampling and the
+//    divergence alarm, and one test per corruption shape (truncated
+//    header, a format-1 file, garbage trailer, partial final append, crc
+//    flip, conflicting duplicates, malformed or misplaced model lines) —
+//    each must load as a fully cold cache, never crash, never serve a
+//    verdict, and recover by rewrite on the next flush;
 //  * fault injection: the cache-read / cache-write sites (a valid file
 //    loads cold; a flush tears the file and errors, and the torn file
 //    again loads cold);
 //  * end-to-end: cold vs warm `relaxc verify --cache-dir=` runs must
 //    produce bit-identical reports on the shipped case studies
-//    (including the modular, multi-procedure ones) and on generated
-//    programs, with the warm run settling every obligation
-//    from the cache (`queries: 0` under --solver-stats); and procedure
+//    (including the modular, multi-procedure ones), their refuted
+//    mutants and generated programs, with the warm run settling every
+//    obligation from the cache (`queries: 0` under --solver-stats), a
+//    refutation with the counterexample the cold run printed; and procedure
 //    contracts must feed the cache key — two procedures with identical
 //    bodies but different contracts never share a verdict.
 //
@@ -31,6 +34,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "GenProgram.h"
 #include "TestUtil.h"
 
@@ -46,6 +50,7 @@
 #include <set>
 
 #include <cstdio>
+#include <cstring>
 #include <dirent.h>
 #include <fstream>
 #include <regex>
@@ -182,9 +187,9 @@ TEST(PersistentCacheUnit, RoundTripAcrossInstances) {
   EXPECT_FALSE(C2.stats().LoadCorrupt);
   EXPECT_EQ(C2.stats().Loaded, 2u);
   ASSERT_TRUE(C2.lookup("k1").has_value());
-  EXPECT_EQ(*C2.lookup("k1"), SatResult::Sat);
+  EXPECT_EQ(C2.lookup("k1")->R, SatResult::Sat);
   ASSERT_TRUE(C2.lookup("k2").has_value());
-  EXPECT_EQ(*C2.lookup("k2"), SatResult::Unsat);
+  EXPECT_EQ(C2.lookup("k2")->R, SatResult::Unsat);
   EXPECT_FALSE(C2.lookup("k3").has_value());
   EXPECT_EQ(C2.stats().Hits, 4u);
   EXPECT_EQ(C2.stats().Misses, 1u);
@@ -239,6 +244,131 @@ TEST(PersistentCacheUnit, DuplicateInsertIsIdempotent) {
   PersistentCache C2(D.Path, "cfg");
   C2.load();
   EXPECT_EQ(C2.stats().Loaded, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Unit: a `sat` entry's witness
+//===----------------------------------------------------------------------===//
+
+/// A key that declares every variable witnessModel() names.
+const char *WitnessKey = "config cfg\n"
+                         "var array plain E\n"
+                         "var array r A\n"
+                         "var int o y\n"
+                         "var int plain x'3\n"
+                         "var int r y\n"
+                         "formula x'3 < y<o>\n";
+
+WireModel witnessModel(int64_t Shift = 0) {
+  WireModel M;
+  M.Ints.push_back({{"x'3", VarTag::Plain, VarKind::Int}, -17 + Shift});
+  M.Ints.push_back({{"y", VarTag::Orig, VarKind::Int}, 0});
+  M.Ints.push_back({{"y", VarTag::Rel, VarKind::Int}, 4});
+  M.Arrays.push_back({{"E", VarTag::Plain, VarKind::Array}, {0, {}}});
+  M.Arrays.push_back({{"A", VarTag::Rel, VarKind::Array}, {3, {-1, 0, 9}}});
+  return M;
+}
+
+/// The model lines of \p M, for comparing models.
+std::string modelText(const std::optional<WireModel> &M) {
+  std::string Out = M ? "model\n" : "no model\n";
+  if (M)
+    appendModelLines(Out, *M);
+  return Out;
+}
+
+TEST(PersistentCacheUnit, WitnessRoundTripsAcrossInstances) {
+  TempDir D;
+  {
+    PersistentCache C(D.Path, "cfg");
+    C.load();
+    C.insert(WitnessKey, SatResult::Sat, witnessModel());
+    C.insert("config cfg\nformula true\n", SatResult::Sat, WireModel());
+    C.insert("no witness", SatResult::Sat);
+    // An unsat has no counterexample to keep.
+    C.insert("refuted", SatResult::Unsat, witnessModel());
+    ASSERT_TRUE(C.flush().ok());
+  }
+  PersistentCache C(D.Path, "cfg");
+  C.load();
+  EXPECT_FALSE(C.stats().LoadCorrupt) << C.stats().LoadDetail;
+  EXPECT_EQ(C.stats().Loaded, 4u);
+  std::optional<PersistentCache::Entry> E = C.lookup(WitnessKey, true);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_EQ(E->R, SatResult::Sat);
+  EXPECT_EQ(modelText(E->Witness), modelText(witnessModel()));
+  // The empty model is a witness, not the lack of one.
+  E = C.lookup("config cfg\nformula true\n", true);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_EQ(modelText(E->Witness), modelText(WireModel()));
+  // A `sat` without a witness serves a lookup that does not want one.
+  EXPECT_FALSE(C.lookup("no witness", true).has_value());
+  ASSERT_TRUE(C.lookup("no witness").has_value());
+  EXPECT_FALSE(C.lookup("no witness")->Witness.has_value());
+  E = C.lookup("refuted", true);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_FALSE(E->Witness.has_value());
+  EXPECT_EQ(C.stats().Misses, 1u);
+}
+
+TEST(PersistentCacheUnit, LaterRecordSupersedesTheWitness) {
+  TempDir D;
+  {
+    PersistentCache C(D.Path, "cfg");
+    C.load();
+    EXPECT_FALSE(C.insert(WitnessKey, SatResult::Sat).has_value());
+    ASSERT_TRUE(C.flush().ok());
+  }
+  {
+    // The witness-less entry is a miss for a lookup that wants one; the
+    // recomputed entry supersedes it with an appended record.
+    PersistentCache C(D.Path, "cfg");
+    C.load();
+    EXPECT_FALSE(C.lookup(WitnessKey, true).has_value());
+    EXPECT_EQ(modelText(C.insert(WitnessKey, SatResult::Sat, witnessModel())),
+              modelText(witnessModel()));
+    // The first witness stays: later inserts get it back.
+    EXPECT_EQ(
+        modelText(C.insert(WitnessKey, SatResult::Sat, witnessModel(1))),
+        modelText(witnessModel()));
+    EXPECT_EQ(C.stats().Appended, 1u);
+    ASSERT_TRUE(C.flush().ok());
+  }
+  PersistentCache C(D.Path, "cfg");
+  C.load();
+  EXPECT_FALSE(C.stats().LoadCorrupt) << C.stats().LoadDetail;
+  EXPECT_EQ(C.stats().Loaded, 1u);
+  std::optional<PersistentCache::Entry> E = C.lookup(WitnessKey, true);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_EQ(modelText(E->Witness), modelText(witnessModel()));
+
+  // Spliced files: of two records with the same verdict, the later
+  // one's witness wins; records with different verdicts load cold.
+  auto FileWith = [](const TempDir &Dir, SatResult R,
+                     std::optional<WireModel> W) {
+    PersistentCache C(Dir.Path, "cfg");
+    C.load();
+    C.insert(WitnessKey, R, std::move(W));
+    EXPECT_TRUE(C.flush().ok());
+    return readFileBytes(cacheFile(Dir));
+  };
+  TempDir D1, D2, D3;
+  std::string First = FileWith(D1, SatResult::Sat, witnessModel());
+  std::string Second = FileWith(D2, SatResult::Sat, witnessModel(1));
+  std::string Refuted = FileWith(D3, SatResult::Unsat, std::nullopt);
+  size_t HeaderLen = First.find('\n') + 1;
+  writeFileBytes(cacheFile(D1), First + Second.substr(HeaderLen));
+  PersistentCache Later(D1.Path, "cfg");
+  Later.load();
+  EXPECT_FALSE(Later.stats().LoadCorrupt) << Later.stats().LoadDetail;
+  E = Later.lookup(WitnessKey, true);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_EQ(modelText(E->Witness), modelText(witnessModel(1)));
+  writeFileBytes(cacheFile(D1), First + Refuted.substr(HeaderLen));
+  PersistentCache Conflict(D1.Path, "cfg");
+  Conflict.load();
+  EXPECT_TRUE(Conflict.stats().LoadCorrupt);
+  EXPECT_FALSE(Conflict.lookup(WitnessKey).has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -510,6 +640,79 @@ TEST(PersistentCacheCorruption, EmptyFileLoadsCold) {
   expectColdThenRecovers(D);
 }
 
+TEST(PersistentCacheCorruption, VersionOneFileLoadsColdAndIsRewritten) {
+  // A file written before entries carried witnesses: its header names
+  // format 1 (its model-less records are otherwise valid).
+  TempDir D;
+  std::string Bytes = makeValidCache(D);
+  ASSERT_EQ(Bytes.rfind("relaxc-verdict-cache 2\n", 0), 0u);
+  Bytes[std::strlen("relaxc-verdict-cache ")] = '1';
+  writeFileBytes(cacheFile(D), Bytes);
+  expectColdThenRecovers(D);
+  EXPECT_EQ(readFileBytes(cacheFile(D)).rfind("relaxc-verdict-cache 2\n", 0),
+            0u);
+}
+
+/// CRC-32 (zlib polynomial), as the cache frames its records.
+uint32_t crc32(const std::string &Data) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (unsigned char B : Data) {
+    C ^= B;
+    for (int K = 0; K != 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+/// One crc-valid record holding \p Payload.
+std::string frameRecord(const std::string &Payload) {
+  std::string Out;
+  for (uint32_t V : {static_cast<uint32_t>(Payload.size()), crc32(Payload)})
+    for (int Shift = 0; Shift != 32; Shift += 8)
+      Out.push_back(static_cast<char>((V >> Shift) & 0xFF));
+  return Out + Payload;
+}
+
+TEST(PersistentCacheCorruption, MalformedWitnessesLoadCold) {
+  TempDir D;
+  std::string Valid = makeValidCache(D);
+  // A well-formed witness record loads, so the framing is right...
+  writeFileBytes(cacheFile(D),
+                 Valid + frameRecord("verdict sat model\nmodel-int o y 3\n" +
+                                     std::string(WitnessKey)));
+  {
+    PersistentCache C(D.Path, "cfg");
+    C.load();
+    EXPECT_FALSE(C.stats().LoadCorrupt) << C.stats().LoadDetail;
+    EXPECT_EQ(C.stats().Loaded, 3u);
+  }
+  // ...and each of these damages the file.
+  for (const std::string &Payload : {
+           // malformed model lines
+           "verdict sat model\nmodel-int o y three\n" +
+               std::string(WitnessKey),
+           "verdict sat model\nmodel-int q y 3\n" + std::string(WitnessKey),
+           "verdict sat model\nmodel-array r A 2 1\n" +
+               std::string(WitnessKey),
+           "verdict sat model\nmodel-int o y 3 4\n" + std::string(WitnessKey),
+           // a model on an unsat record, or on a record without one
+           "verdict unsat model\nmodel-int o y 3\n" + std::string(WitnessKey),
+           "verdict unsat\nmodel-int o y 3\n" + std::string(WitnessKey),
+           "verdict sat\nmodel-int o y 3\n" + std::string(WitnessKey),
+           // a model variable the key does not declare
+           "verdict sat model\nmodel-int o z 3\n" + std::string(WitnessKey),
+           "verdict sat model\nmodel-int plain y 3\n" +
+               std::string(WitnessKey),
+           "verdict sat model\nmodel-array r y 0\n" + std::string(WitnessKey),
+           // a witness with no key after it
+           std::string("verdict sat model\nmodel-int o y 3\n"),
+       }) {
+    SCOPED_TRACE(Payload);
+    writeFileBytes(cacheFile(D), Valid + frameRecord(Payload));
+    expectColdThenRecovers(D);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Unit: the cache-read / cache-write fault sites
 //===----------------------------------------------------------------------===//
@@ -569,33 +772,47 @@ TEST(PersistentCacheFaults, InjectedWriteFaultTearsTheFileButStaysSound) {
 TEST(PersistentCacheDriver, CaseStudiesColdWarmBitIdentical) {
   RELAXC_SKIP_WITHOUT_DRIVER();
   RELAXC_SKIP_WITHOUT_Z3();
-  for (const char *Ex :
-       {"swish.rlx", "water.rlx", "lu.rlx", "task_skip.rlx", "sampling.rlx",
-        "memoize.rlx", "water_modular.rlx", "shared_callee.rlx"}) {
-    std::string Path = relax::test::examplePath(Ex);
-    TempDir D;
-    std::vector<std::string> Base = {"verify", Path,
-                                     "--pipeline=simplify,bounded,z3",
-                                     "--cache-dir=" + D.Path, "--verbose"};
-    RunResult Cold = runDriver(Base);
-    RunResult Warm = runDriver(Base);
-    EXPECT_EQ(Cold.Exit, 0) << Ex << "\n" << Cold.Output;
-    EXPECT_EQ(Warm.Exit, Cold.Exit) << Ex;
-    EXPECT_EQ(Warm.Output, Cold.Output) << Ex;
+  // The case studies verify; their mutants are refuted, and a refuted
+  // obligation's entry carries the counterexample the cold run printed.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const char *Ex : relax::test::CaseStudies)
+    if (std::optional<std::string> Source = relax::test::slurpExample(Ex))
+      Programs.emplace_back(Ex, *Source);
+  ASSERT_EQ(Programs.size(), std::size(relax::test::CaseStudies));
+  for (const relax::test::Mutation &M : relax::test::ExampleMutants)
+    if (std::optional<std::string> Source = relax::test::mutantSource(M))
+      Programs.emplace_back(relax::test::mutantName(M), *Source);
+  for (const auto &[Name, Source] : Programs) {
+    TempProgram P(Source);
+    int Want = Name.find(" mutated to ") == std::string::npos ? 0 : 1;
+    for (const char *Config : {"", "--pipeline=simplify,bounded,z3"}) {
+      std::string Tag = Name + " [" + Config + "]";
+      TempDir D;
+      std::vector<std::string> Base = {"verify", P.Path,
+                                       "--cache-dir=" + D.Path, "--verbose"};
+      if (*Config)
+        Base.push_back(Config);
+      RunResult Cold = runDriver(Base);
+      RunResult Warm = runDriver(Base);
+      EXPECT_EQ(Cold.Exit, Want) << Tag << "\n" << Cold.Output;
+      EXPECT_EQ(Warm.Exit, Cold.Exit) << Tag;
+      EXPECT_EQ(Warm.Output, Cold.Output) << Tag;
 
-    // A third (still warm) run with stats: every obligation settles from
-    // the cache, so the portfolio never runs and nothing new is appended.
-    std::vector<std::string> WithStats = Base;
-    WithStats.push_back("--solver-stats");
-    RunResult Stats = runDriver(WithStats);
-    EXPECT_EQ(Stats.Exit, 0) << Ex << "\n" << Stats.Output;
-    EXPECT_NE(Stats.Output.find("queries: 0,"), std::string::npos)
-        << Ex << "\n" << Stats.Output;
-    EXPECT_TRUE(std::regex_search(
-        Stats.Output,
-        std::regex("persistent cache: [1-9][0-9]* entries loaded, "
-                   "[1-9][0-9]* hits, 0 appended")))
-        << Ex << "\n" << Stats.Output;
+      // A third (still warm) run with stats: every obligation settles
+      // from the cache, so the portfolio never runs and nothing new is
+      // appended.
+      std::vector<std::string> WithStats = Base;
+      WithStats.push_back("--solver-stats");
+      RunResult Stats = runDriver(WithStats);
+      EXPECT_EQ(Stats.Exit, Want) << Tag << "\n" << Stats.Output;
+      EXPECT_NE(Stats.Output.find("queries: 0,"), std::string::npos)
+          << Tag << "\n" << Stats.Output;
+      EXPECT_TRUE(std::regex_search(
+          Stats.Output,
+          std::regex("persistent cache: [1-9][0-9]* entries loaded, "
+                     "[1-9][0-9]* hits, 0 appended")))
+          << Tag << "\n" << Stats.Output;
+    }
   }
 }
 
@@ -652,6 +869,29 @@ TEST(PersistentCacheDriver, GeneratedProgramsColdWarmBitIdentical) {
     EXPECT_EQ(Warm.Output, Cold.Output)
         << "modular seed " << Seed;
   }
+  // Under the default configuration (Z3 alone), over the mixed corpus's
+  // generated programs: refuted asserts and convergence checks print the
+  // cold run's counterexamples from the cache.
+  if (!relax::test::haveZ3())
+    return;
+  std::optional<std::vector<std::pair<std::string, std::string>>> Corpus =
+      relax::test::mixedCorpus();
+  ASSERT_TRUE(Corpus.has_value());
+  size_t Seeds = 0;
+  for (const auto &[Name, Source] : *Corpus) {
+    if (Name.rfind("seed ", 0) != 0)
+      continue;
+    ++Seeds;
+    TempProgram P(Source);
+    TempDir D;
+    std::vector<std::string> Base = {"verify", P.Path, "--cache-dir=" + D.Path,
+                                     "--verbose"};
+    RunResult Cold = runDriver(Base);
+    RunResult Warm = runDriver(Base);
+    EXPECT_EQ(Warm.Exit, Cold.Exit) << Name << "\n" << Cold.Output;
+    EXPECT_EQ(Warm.Output, Cold.Output) << Name;
+  }
+  EXPECT_EQ(Seeds, 50u);
 }
 
 TEST(PersistentCacheDriver, CorruptedCacheDegradesToColdRun) {

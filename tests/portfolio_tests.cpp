@@ -559,20 +559,20 @@ TEST(OneDischargePath, BackendSeesEveryQueryInVCOrderAtOneJob) {
   Printer Print(Ctx.symbols());
   std::vector<std::string> CallerDetails;
   for (const char *Spec : {"", "z3", "simplify,z3"}) {
-    // Each query the cache has not seen, in VC order, and after every
-    // failed obligation, cached or not, its counterexample re-query —
-    // except for E behind the simplify prefix, which settles it and its
-    // counterexample alike.
+    // Each query the cache has not seen, in VC order, a failed one
+    // followed by its counterexample query; a repeat is a cache hit that
+    // carries that counterexample and queries nothing. E behind the
+    // simplify prefix never reaches the backend: the prefix settles it
+    // and its counterexample alike.
     bool Simplify = std::strncmp(Spec, "simplify", 8) == 0;
     std::vector<std::string> Want;
     std::set<const BoolExpr *> Seen;
     for (const std::vector<const BoolExpr *> &Pass : Passes)
       for (const BoolExpr *F : Pass) {
-        if (F == E && Simplify)
+        if ((F == E && Simplify) || !Seen.insert(F).second)
           continue;
         std::string Query = Print.print(Ctx.notExpr(F)) + ";";
-        if (Seen.insert(F).second)
-          Want.push_back("check " + Query);
+        Want.push_back("check " + Query);
         if (F != B)
           Want.push_back("model " + Query);
       }

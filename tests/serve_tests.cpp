@@ -27,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "GenProgram.h"
 #include "TestUtil.h"
 
@@ -720,26 +721,35 @@ TEST(CliMatchesSession, WarmCacheSessionBuildsNoZ3Context) {
   // Every obligation of a verifying program is served from a warm
   // cache, so nothing reaches a solver and no Z3 context gets built —
   // neither for the session's default backend nor for a pipeline's
-  // portfolios, sequential or parallel.
-  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
-  for (const char *Pipeline : {"", "simplify,bounded,z3"})
-    for (unsigned Jobs : {1u, 4u}) {
-      VerifyWireRequest R;
-      R.FileName = "swish.rlx";
-      R.Source = Source;
-      R.Pipeline = Pipeline;
-      R.Jobs = Jobs;
-      std::string Tag = std::string("pipeline '") + Pipeline + "' jobs " +
-                        std::to_string(Jobs);
-      PersistentCache Cache("", verifyJobFingerprint(R), /*VerifyPpm=*/0);
-      VerifyWireResponse Cold = runVerifyJob(R, &Cache);
-      ASSERT_EQ(Cold.ExitStatus, 0) << Tag << ": " << Cold.Report;
-      uint64_t Before = Z3Solver::contextsBuilt();
-      VerifyWireResponse Warm = runVerifyJob(R, &Cache);
-      EXPECT_EQ(Warm.ExitStatus, 0) << Tag;
-      EXPECT_EQ(Warm.Report, Cold.Report) << Tag;
-      EXPECT_EQ(Z3Solver::contextsBuilt(), Before) << Tag;
-    }
+  // portfolios, sequential or parallel. A refutation's entry carries its
+  // counterexample, so the same holds for the mutants, whose warm
+  // reports print the cold run's counterexamples.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Swish, "swish.rlx");
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"swish.rlx", Swish}};
+  for (const relax::test::Mutation &M : relax::test::ExampleMutants)
+    if (std::optional<std::string> Source = relax::test::mutantSource(M))
+      Programs.emplace_back(relax::test::mutantName(M), *Source);
+  for (const auto &[Name, Source] : Programs)
+    for (const char *Pipeline : {"", "simplify,bounded,z3"})
+      for (unsigned Jobs : {1u, 4u}) {
+        VerifyWireRequest R;
+        R.FileName = "program.rlx";
+        R.Source = Source;
+        R.Pipeline = Pipeline;
+        R.Jobs = Jobs;
+        std::string Tag = Name + ": pipeline '" + Pipeline + "' jobs " +
+                          std::to_string(Jobs);
+        int Want = Name == "swish.rlx" ? 0 : 1;
+        PersistentCache Cache("", verifyJobFingerprint(R), /*VerifyPpm=*/0);
+        VerifyWireResponse Cold = runVerifyJob(R, &Cache);
+        ASSERT_EQ(Cold.ExitStatus, Want) << Tag << ": " << Cold.Report;
+        uint64_t Before = Z3Solver::contextsBuilt();
+        VerifyWireResponse Warm = runVerifyJob(R, &Cache);
+        EXPECT_EQ(Warm.ExitStatus, Want) << Tag;
+        EXPECT_EQ(Warm.Report, Cold.Report) << Tag;
+        EXPECT_EQ(Z3Solver::contextsBuilt(), Before) << Tag;
+      }
 }
 
 TEST(CliMatchesSession, CliAndDaemonShareOneCacheFingerprint) {

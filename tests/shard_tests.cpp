@@ -95,12 +95,12 @@ TEST(ShardWire, ResponseRoundTrips) {
   R.Verdict = SatResult::Sat;
   R.SettledBy = "z3";
   R.Trail = "simplify: did not fold; bounded: budget tripped";
-  R.Ints.push_back({{"x", VarTag::Orig, VarKind::Int}, -7});
-  ShardResponse::ArrayEntry A;
+  R.Model.Ints.push_back({{"x", VarTag::Orig, VarKind::Int}, -7});
+  WireModel::ArrayEntry A;
   A.Var = {"RS", VarTag::Rel, VarKind::Array};
   A.Value.Length = 3;
   A.Value.Elems = {1, -2, 0};
-  R.Arrays.push_back(A);
+  R.Model.Arrays.push_back(A);
 
   auto P = parseShardResponse(serializeShardResponse(R));
   ASSERT_TRUE(P.ok()) << P.message();
@@ -108,10 +108,10 @@ TEST(ShardWire, ResponseRoundTrips) {
   EXPECT_EQ(P->Verdict, SatResult::Sat);
   EXPECT_EQ(P->SettledBy, "z3");
   EXPECT_EQ(P->Trail, R.Trail);
-  ASSERT_EQ(P->Ints.size(), 1u);
-  EXPECT_EQ(P->Ints[0].Value, -7);
-  ASSERT_EQ(P->Arrays.size(), 1u);
-  EXPECT_EQ(P->Arrays[0].Value.Elems, (std::vector<int64_t>{1, -2, 0}));
+  ASSERT_EQ(P->Model.Ints.size(), 1u);
+  EXPECT_EQ(P->Model.Ints[0].Value, -7);
+  ASSERT_EQ(P->Model.Arrays.size(), 1u);
+  EXPECT_EQ(P->Model.Arrays[0].Value.Elems, (std::vector<int64_t>{1, -2, 0}));
 
   ShardResponse E;
   E.IsError = true;
@@ -236,6 +236,8 @@ TEST(ShardWire, MalformedPayloadsAreDiagnosed) {
       "relax-shard-response 1\nverdict sat\nmodel-array plain A 3 1 2",
       "relax-shard-response 1\nverdict sat\nmodel-array plain A +1 2",
       "relax-shard-response 1\nverdict sat\nmodel-array plain A 1 +2",
+      "relax-shard-response 1\nverdict sat\nmodel-int plain x 3 4",
+      "relax-shard-response 1\nverdict sat\nmodel-array plain A 1 2 3",
       "relax-shard-response 1\nverdict sat\nwhatever",
   };
   for (const char *S : BadResponses)

@@ -13,6 +13,8 @@
 
 #include "solver/BoundedSolver.h"
 
+#include <chrono>
+
 using namespace relax;
 using namespace relax::test;
 
@@ -177,6 +179,31 @@ TEST(Report, TimingIsPopulated) {
   VerifyReport R = verifySource("int x; { x = 1; assert x == 1; }");
   EXPECT_GT(R.Original.TotalMillis, 0.0);
   EXPECT_GT(R.Relaxed.TotalMillis, 0.0);
+
+  // A pass's time is its wall time. Under four jobs the obligations'
+  // own times overlap (each slot builds its Z3 context on its first
+  // query), so their sum would exceed the run's wall time.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
+  ParsedProgram P = parseProgram(Source);
+  ASSERT_TRUE(P.ok()) << P.diagnostics();
+  BoundedSolver Unused;
+  Verifier V(*P.Ctx, *P.Prog, Unused, P.Diags);
+  Verifier::Options VO;
+  VO.Jobs = 4;
+  VO.Portfolio = PortfolioOptions();
+  VO.Portfolio->Tiers = {TierKind::Smt};
+  VO.SmtFactory = [&P] {
+    return std::make_unique<Z3Solver>(P.Ctx->symbols());
+  };
+  auto Start = std::chrono::steady_clock::now();
+  VerifyReport W = V.run(VO);
+  double WallMs = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+  EXPECT_TRUE(W.verified());
+  EXPECT_GT(W.Original.TotalMillis, 0.0);
+  EXPECT_GT(W.Relaxed.TotalMillis, 0.0);
+  EXPECT_LE(W.Original.TotalMillis + W.Relaxed.TotalMillis, WallMs);
 }
 
 //===----------------------------------------------------------------------===//
