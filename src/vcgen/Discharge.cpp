@@ -16,6 +16,7 @@
 #include <chrono>
 #include <deque>
 #include <thread>
+#include <unordered_set>
 
 using namespace relax;
 
@@ -226,17 +227,18 @@ void SharedSolverCache::attachPersistent(PersistentCache *P,
 
 namespace {
 
-/// Settles \p Out, whose Condition is set, from \p Shared or else by
-/// running \p S on \p Query: a portfolio runs its tiers [From, To), any
-/// other solver runs whole. Returns false, with only Out.Trail set, when
-/// those tiers hand the query on to tiers after \p To. A computed final
-/// verdict enters \p Shared with its counterexample, so no cache hit ever
-/// queries a backend.
+/// Settles \p Out, whose Condition is set, from \p Shared (when \p Lookup)
+/// or else by running \p S on \p Query: a portfolio runs its tiers
+/// [From, To), any other solver runs whole. Returns false, with only
+/// Out.Trail set, when those tiers hand the query on to tiers after \p To.
+/// A computed final verdict enters \p Shared with its counterexample, so
+/// no cache hit ever queries a backend.
 bool settle(VCOutcome &Out, const BoolExpr *Query, Solver &S, size_t From,
-            size_t To, const Interner &Syms, SharedSolverCache *Shared) {
+            size_t To, const Interner &Syms, SharedSolverCache *Shared,
+            bool Lookup) {
   std::vector<const BoolExpr *> Formulas{Query};
   bool Validity = Out.Condition.Kind == VCKind::Validity;
-  if (Shared)
+  if (Shared && Lookup)
     if (std::optional<CachedVerdict> Hit = Shared->lookup(Formulas, Validity)) {
       Out.SettledBy = "cache";
       applyVerdict(Out, Hit->R, Hit->Witness, Syms);
@@ -270,15 +272,16 @@ bool settle(VCOutcome &Out, const BoolExpr *Query, Solver &S, size_t From,
 }
 
 /// dischargeVC, except that a portfolio \p S runs its tiers from \p From
-/// on: a slot skips the simplify prefix the prepare stage already ran.
+/// on: a slot skips the simplify prefix the prepare stage already ran,
+/// and the shared-cache lookup when that stage made it (\p Lookup false).
 VCOutcome dischargeFrom(const VC &Condition, const BoolExpr *Query, Solver &S,
                         size_t From, const Interner &Syms,
-                        SharedSolverCache *Shared) {
+                        SharedSolverCache *Shared, bool Lookup) {
   VCOutcome Out;
   Out.Condition = Condition;
   auto Start = Clock::now();
   auto *P = dynamic_cast<PortfolioSolver *>(&S);
-  settle(Out, Query, S, From, P ? P->tierCount() : 0, Syms, Shared);
+  settle(Out, Query, S, From, P ? P->tierCount() : 0, Syms, Shared, Lookup);
   Out.Millis = millisSince(Start);
   return Out;
 }
@@ -288,7 +291,7 @@ VCOutcome dischargeFrom(const VC &Condition, const BoolExpr *Query, Solver &S,
 VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
                              Solver &S, const Interner &Syms,
                              SharedSolverCache *Shared) {
-  return dischargeFrom(Condition, Query, S, 0, Syms, Shared);
+  return dischargeFrom(Condition, Query, S, 0, Syms, Shared, true);
 }
 
 //===----------------------------------------------------------------------===//
@@ -343,11 +346,16 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
   // slots run the rest.
   size_t FW = MainPortfolio ? MainPortfolio->firstWorkerTier() : 0;
 
-  // The prepare stage (see the file comment).
+  // The prepare stage (see the file comment). An obligation is looked up
+  // in the shared cache once: here, unless it repeats the query of one
+  // still pending. Then its slot looks it up, after (at one job) the
+  // first occurrence has settled, so the repeat reaches no backend.
   std::vector<const BoolExpr *> Qs;
   Qs.reserve(N);
   std::vector<VCOutcome> Outcomes(N);
   std::vector<size_t> Pending;
+  std::vector<bool> LookedUp(N, false);
+  std::unordered_set<const BoolExpr *> PendingQs;
   for (size_t I = 0; I != N; ++I) {
     Qs.push_back(vcQuery(Ctx, VCs[I]));
     if (FW == 0) {
@@ -358,8 +366,12 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
     VCOutcome &Out = Outcomes[I];
     Out.Condition = VCs[I];
     MainPortfolio->setDeadline(perVcDeadline());
-    if (!settle(Out, Qs[I], *MainPortfolio, 0, FW, Syms, &Shared))
+    LookedUp[I] = !PendingQs.count(Qs[I]);
+    if (!settle(Out, Qs[I], *MainPortfolio, 0, FW, Syms, &Shared,
+                LookedUp[I])) {
       Pending.push_back(I);
+      PendingQs.insert(Qs[I]);
+    }
     Out.Millis = millisSince(Start);
   }
 
@@ -419,7 +431,8 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
       }
       VCOutcome &Out = Outcomes[I];
       S.setDeadline(perVcDeadline());
-      VCOutcome Done = dischargeFrom(VCs[I], Qs[I], S, FW, Syms, &Shared);
+      VCOutcome Done =
+          dischargeFrom(VCs[I], Qs[I], S, FW, Syms, &Shared, !LookedUp[I]);
       Done.Millis += Out.Millis;
       appendTrail(Out.Trail, Done.Trail);
       Done.Trail = std::move(Out.Trail);

@@ -24,10 +24,13 @@
 /// thread-safe. It builds every query (validity VCs are negated), and
 /// when the tier chain starts with `simplify` it also looks each query up
 /// in the shared cache and runs the simplify prefix on it. It never
-/// queries a backend past that prefix. The work-stealing stage then runs
-/// the remaining obligations through the rest of the chain, one solver
-/// per slot. Slots pull obligation indices from per-slot deques and steal
-/// from a victim's deque when their own runs dry. Slot 0 runs on the
+/// queries a backend past that prefix. Each obligation is looked up once:
+/// a repeat of a query still pending is looked up by its slot instead, so
+/// (at one job) it finds the verdict of its first occurrence. The
+/// work-stealing stage then runs the remaining obligations through the
+/// rest of the chain, one solver per slot. Slots pull obligation indices
+/// from per-slot deques and steal from a victim's deque when their own
+/// runs dry. Slot 0 runs on the
 /// submitting thread with the main solver: the scheduler's portfolio, or
 /// the caller's solver (alone, at one job) when no portfolio is
 /// configured. A failed validity obligation's counterexample query runs

@@ -7,93 +7,49 @@
 
 #include "vcgen/RelationalVCGen.h"
 
-#include "logic/Simplify.h"
 #include "sema/Sema.h"
 #include "support/Casting.h"
-#include "vcgen/Safety.h"
 
-#include <cassert>
+#include <tuple>
 
 using namespace relax;
 
+namespace {
+
+/// emitSafety's side for the lockstep rules: both executions.
+constexpr VarTag BothSides = VarTag::Plain;
+
+/// Each of \p Vars on the original side, then on the relaxed side.
+template <typename VarList>
+std::vector<VarRef> bothSides(const VarList &Vars) {
+  std::vector<VarRef> Out;
+  for (const VarRef &V : Vars)
+    for (VarTag Tag : {VarTag::Orig, VarTag::Rel})
+      Out.push_back(VarRef{V.Name, Tag, V.Kind});
+  return Out;
+}
+
+} // namespace
+
 RelationalVCGen::RelationalVCGen(AstContext &Ctx, const Program &Prog,
                                  DiagnosticEngine &Diags, VCGenOptions Opts)
-    : Ctx(Ctx), Prog(Prog), Diags(Diags), Opts(Opts), Simp(Ctx) {}
+    : VCGenBase(Ctx, Prog, JudgmentKind::Relaxed, Diags, Opts) {}
 
-const BoolExpr *RelationalVCGen::maybeSimplify(const BoolExpr *B) {
-  return Opts.Simplify ? Simp.simplify(B) : B;
-}
-
-void RelationalVCGen::emitValidity(const BoolExpr *F, const char *Rule,
-                                   SourceLoc Loc, std::string Description) {
-  VC V;
-  V.Kind = VCKind::Validity;
-  V.Judgment = JudgmentKind::Relaxed;
-  V.Formula = maybeSimplify(F);
-  V.Rule = Rule;
-  V.Loc = Loc;
-  V.Description = std::move(Description);
-  V.Id = static_cast<uint32_t>(Out.VCs.size());
-  V.Origin = CurStmt;
-  V.SimplifyTraceId = V.Formula != F ? ++SimplifyTraces : 0;
-  V.Proc = ProcName;
-  Out.VCs.push_back(std::move(V));
-}
-
-void RelationalVCGen::emitSat(const BoolExpr *F, const char *Rule,
-                              SourceLoc Loc, std::string Description) {
-  VC V;
-  V.Kind = VCKind::Satisfiability;
-  V.Judgment = JudgmentKind::Relaxed;
-  V.Formula = maybeSimplify(F);
-  V.Rule = Rule;
-  V.Loc = Loc;
-  V.Description = std::move(Description);
-  V.Id = static_cast<uint32_t>(Out.VCs.size());
-  V.Origin = CurStmt;
-  V.SimplifyTraceId = V.Formula != F ? ++SimplifyTraces : 0;
-  V.Proc = ProcName;
-  Out.VCs.push_back(std::move(V));
-}
-
-void RelationalVCGen::emitSafetyBoth(const BoolExpr *Pre,
-                                     const BoolExpr *ProgramBool,
-                                     const char *Rule, SourceLoc Loc) {
-  if (!Opts.CheckSafety)
-    return;
-  const BoolExpr *Safe = safetyCondition(Ctx, ProgramBool);
-  if (const auto *Lit = dyn_cast<BoolLitExpr>(Safe); Lit && Lit->value())
+void RelationalVCGen::emitSafety(const BoolExpr *Pre, const BoolExpr *Safe,
+                                 VarTag Side, const char *Rule,
+                                 SourceLoc Loc) {
+  if (!Safe)
     return;
   // The original side's safety is re-established here (it also follows from
   // the |-o pass); the relaxed side is the genuinely new obligation.
-  emitValidity(Ctx.implies(Pre, Ctx.andExpr(inject(Ctx, Safe, VarTag::Orig),
-                                            inject(Ctx, Safe, VarTag::Rel))),
-               Rule, Loc, "evaluation cannot trap in either execution");
-}
-
-void RelationalVCGen::emitSafetyBoth(const BoolExpr *Pre,
-                                     const Expr *ProgramExpr,
-                                     const char *Rule, SourceLoc Loc) {
-  if (!Opts.CheckSafety)
-    return;
-  const BoolExpr *Safe = safetyCondition(Ctx, ProgramExpr);
-  if (const auto *Lit = dyn_cast<BoolLitExpr>(Safe); Lit && Lit->value())
-    return;
-  emitValidity(Ctx.implies(Pre, Ctx.andExpr(inject(Ctx, Safe, VarTag::Orig),
-                                            inject(Ctx, Safe, VarTag::Rel))),
-               Rule, Loc, "evaluation cannot trap in either execution");
-}
-
-void RelationalVCGen::record(const char *Rule, const Stmt *S,
-                             const BoolExpr *Pre, const BoolExpr *Post) {
-  DerivationStep Step;
-  Step.Rule = Rule;
-  Step.Judgment = JudgmentKind::Relaxed;
-  Step.Loc = S->loc();
-  Step.S = S;
-  Step.Pre = Pre;
-  Step.Post = Post;
-  Out.Derivation.push_back(std::move(Step));
+  if (Side == BothSides)
+    emitValidity(Ctx.implies(Pre, bothTrue(Safe)), Rule, Loc,
+                 "evaluation cannot trap in either execution");
+  else
+    emitValidity(Ctx.implies(Pre, inject(Ctx, Safe, Side)), Rule, Loc,
+                 std::string("evaluation cannot trap in the ") +
+                     (Side == VarTag::Orig ? "original" : "relaxed") +
+                     " execution");
 }
 
 const BoolExpr *RelationalVCGen::bothTrue(const BoolExpr *B) {
@@ -119,34 +75,8 @@ void RelationalVCGen::emitConvergence(const BoolExpr *Pre,
 const BoolExpr *RelationalVCGen::freshenSide(const ChoiceStmtBase *S,
                                              const BoolExpr *Pre,
                                              VarTag Tag) {
-  Subst Rename;
-  std::vector<std::pair<Symbol, VarKind>> Fresh;
-  for (size_t I = 0, E = S->varCount(); I != E; ++I) {
-    Symbol V = S->var(I);
-    VarKind Kind = Prog.kindOf(V).value_or(VarKind::Int);
-    Symbol F = Ctx.freshSym(V);
-    Fresh.emplace_back(F, Kind);
-    if (Kind == VarKind::Int)
-      Rename.mapVar(V, Tag, Ctx.var(F, Tag));
-    else
-      Rename.mapArray(V, Tag, Ctx.arrayRef(F, Tag));
-  }
-  const BoolExpr *Renamed = substitute(Ctx, Pre, Rename);
-
-  std::vector<const BoolExpr *> LenLinks;
-  for (size_t I = 0, E = S->varCount(); I != E; ++I) {
-    Symbol V = S->var(I);
-    if (Prog.kindOf(V).value_or(VarKind::Int) != VarKind::Array)
-      continue;
-    LenLinks.push_back(Ctx.eq(Ctx.arrayLen(Ctx.arrayRef(V, Tag)),
-                              Ctx.arrayLen(Ctx.arrayRef(Fresh[I].first, Tag))));
-  }
-  const BoolExpr *Body = Ctx.conj({Renamed, Ctx.conj(LenLinks)});
-
-  const BoolExpr *Quantified = Body;
-  for (const auto &[F, Kind] : Fresh)
-    Quantified = Ctx.exists(F, Tag, Kind, Quantified);
-  return Quantified;
+  std::vector<VarRef> Fresh;
+  return existsOver(Fresh, renameFresh(choiceVars(S, Tag), Pre, Fresh));
 }
 
 const BoolExpr *RelationalVCGen::genAssertOrAssume(const BoolExpr *Pred,
@@ -161,14 +91,11 @@ const BoolExpr *RelationalVCGen::genAssertOrAssume(const BoolExpr *Pred,
   emitValidity(Ctx.implies(Ctx.andExpr(Pre, InjO), InjR), Rule, Loc,
                "the predicate transfers from the original to the relaxed "
                "execution");
-  if (Opts.CheckSafety) {
-    const BoolExpr *Safe = safetyCondition(Ctx, Pred);
-    if (const auto *Lit = dyn_cast<BoolLitExpr>(Safe); !Lit || !Lit->value())
-      emitValidity(
-          Ctx.implies(Ctx.conj({Pre, InjO, inject(Ctx, Safe, VarTag::Orig)}),
-                      inject(Ctx, Safe, VarTag::Rel)),
-          Rule, Loc, "relaxed-side evaluation cannot trap");
-  }
+  if (const BoolExpr *Safe = trapFree(Pred))
+    emitValidity(
+        Ctx.implies(Ctx.conj({Pre, InjO, inject(Ctx, Safe, VarTag::Orig)}),
+                    inject(Ctx, Safe, VarTag::Rel)),
+        Rule, Loc, "relaxed-side evaluation cannot trap");
   return maybeSimplify(Ctx.conj({Pre, InjO, InjR}));
 }
 
@@ -199,24 +126,14 @@ const BoolExpr *RelationalVCGen::genDiverge(const Stmt *S,
                "the relaxed projection of the precondition implies the "
                "diverge pre_rel annotation");
 
-  // |-o {Po} s {Qo}: the original execution runs solo.
-  {
-    UnaryVCGen Sub(Ctx, Prog, JudgmentKind::Original, Diags, Opts);
+  // |-o {Po} s {Qo}: the original execution runs solo. |-i {Pr} s {Qr}:
+  // the relaxed execution runs solo and must be inherently error free
+  // (Lemma 4 powers Theorem 7 here).
+  for (auto [J, P, Q] : {std::tuple(JudgmentKind::Original, Po, Qo),
+                         std::tuple(JudgmentKind::Intermediate, Pr, Qr)}) {
+    UnaryVCGen Sub(Ctx, Prog, J, Diags, Opts);
     Sub.setProcName(ProcName);
-    Sub.genTriple(Po, S, Qo);
-    VCSet SubSet = Sub.take();
-    for (VC &V : SubSet.VCs)
-      V.Rule = "diverge/" + V.Rule;
-    for (DerivationStep &St : SubSet.Derivation)
-      St.Rule = "diverge/" + St.Rule;
-    Out.append(std::move(SubSet));
-  }
-  // |-i {Pr} s {Qr}: the relaxed execution runs solo and must be
-  // inherently error free (Lemma 4 powers Theorem 7 here).
-  {
-    UnaryVCGen Sub(Ctx, Prog, JudgmentKind::Intermediate, Diags, Opts);
-    Sub.setProcName(ProcName);
-    Sub.genTriple(Pr, S, Qr);
+    Sub.genTriple(P, S, Q);
     VCSet SubSet = Sub.take();
     for (VC &V : SubSet.VCs)
       V.Rule = "diverge/" + V.Rule;
@@ -252,50 +169,14 @@ const BoolExpr *RelationalVCGen::genDiverge(const Stmt *S,
   // applied to all of P* at once; it subsumes the explicit Frame, which
   // remains useful as a cheaper-to-instantiate hint for the solver).
   // Array lengths are execution-invariant, so length links are kept.
-  const BoolExpr *AutoFrame;
-  {
-    VarRefSet Mod = modifiedVars(S, Prog);
-    Subst Rename;
-    std::vector<std::tuple<Symbol, VarKind, VarTag>> Fresh;
-    std::vector<const BoolExpr *> LenLinks;
-    for (const VarRef &V : Mod) {
-      for (VarTag Tag : {VarTag::Orig, VarTag::Rel}) {
-        Symbol F = Ctx.freshSym(V.Name);
-        Fresh.emplace_back(F, V.Kind, Tag);
-        if (V.Kind == VarKind::Int) {
-          Rename.mapVar(V.Name, Tag, Ctx.var(F, Tag));
-        } else {
-          Rename.mapArray(V.Name, Tag, Ctx.arrayRef(F, Tag));
-          LenLinks.push_back(Ctx.eq(Ctx.arrayLen(Ctx.arrayRef(V.Name, Tag)),
-                                    Ctx.arrayLen(Ctx.arrayRef(F, Tag))));
-        }
-      }
-    }
-    const BoolExpr *Body =
-        Ctx.conj({substitute(Ctx, Pre, Rename), Ctx.conj(LenLinks)});
-    for (const auto &[F, Kind, Tag] : Fresh)
-      Body = Ctx.exists(F, Tag, Kind, Body);
-    AutoFrame = Body;
-  }
+  std::vector<VarRef> Fresh;
+  const BoolExpr *AutoFrame = existsOver(
+      Fresh, renameFresh(bothSides(modifiedVars(S, Prog)), Pre, Fresh));
 
-  const BoolExpr *Post = maybeSimplify(
-      Ctx.conj({inject(Ctx, Qo, VarTag::Orig), inject(Ctx, Qr, VarTag::Rel),
-                Frame, AutoFrame}));
-  record("diverge", S, Pre, Post);
-  return Post;
-}
-
-void RelationalVCGen::emitSafetyOneSided(const BoolExpr *Pre,
-                                         const BoolExpr *Safe, VarTag Side,
-                                         const char *Rule, SourceLoc Loc) {
-  if (!Opts.CheckSafety)
-    return;
-  if (const auto *Lit = dyn_cast<BoolLitExpr>(Safe); Lit && Lit->value())
-    return;
-  emitValidity(Ctx.implies(Pre, inject(Ctx, Safe, Side)), Rule, Loc,
-               std::string("evaluation cannot trap in the ") +
-                   (Side == VarTag::Orig ? "original" : "relaxed") +
-                   " execution");
+  return record("diverge", S, Pre,
+                maybeSimplify(Ctx.conj({inject(Ctx, Qo, VarTag::Orig),
+                                        inject(Ctx, Qr, VarTag::Rel), Frame,
+                                        AutoFrame})));
 }
 
 const BoolExpr *RelationalVCGen::genStmtOneSided(const Stmt *S,
@@ -310,44 +191,19 @@ const BoolExpr *RelationalVCGen::genStmtOneSided(const Stmt *S,
 
   case Stmt::Kind::Assign: {
     const auto *A = cast<AssignStmt>(S);
-    emitSafetyOneSided(Pre, safetyCondition(Ctx, A->value()), Side,
-                       RulePrefix, S->loc());
-    Symbol X = A->var();
-    Symbol X0 = Ctx.freshSym(X);
-    Subst Rename;
-    Rename.mapVar(X, Side, Ctx.var(X0, Side));
-    const BoolExpr *Renamed = substitute(Ctx, Pre, Rename);
-    const Expr *RHS = substitute(Ctx, inject(Ctx, A->value(), Side), Rename);
-    return maybeSimplify(Ctx.exists(
-        X0, Side, VarKind::Int,
-        Ctx.andExpr(Renamed, Ctx.eq(Ctx.var(X, Side), RHS))));
+    emitSafety(Pre, trapFree(A->value()), Side, RulePrefix, S->loc());
+    return maybeSimplify(spWrite(Pre, A->var(), nullptr, A->value(), Side));
   }
 
   case Stmt::Kind::ArrayAssign: {
     const auto *A = cast<ArrayAssignStmt>(S);
-    emitSafetyOneSided(Pre, safetyCondition(Ctx, A->index()), Side,
-                       RulePrefix, S->loc());
-    emitSafetyOneSided(Pre, safetyCondition(Ctx, A->value()), Side,
-                       RulePrefix, S->loc());
-    if (Opts.CheckSafety) {
-      const ArrayExpr *Arr = Ctx.arrayRef(A->array(), VarTag::Plain);
-      const BoolExpr *InBounds =
-          Ctx.andExpr(Ctx.ge(A->index(), Ctx.intLit(0)),
-                      Ctx.lt(A->index(), Ctx.arrayLen(Arr)));
+    emitSafety(Pre, trapFree(A->index()), Side, RulePrefix, S->loc());
+    emitSafety(Pre, trapFree(A->value()), Side, RulePrefix, S->loc());
+    if (const BoolExpr *InBounds = storeInBounds(A))
       emitValidity(Ctx.implies(Pre, inject(Ctx, InBounds, Side)), RulePrefix,
                    S->loc(), "array store index is in bounds");
-    }
-    Symbol X = A->array();
-    Symbol X0 = Ctx.freshSym(X);
-    Subst Rename;
-    Rename.mapArray(X, Side, Ctx.arrayRef(X0, Side));
-    const BoolExpr *Renamed = substitute(Ctx, Pre, Rename);
-    const Expr *Idx = substitute(Ctx, inject(Ctx, A->index(), Side), Rename);
-    const Expr *Val = substitute(Ctx, inject(Ctx, A->value(), Side), Rename);
-    const ArrayExpr *NewVal = Ctx.arrayStore(Ctx.arrayRef(X0, Side), Idx, Val);
-    return maybeSimplify(Ctx.exists(
-        X0, Side, VarKind::Array,
-        Ctx.andExpr(Renamed, Ctx.arrayEq(Ctx.arrayRef(X, Side), NewVal))));
+    return maybeSimplify(
+        spWrite(Pre, A->array(), A->index(), A->value(), Side));
   }
 
   case Stmt::Kind::Havoc: {
@@ -383,8 +239,7 @@ const BoolExpr *RelationalVCGen::genStmtOneSided(const Stmt *S,
       return maybeSimplify(Ctx.andExpr(Pre, inject(Ctx, Pred, VarTag::Orig)));
     // The relaxed execution runs without an original counterpart, so both
     // assert and assume carry full obligations (as in |-i, Figure 9).
-    emitSafetyOneSided(Pre, safetyCondition(Ctx, Pred), Side, RulePrefix,
-                       S->loc());
+    emitSafety(Pre, trapFree(Pred), Side, RulePrefix, S->loc());
     emitValidity(Ctx.implies(Pre, inject(Ctx, Pred, VarTag::Rel)), RulePrefix,
                  S->loc(),
                  "the predicate holds for the relaxed execution in this "
@@ -394,8 +249,7 @@ const BoolExpr *RelationalVCGen::genStmtOneSided(const Stmt *S,
 
   case Stmt::Kind::If: {
     const auto *I = cast<IfStmt>(S);
-    emitSafetyOneSided(Pre, safetyCondition(Ctx, I->cond()), Side, RulePrefix,
-                       S->loc());
+    emitSafety(Pre, trapFree(I->cond()), Side, RulePrefix, S->loc());
     const BoolExpr *B = inject(Ctx, I->cond(), Side);
     const BoolExpr *ThenPost = genStmtOneSided(
         I->thenStmt(), maybeSimplify(Ctx.andExpr(Pre, B)), Side);
@@ -428,7 +282,7 @@ const BoolExpr *RelationalVCGen::genStmtOneSided(const Stmt *S,
 
 const BoolExpr *RelationalVCGen::genIfCases(const IfStmt *I,
                                             const BoolExpr *Pre) {
-  emitSafetyBoth(Pre, I->cond(), "cases", I->loc());
+  emitSafety(Pre, trapFree(I->cond()), BothSides, "cases", I->loc());
   const BoolExpr *Bo = inject(Ctx, I->cond(), VarTag::Orig);
   const BoolExpr *Br = inject(Ctx, I->cond(), VarTag::Rel);
 
@@ -450,74 +304,38 @@ const BoolExpr *RelationalVCGen::genIfCases(const IfStmt *I,
         genStmtOneSided(RelStmt, AfterOrig, VarTag::Rel);
     CasePosts.push_back(AfterBoth);
   }
-  const BoolExpr *Post = maybeSimplify(Ctx.disj(CasePosts));
-  record("diverge-cases", I, Pre, Post);
-  return Post;
+  return record("diverge-cases", I, Pre, maybeSimplify(Ctx.disj(CasePosts)));
 }
 
 const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
   CurStmt = S; // provenance: VCs emitted below originate from S
   switch (S->kind()) {
   case Stmt::Kind::Skip:
-    record("skip", S, Pre, Pre);
-    return Pre;
+    return record("skip", S, Pre, Pre);
 
   case Stmt::Kind::Assign: {
     const auto *A = cast<AssignStmt>(S);
-    emitSafetyBoth(Pre, A->value(), "assign", S->loc());
-    Symbol X = A->var();
+    emitSafety(Pre, trapFree(A->value()), BothSides, "assign", S->loc());
     const BoolExpr *Post = Pre;
     // Both executions perform the assignment in lockstep; rename each
     // side's target and conjoin its defining equation.
-    for (VarTag Tag : {VarTag::Orig, VarTag::Rel}) {
-      Symbol X0 = Ctx.freshSym(X);
-      Subst Rename;
-      Rename.mapVar(X, Tag, Ctx.var(X0, Tag));
-      const BoolExpr *Renamed = substitute(Ctx, Post, Rename);
-      const Expr *RHS =
-          substitute(Ctx, inject(Ctx, A->value(), Tag), Rename);
-      Post = Ctx.exists(X0, Tag, VarKind::Int,
-                        Ctx.andExpr(Renamed, Ctx.eq(Ctx.var(X, Tag), RHS)));
-    }
-    Post = maybeSimplify(Post);
-    record("assign", S, Pre, Post);
-    return Post;
+    for (VarTag Tag : {VarTag::Orig, VarTag::Rel})
+      Post = spWrite(Post, A->var(), nullptr, A->value(), Tag);
+    return record("assign", S, Pre, maybeSimplify(Post));
   }
 
   case Stmt::Kind::ArrayAssign: {
     const auto *A = cast<ArrayAssignStmt>(S);
-    emitSafetyBoth(Pre, A->index(), "array-assign", S->loc());
-    emitSafetyBoth(Pre, A->value(), "array-assign", S->loc());
-    if (Opts.CheckSafety) {
-      const ArrayExpr *Arr = Ctx.arrayRef(A->array(), VarTag::Plain);
-      const BoolExpr *InBounds =
-          Ctx.andExpr(Ctx.ge(A->index(), Ctx.intLit(0)),
-                      Ctx.lt(A->index(), Ctx.arrayLen(Arr)));
-      emitValidity(Ctx.implies(Pre, Ctx.andExpr(
-                                        inject(Ctx, InBounds, VarTag::Orig),
-                                        inject(Ctx, InBounds, VarTag::Rel))),
-                   "array-assign", S->loc(),
+    emitSafety(Pre, trapFree(A->index()), BothSides, "array-assign", S->loc());
+    emitSafety(Pre, trapFree(A->value()), BothSides, "array-assign", S->loc());
+    if (const BoolExpr *InBounds = storeInBounds(A))
+      emitValidity(Ctx.implies(Pre, bothTrue(InBounds)), "array-assign",
+                   S->loc(),
                    "array store index is in bounds in both executions");
-    }
-    Symbol X = A->array();
     const BoolExpr *Post = Pre;
-    for (VarTag Tag : {VarTag::Orig, VarTag::Rel}) {
-      Symbol X0 = Ctx.freshSym(X);
-      Subst Rename;
-      Rename.mapArray(X, Tag, Ctx.arrayRef(X0, Tag));
-      const BoolExpr *Renamed = substitute(Ctx, Post, Rename);
-      const Expr *Idx = substitute(Ctx, inject(Ctx, A->index(), Tag), Rename);
-      const Expr *Val = substitute(Ctx, inject(Ctx, A->value(), Tag), Rename);
-      const ArrayExpr *NewVal =
-          Ctx.arrayStore(Ctx.arrayRef(X0, Tag), Idx, Val);
-      Post = Ctx.exists(X0, Tag, VarKind::Array,
-                        Ctx.andExpr(Renamed,
-                                    Ctx.arrayEq(Ctx.arrayRef(X, Tag),
-                                                NewVal)));
-    }
-    Post = maybeSimplify(Post);
-    record("array-assign", S, Pre, Post);
-    return Post;
+    for (VarTag Tag : {VarTag::Orig, VarTag::Rel})
+      Post = spWrite(Post, A->array(), A->index(), A->value(), Tag);
+    return record("array-assign", S, Pre, maybeSimplify(Post));
   }
 
   case Stmt::Kind::Havoc: {
@@ -533,11 +351,10 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
             "the relaxed execution's havoc predicate is satisfiable");
     const BoolExpr *Fresh =
         freshenSide(H, freshenSide(H, Pre, VarTag::Orig), VarTag::Rel);
-    const BoolExpr *Post = maybeSimplify(
-        Ctx.conj({Fresh, inject(Ctx, H->pred(), VarTag::Orig),
-                  inject(Ctx, H->pred(), VarTag::Rel)}));
-    record("havoc", S, Pre, Post);
-    return Post;
+    return record("havoc", S, Pre,
+                  maybeSimplify(Ctx.conj(
+                      {Fresh, inject(Ctx, H->pred(), VarTag::Orig),
+                       inject(Ctx, H->pred(), VarTag::Rel)})));
   }
 
   case Stmt::Kind::Relax: {
@@ -552,11 +369,10 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     const BoolExpr *Fresh = freshenSide(R, Pre, VarTag::Rel);
     // <e . e>: the original execution satisfied e as an assert (so it is
     // available), and the relaxed execution's new values satisfy e.
-    const BoolExpr *Post = maybeSimplify(
-        Ctx.conj({Fresh, inject(Ctx, R->pred(), VarTag::Orig),
-                  inject(Ctx, R->pred(), VarTag::Rel)}));
-    record("relax", S, Pre, Post);
-    return Post;
+    return record("relax", S, Pre,
+                  maybeSimplify(Ctx.conj(
+                      {Fresh, inject(Ctx, R->pred(), VarTag::Orig),
+                       inject(Ctx, R->pred(), VarTag::Rel)})));
   }
 
   case Stmt::Kind::If: {
@@ -566,16 +382,14 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
         return genIfCases(I, Pre);
       return genDiverge(S, D, Pre);
     }
-    emitSafetyBoth(Pre, I->cond(), "if", S->loc());
+    emitSafety(Pre, trapFree(I->cond()), BothSides, "if", S->loc());
     emitConvergence(Pre, I->cond(), "if", S->loc());
     const BoolExpr *ThenPre = maybeSimplify(Ctx.andExpr(Pre, bothTrue(I->cond())));
     const BoolExpr *ElsePre =
         maybeSimplify(Ctx.andExpr(Pre, bothFalse(I->cond())));
     const BoolExpr *ThenPost = genStmt(I->thenStmt(), ThenPre);
     const BoolExpr *ElsePost = genStmt(I->elseStmt(), ElsePre);
-    const BoolExpr *Post = maybeSimplify(Ctx.orExpr(ThenPost, ElsePost));
-    record("if", S, Pre, Post);
-    return Post;
+    return record("if", S, Pre, maybeSimplify(Ctx.orExpr(ThenPost, ElsePost)));
   }
 
   case Stmt::Kind::While: {
@@ -591,7 +405,7 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     emitValidity(Ctx.implies(Pre, Inv), "while", S->loc(),
                  "the relational loop invariant holds on entry");
     emitConvergence(Inv, W->cond(), "while", S->loc());
-    emitSafetyBoth(Inv, W->cond(), "while", S->loc());
+    emitSafety(Inv, trapFree(W->cond()), BothSides, "while", S->loc());
     const BoolExpr *BodyPre =
         maybeSimplify(Ctx.andExpr(Inv, bothTrue(W->cond())));
 
@@ -622,26 +436,20 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
           "while:variant", S->loc(),
           "the original execution's variant strictly decreases (relative "
           "termination)");
-    const BoolExpr *Post =
-        maybeSimplify(Ctx.andExpr(Inv, bothFalse(W->cond())));
-    record("while", S, Pre, Post);
-    return Post;
+    return record("while", S, Pre,
+                  maybeSimplify(Ctx.andExpr(Inv, bothFalse(W->cond()))));
   }
 
   case Stmt::Kind::Assume: {
     const auto *A = cast<AssumeStmt>(S);
-    const BoolExpr *Post =
-        genAssertOrAssume(A->pred(), S->loc(), Pre, "assume");
-    record("assume", S, Pre, Post);
-    return Post;
+    return record("assume", S, Pre,
+                  genAssertOrAssume(A->pred(), S->loc(), Pre, "assume"));
   }
 
   case Stmt::Kind::Assert: {
     const auto *A = cast<AssertStmt>(S);
-    const BoolExpr *Post =
-        genAssertOrAssume(A->pred(), S->loc(), Pre, "assert");
-    record("assert", S, Pre, Post);
-    return Post;
+    return record("assert", S, Pre,
+                  genAssertOrAssume(A->pred(), S->loc(), Pre, "assert"));
   }
 
   case Stmt::Kind::Relate: {
@@ -649,9 +457,7 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     emitValidity(Ctx.implies(Pre, R->pred()), "relate", S->loc(),
                  "the relate predicate holds for all lockstep pairs "
                  "reaching this point");
-    const BoolExpr *Post = maybeSimplify(Ctx.andExpr(Pre, R->pred()));
-    record("relate", S, Pre, Post);
-    return Post;
+    return record("relate", S, Pre, maybeSimplify(Ctx.andExpr(Pre, R->pred())));
   }
 
   case Stmt::Kind::Call: {
@@ -676,7 +482,7 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     // many fresh symbols earlier runs drew from the shared interner.
     Subst ParamToArgExpr;
     for (size_t I = 0, E = C->argCount(); I != E; ++I) {
-      emitSafetyBoth(Pre, C->arg(I), "call", S->loc());
+      emitSafety(Pre, trapFree(C->arg(I)), BothSides, "call", S->loc());
       if (I < Callee->params().size()) {
         Symbol P = Callee->params()[I].Name;
         ParamToArgExpr.mapVar(P, VarTag::Orig,
@@ -718,26 +524,10 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
 
     // Havoc the callee's effective frame on both sides; array lengths are
     // execution-invariant, so length links are kept (as in freshenSide).
-    Subst Rename;
-    std::vector<std::tuple<Symbol, VarKind, VarTag>> Old;
-    std::vector<const BoolExpr *> LenLinks;
-    for (const VarRef &V : effectiveModifies(Prog, *Callee)) {
-      for (VarTag Tag : {VarTag::Orig, VarTag::Rel}) {
-        Symbol F = Ctx.freshSym(V.Name);
-        Old.emplace_back(F, V.Kind, Tag);
-        if (V.Kind == VarKind::Int) {
-          Rename.mapVar(V.Name, Tag, Ctx.var(F, Tag));
-        } else {
-          Rename.mapArray(V.Name, Tag, Ctx.arrayRef(F, Tag));
-          LenLinks.push_back(Ctx.eq(Ctx.arrayLen(Ctx.arrayRef(V.Name, Tag)),
-                                    Ctx.arrayLen(Ctx.arrayRef(F, Tag))));
-        }
-      }
-    }
-    const BoolExpr *Havocked =
-        Ctx.conj({substitute(Ctx, Bound, Rename), Ctx.conj(LenLinks)});
-    for (const auto &[F, Kind, Tag] : Old)
-      Havocked = Ctx.exists(F, Tag, Kind, Havocked);
+    std::vector<VarRef> Old;
+    const BoolExpr *Havocked = existsOver(
+        Old, renameFresh(bothSides(effectiveModifies(Prog, *Callee)), Bound,
+                         Old));
 
     const BoolExpr *REns =
         Callee->relEnsuresClause()
@@ -749,9 +539,7 @@ const BoolExpr *RelationalVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
       Post = Ctx.exists(*It, VarTag::Rel, VarKind::Int, Post);
       Post = Ctx.exists(*It, VarTag::Orig, VarKind::Int, Post);
     }
-    Post = maybeSimplify(Post);
-    record("call", S, Pre, Post);
-    return Post;
+    return record("call", S, Pre, maybeSimplify(Post));
   }
 
   case Stmt::Kind::Seq: {

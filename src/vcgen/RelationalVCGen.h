@@ -32,8 +32,10 @@
 
 namespace relax {
 
-/// Strongest-postcondition VC generator for |-r.
-class RelationalVCGen {
+/// Strongest-postcondition VC generator for |-r. Its VC set includes the
+/// |-o and |-i sub-derivations that diverge rules spawn, stamped with this
+/// run's procedure name.
+class RelationalVCGen : public VCGenBase {
 public:
   RelationalVCGen(AstContext &Ctx, const Program &Prog,
                   DiagnosticEngine &Diags, VCGenOptions Opts = VCGenOptions());
@@ -44,42 +46,11 @@ public:
   /// Generates the whole-triple obligations for {Pre*} S {Post*}.
   void genTriple(const BoolExpr *Pre, const Stmt *S, const BoolExpr *Post);
 
-  /// Sets the display name stamped on emitted VCs' Proc field: the
-  /// procedure whose relational summary this generator run verifies
-  /// ("main" by default). Propagated into the |-o and |-i sub-generators
-  /// the diverge rule spawns.
-  void setProcName(std::string Name) { ProcName = std::move(Name); }
-
-  /// Takes the accumulated VCs and derivation (includes the |-o and |-i
-  /// sub-derivations created by diverge rules).
-  VCSet take() { return std::move(Out); }
-
 private:
-  AstContext &Ctx;
-  const Program &Prog;
-  DiagnosticEngine &Diags;
-  VCGenOptions Opts;
-  Simplifier Simp;
-  VCSet Out;
-  std::string ProcName = "main";
-  /// Provenance state: the statement whose rule is currently being
-  /// applied (stamped on emitted VCs as their origin), and the running
-  /// count of obligation-formula rewrites (the simplify trace).
-  const Stmt *CurStmt = nullptr;
-  uint32_t SimplifyTraces = 0;
-
-  const BoolExpr *maybeSimplify(const BoolExpr *B);
-  void emitValidity(const BoolExpr *F, const char *Rule, SourceLoc Loc,
-                    std::string Description);
-  void emitSat(const BoolExpr *F, const char *Rule, SourceLoc Loc,
-               std::string Description);
-  /// Emits "evaluation cannot trap" obligations for both executions.
-  void emitSafetyBoth(const BoolExpr *Pre, const BoolExpr *ProgramBool,
-                      const char *Rule, SourceLoc Loc);
-  void emitSafetyBoth(const BoolExpr *Pre, const Expr *ProgramExpr,
-                      const char *Rule, SourceLoc Loc);
-  void record(const char *Rule, const Stmt *S, const BoolExpr *Pre,
-              const BoolExpr *Post);
+  /// Emits "evaluation cannot trap" (\p Safe, from trapFree) under \p Pre
+  /// for the \p Side execution, or for both when \p Side is Plain.
+  void emitSafety(const BoolExpr *Pre, const BoolExpr *Safe, VarTag Side,
+                  const char *Rule, SourceLoc Loc);
 
   /// <b . b> and <!b . !b>.
   const BoolExpr *bothTrue(const BoolExpr *B);
@@ -108,8 +79,6 @@ private:
   /// execution's state is untouched). S must be loop- and relate-free.
   const BoolExpr *genStmtOneSided(const Stmt *S, const BoolExpr *Pre,
                                   VarTag Side);
-  void emitSafetyOneSided(const BoolExpr *Pre, const BoolExpr *Safe,
-                          VarTag Side, const char *Rule, SourceLoc Loc);
 };
 
 } // namespace relax

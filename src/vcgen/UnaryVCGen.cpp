@@ -8,103 +8,29 @@
 #include "vcgen/UnaryVCGen.h"
 
 #include "logic/FormulaOps.h"
-#include "logic/Simplify.h"
 #include "sema/Sema.h"
 #include "support/Casting.h"
-#include "vcgen/Safety.h"
 
 #include <cassert>
+#include <type_traits>
 
 using namespace relax;
 
-const char *relax::judgmentKindName(JudgmentKind K) {
-  switch (K) {
-  case JudgmentKind::Original:
-    return "original";
-  case JudgmentKind::Intermediate:
-    return "intermediate";
-  case JudgmentKind::Relaxed:
-    return "relaxed";
-  }
-  return "?";
-}
-
 UnaryVCGen::UnaryVCGen(AstContext &Ctx, const Program &Prog, JudgmentKind J,
                        DiagnosticEngine &Diags, VCGenOptions Opts)
-    : Ctx(Ctx), Prog(Prog), Judgment(J), Diags(Diags), Opts(Opts),
-      Simp(Ctx) {
+    : VCGenBase(Ctx, Prog, J, Diags, Opts) {
   assert(J != JudgmentKind::Relaxed &&
          "UnaryVCGen handles |-o and |-i only; use RelationalVCGen for |-r");
 }
 
-const BoolExpr *UnaryVCGen::maybeSimplify(const BoolExpr *B) {
-  return Opts.Simplify ? Simp.simplify(B) : B;
-}
-
-void UnaryVCGen::emitValidity(const BoolExpr *F, const char *Rule,
-                              SourceLoc Loc, std::string Description) {
-  VC V;
-  V.Kind = VCKind::Validity;
-  V.Judgment = Judgment;
-  V.Formula = maybeSimplify(F);
-  V.Rule = Rule;
-  V.Loc = Loc;
-  V.Description = std::move(Description);
-  V.Id = static_cast<uint32_t>(Out.VCs.size());
-  V.Origin = CurStmt;
-  V.SimplifyTraceId = V.Formula != F ? ++SimplifyTraces : 0;
-  V.Proc = ProcName;
-  Out.VCs.push_back(std::move(V));
-}
-
-void UnaryVCGen::emitSat(const BoolExpr *F, const char *Rule, SourceLoc Loc,
-                         std::string Description) {
-  VC V;
-  V.Kind = VCKind::Satisfiability;
-  V.Judgment = Judgment;
-  V.Formula = maybeSimplify(F);
-  V.Rule = Rule;
-  V.Loc = Loc;
-  V.Description = std::move(Description);
-  V.Id = static_cast<uint32_t>(Out.VCs.size());
-  V.Origin = CurStmt;
-  V.SimplifyTraceId = V.Formula != F ? ++SimplifyTraces : 0;
-  V.Proc = ProcName;
-  Out.VCs.push_back(std::move(V));
-}
-
-void UnaryVCGen::emitSafety(const BoolExpr *Pre, const BoolExpr *ProgramBool,
+template <typename T>
+void UnaryVCGen::emitSafety(const BoolExpr *Pre, const T *Program,
                             const char *Rule, SourceLoc Loc) {
-  if (!Opts.CheckSafety)
-    return;
-  const BoolExpr *Safe = safetyCondition(Ctx, ProgramBool);
-  if (const auto *Lit = dyn_cast<BoolLitExpr>(Safe); Lit && Lit->value())
-    return;
-  emitValidity(Ctx.implies(Pre, Safe), Rule, Loc,
-               "predicate evaluation cannot trap (division, array bounds)");
-}
-
-void UnaryVCGen::emitSafety(const BoolExpr *Pre, const Expr *ProgramExpr,
-                            const char *Rule, SourceLoc Loc) {
-  if (!Opts.CheckSafety)
-    return;
-  const BoolExpr *Safe = safetyCondition(Ctx, ProgramExpr);
-  if (const auto *Lit = dyn_cast<BoolLitExpr>(Safe); Lit && Lit->value())
-    return;
-  emitValidity(Ctx.implies(Pre, Safe), Rule, Loc,
-               "expression evaluation cannot trap (division, array bounds)");
-}
-
-void UnaryVCGen::record(const char *Rule, const Stmt *S, const BoolExpr *Pre,
-                        const BoolExpr *Post) {
-  DerivationStep Step;
-  Step.Rule = Rule;
-  Step.Judgment = Judgment;
-  Step.Loc = S->loc();
-  Step.S = S;
-  Step.Pre = Pre;
-  Step.Post = Post;
-  Out.Derivation.push_back(std::move(Step));
+  if (const BoolExpr *Safe = trapFree(Program))
+    emitValidity(Ctx.implies(Pre, Safe), Rule, Loc,
+                 std::string(std::is_base_of_v<Expr, T> ? "expression"
+                                                        : "predicate") +
+                     " evaluation cannot trap (division, array bounds)");
 }
 
 const BoolExpr *UnaryVCGen::genAssertLike(const BoolExpr *Pred, SourceLoc Loc,
@@ -120,33 +46,9 @@ const BoolExpr *UnaryVCGen::genHavocLike(const ChoiceStmtBase *S,
                                          const BoolExpr *Pre,
                                          const char *Rule) {
   // Rename X to fresh X' in Pre, existentially quantify X', conjoin e.
-  Subst Rename;
-  std::vector<std::pair<Symbol, VarKind>> Fresh;
-  for (size_t I = 0, E = S->varCount(); I != E; ++I) {
-    Symbol V = S->var(I);
-    VarKind Kind = Prog.kindOf(V).value_or(VarKind::Int);
-    Symbol F = Ctx.freshSym(V);
-    Fresh.emplace_back(F, Kind);
-    if (Kind == VarKind::Int)
-      Rename.mapVar(V, VarTag::Plain, Ctx.var(F, VarTag::Plain));
-    else
-      Rename.mapArray(V, VarTag::Plain, Ctx.arrayRef(F, VarTag::Plain));
-  }
-  const BoolExpr *Renamed = substitute(Ctx, Pre, Rename);
-
-  // Array lengths are execution-invariant: the new array has the length of
-  // the old one. Without this, bounds facts in Pre would be lost.
-  std::vector<const BoolExpr *> LenLinks;
-  for (size_t I = 0, E = S->varCount(); I != E; ++I) {
-    Symbol V = S->var(I);
-    if (Prog.kindOf(V).value_or(VarKind::Int) != VarKind::Array)
-      continue;
-    LenLinks.push_back(
-        Ctx.eq(Ctx.arrayLen(Ctx.arrayRef(V, VarTag::Plain)),
-               Ctx.arrayLen(Ctx.arrayRef(Fresh[I].first, VarTag::Plain))));
-  }
-
-  const BoolExpr *Body = Ctx.conj({Renamed, Ctx.conj(LenLinks)});
+  std::vector<VarRef> Fresh;
+  const BoolExpr *Body =
+      renameFresh(choiceVars(S, VarTag::Plain), Pre, Fresh);
 
   // The satisfiability premise of the havoc rule (Figure 7): some choice of
   // X must satisfy e. X' (the old values) stay free in the query.
@@ -154,10 +56,7 @@ const BoolExpr *UnaryVCGen::genHavocLike(const ChoiceStmtBase *S,
           "some assignment to the havoc/relax variables satisfies the "
           "predicate");
 
-  const BoolExpr *Quantified = Body;
-  for (const auto &[F, Kind] : Fresh)
-    Quantified = Ctx.exists(F, VarTag::Plain, Kind, Quantified);
-
+  const BoolExpr *Quantified = existsOver(Fresh, Body);
   emitSafety(Quantified, S->pred(), Rule, S->loc());
   return maybeSimplify(Ctx.andExpr(Quantified, S->pred()));
 }
@@ -166,25 +65,14 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
   CurStmt = S; // provenance: VCs emitted below originate from S
   switch (S->kind()) {
   case Stmt::Kind::Skip:
-    record("skip", S, Pre, Pre);
-    return Pre;
+    return record("skip", S, Pre, Pre);
 
   case Stmt::Kind::Assign: {
     const auto *A = cast<AssignStmt>(S);
     emitSafety(Pre, A->value(), "assign", S->loc());
-    Symbol X = A->var();
-    Symbol X0 = Ctx.freshSym(X);
-    Subst Rename;
-    Rename.mapVar(X, VarTag::Plain, Ctx.var(X0, VarTag::Plain));
-    const BoolExpr *Renamed = substitute(Ctx, Pre, Rename);
-    const Expr *RenamedRHS = substitute(Ctx, A->value(), Rename);
-    const BoolExpr *Post = Ctx.exists(
-        X0, VarTag::Plain, VarKind::Int,
-        Ctx.andExpr(Renamed,
-                    Ctx.eq(Ctx.var(X, VarTag::Plain), RenamedRHS)));
-    Post = maybeSimplify(Post);
-    record("assign", S, Pre, Post);
-    return Post;
+    return record("assign", S, Pre,
+                  maybeSimplify(spWrite(Pre, A->var(), nullptr, A->value(),
+                                        VarTag::Plain)));
   }
 
   case Stmt::Kind::ArrayAssign: {
@@ -192,36 +80,17 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     emitSafety(Pre, A->index(), "array-assign", S->loc());
     emitSafety(Pre, A->value(), "array-assign", S->loc());
     // The store itself must be in bounds.
-    if (Opts.CheckSafety) {
-      const ArrayExpr *Arr = Ctx.arrayRef(A->array(), VarTag::Plain);
-      emitValidity(
-          Ctx.implies(Pre, Ctx.andExpr(Ctx.ge(A->index(), Ctx.intLit(0)),
-                                       Ctx.lt(A->index(),
-                                              Ctx.arrayLen(Arr)))),
-          "array-assign", S->loc(), "array store index is in bounds");
-    }
-    Symbol X = A->array();
-    Symbol X0 = Ctx.freshSym(X);
-    Subst Rename;
-    Rename.mapArray(X, VarTag::Plain, Ctx.arrayRef(X0, VarTag::Plain));
-    const BoolExpr *Renamed = substitute(Ctx, Pre, Rename);
-    const Expr *RenamedIdx = substitute(Ctx, A->index(), Rename);
-    const Expr *RenamedVal = substitute(Ctx, A->value(), Rename);
-    const ArrayExpr *NewVal = Ctx.arrayStore(
-        Ctx.arrayRef(X0, VarTag::Plain), RenamedIdx, RenamedVal);
-    const BoolExpr *Post = Ctx.exists(
-        X0, VarTag::Plain, VarKind::Array,
-        Ctx.andExpr(Renamed,
-                    Ctx.arrayEq(Ctx.arrayRef(X, VarTag::Plain), NewVal)));
-    Post = maybeSimplify(Post);
-    record("array-assign", S, Pre, Post);
-    return Post;
+    if (const BoolExpr *InBounds = storeInBounds(A))
+      emitValidity(Ctx.implies(Pre, InBounds), "array-assign", S->loc(),
+                   "array store index is in bounds");
+    return record("array-assign", S, Pre,
+                  maybeSimplify(spWrite(Pre, A->array(), A->index(),
+                                        A->value(), VarTag::Plain)));
   }
 
   case Stmt::Kind::Havoc: {
-    const BoolExpr *Post = genHavocLike(cast<ChoiceStmtBase>(S), Pre, "havoc");
-    record("havoc", S, Pre, Post);
-    return Post;
+    return record("havoc", S, Pre,
+                  genHavocLike(cast<ChoiceStmtBase>(S), Pre, "havoc"));
   }
 
   case Stmt::Kind::Relax: {
@@ -229,15 +98,11 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     if (Judgment == JudgmentKind::Original) {
       // Figure 7: relax is an assert of its predicate; the original
       // execution must remain one of the allowed relaxed executions.
-      const BoolExpr *Post =
-          genAssertLike(R->pred(), S->loc(), Pre, "relax", "relax");
-      record("relax(assert)", S, Pre, Post);
-      return Post;
+      return record("relax(assert)", S, Pre,
+                    genAssertLike(R->pred(), S->loc(), Pre, "relax", "relax"));
     }
     // Figure 9: relax may apply any modification satisfying e.
-    const BoolExpr *Post = genHavocLike(R, Pre, "relax");
-    record("relax(havoc)", S, Pre, Post);
-    return Post;
+    return record("relax(havoc)", S, Pre, genHavocLike(R, Pre, "relax"));
   }
 
   case Stmt::Kind::If: {
@@ -248,9 +113,7 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
         maybeSimplify(Ctx.andExpr(Pre, Ctx.notExpr(I->cond())));
     const BoolExpr *ThenPost = genStmt(I->thenStmt(), ThenPre);
     const BoolExpr *ElsePost = genStmt(I->elseStmt(), ElsePre);
-    const BoolExpr *Post = maybeSimplify(Ctx.orExpr(ThenPost, ElsePost));
-    record("if", S, Pre, Post);
-    return Post;
+    return record("if", S, Pre, maybeSimplify(Ctx.orExpr(ThenPost, ElsePost)));
   }
 
   case Stmt::Kind::While: {
@@ -300,10 +163,8 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
                       Ctx.lt(Variant, Ctx.var(Snapshot, VarTag::Plain))),
           "while:variant", S->loc(),
           "the termination variant strictly decreases across the body");
-    const BoolExpr *Post =
-        maybeSimplify(Ctx.andExpr(Inv, Ctx.notExpr(W->cond())));
-    record("while", S, Pre, Post);
-    return Post;
+    return record("while", S, Pre,
+                  maybeSimplify(Ctx.andExpr(Inv, Ctx.notExpr(W->cond()))));
   }
 
   case Stmt::Kind::Assume: {
@@ -312,30 +173,24 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
       // Figure 7: no obligation; the assumption lands in the postcondition
       // (the execution may dynamically fail with ba).
       emitSafety(Pre, A->pred(), "assume", S->loc());
-      const BoolExpr *Post = maybeSimplify(Ctx.andExpr(Pre, A->pred()));
-      record("assume", S, Pre, Post);
-      return Post;
+      return record("assume", S, Pre,
+                    maybeSimplify(Ctx.andExpr(Pre, A->pred())));
     }
     // Figure 9: the relaxed execution must not violate assumptions either,
     // so assume carries an assert-strength obligation (Lemma 4).
-    const BoolExpr *Post =
-        genAssertLike(A->pred(), S->loc(), Pre, "assume", "assume");
-    record("assume(assert)", S, Pre, Post);
-    return Post;
+    return record("assume(assert)", S, Pre,
+                  genAssertLike(A->pred(), S->loc(), Pre, "assume", "assume"));
   }
 
   case Stmt::Kind::Assert: {
     const auto *A = cast<AssertStmt>(S);
-    const BoolExpr *Post =
-        genAssertLike(A->pred(), S->loc(), Pre, "assert", "assert");
-    record("assert", S, Pre, Post);
-    return Post;
+    return record("assert", S, Pre,
+                  genAssertLike(A->pred(), S->loc(), Pre, "assert", "assert"));
   }
 
   case Stmt::Kind::Relate:
     // Figure 7: relate is a skip for the unary semantics.
-    record("relate(skip)", S, Pre, Pre);
-    return Pre;
+    return record("relate(skip)", S, Pre, Pre);
 
   case Stmt::Kind::Call: {
     // Modular summary instantiation: assert the callee's requires, havoc
@@ -388,28 +243,9 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
 
     // Havoc the frame: rename its variables to fresh pre-call names,
     // existentially quantify those, keep array lengths invariant.
-    std::vector<VarRef> Frame = effectiveModifies(Prog, *Callee);
-    Subst Rename;
-    std::vector<std::pair<Symbol, VarKind>> Old;
-    for (const VarRef &V : Frame) {
-      Symbol F = Ctx.freshSym(V.Name);
-      Old.emplace_back(F, V.Kind);
-      if (V.Kind == VarKind::Int)
-        Rename.mapVar(V.Name, VarTag::Plain, Ctx.var(F, VarTag::Plain));
-      else
-        Rename.mapArray(V.Name, VarTag::Plain,
-                        Ctx.arrayRef(F, VarTag::Plain));
-    }
-    const BoolExpr *Renamed = substitute(Ctx, Bound, Rename);
-    std::vector<const BoolExpr *> LenLinks;
-    for (size_t I = 0, E = Frame.size(); I != E; ++I)
-      if (Frame[I].Kind == VarKind::Array)
-        LenLinks.push_back(Ctx.eq(
-            Ctx.arrayLen(Ctx.arrayRef(Frame[I].Name, VarTag::Plain)),
-            Ctx.arrayLen(Ctx.arrayRef(Old[I].first, VarTag::Plain))));
-    const BoolExpr *Quantified = Ctx.conj({Renamed, Ctx.conj(LenLinks)});
-    for (const auto &[F, Kind] : Old)
-      Quantified = Ctx.exists(F, VarTag::Plain, Kind, Quantified);
+    std::vector<VarRef> Old;
+    const BoolExpr *Quantified = existsOver(
+        Old, renameFresh(effectiveModifies(Prog, *Callee), Bound, Old));
 
     const BoolExpr *Ens =
         Callee->ensuresClause()
@@ -418,9 +254,7 @@ const BoolExpr *UnaryVCGen::genStmt(const Stmt *S, const BoolExpr *Pre) {
     const BoolExpr *Post = Ctx.andExpr(Quantified, Ens);
     for (auto It = ArgSyms.rbegin(); It != ArgSyms.rend(); ++It)
       Post = Ctx.exists(*It, VarTag::Plain, VarKind::Int, Post);
-    Post = maybeSimplify(Post);
-    record("call", S, Pre, Post);
-    return Post;
+    return record("call", S, Pre, maybeSimplify(Post));
   }
 
   case Stmt::Kind::Seq: {

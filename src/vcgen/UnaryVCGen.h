@@ -28,24 +28,12 @@
 #ifndef RELAXC_VCGEN_UNARYVCGEN_H
 #define RELAXC_VCGEN_UNARYVCGEN_H
 
-#include "ast/AstContext.h"
-#include "logic/Simplify.h"
-#include "support/Diagnostics.h"
-#include "vcgen/VC.h"
+#include "vcgen/VCGenBase.h"
 
 namespace relax {
 
-/// Options shared by the VC generators.
-struct VCGenOptions {
-  /// Emit division/bounds safety obligations (on by default; off
-  /// reproduces the paper's trap-free fragment exactly).
-  bool CheckSafety = true;
-  /// Run the simplifier on intermediate formulas.
-  bool Simplify = true;
-};
-
 /// Strongest-postcondition VC generator for |-o and |-i.
-class UnaryVCGen {
+class UnaryVCGen : public VCGenBase {
 public:
   /// \p J selects Original (Figure 7) or Intermediate (Figure 9) rules;
   /// Relaxed is invalid here.
@@ -61,40 +49,12 @@ public:
   /// Generates the whole-triple obligations for {Pre} S {Post}.
   void genTriple(const BoolExpr *Pre, const Stmt *S, const BoolExpr *Post);
 
-  /// Sets the display name stamped on emitted VCs' Proc field: the
-  /// procedure whose summary this generator run verifies ("main" by
-  /// default).
-  void setProcName(std::string Name) { ProcName = std::move(Name); }
-
-  /// Takes the accumulated VCs and derivation.
-  VCSet take() { return std::move(Out); }
-
 private:
-  AstContext &Ctx;
-  const Program &Prog;
-  JudgmentKind Judgment;
-  DiagnosticEngine &Diags;
-  VCGenOptions Opts;
-  Simplifier Simp;
-  VCSet Out;
-  std::string ProcName = "main";
-  /// Provenance state: the statement whose rule is currently being
-  /// applied (stamped on emitted VCs as their origin), and the running
-  /// count of obligation-formula rewrites (the simplify trace).
-  const Stmt *CurStmt = nullptr;
-  uint32_t SimplifyTraces = 0;
-
-  const BoolExpr *maybeSimplify(const BoolExpr *B);
-  void emitValidity(const BoolExpr *F, const char *Rule, SourceLoc Loc,
-                    std::string Description);
-  void emitSat(const BoolExpr *F, const char *Rule, SourceLoc Loc,
-               std::string Description);
-  void emitSafety(const BoolExpr *Pre, const BoolExpr *ProgramBool,
-                  const char *Rule, SourceLoc Loc);
-  void emitSafety(const BoolExpr *Pre, const Expr *ProgramExpr,
-                  const char *Rule, SourceLoc Loc);
-  void record(const char *Rule, const Stmt *S, const BoolExpr *Pre,
-              const BoolExpr *Post);
+  /// Emits "evaluating \p Program (a predicate or an expression) cannot
+  /// trap" under \p Pre.
+  template <typename T>
+  void emitSafety(const BoolExpr *Pre, const T *Program, const char *Rule,
+                  SourceLoc Loc);
 
   /// sp for `havoc (X) st (e)` and the intermediate `relax`:
   /// (exists X' . Pre[X'/X]) /\ e, plus the satisfiability premise.

@@ -45,11 +45,9 @@ inline ParsedProgram parseProgram(const std::string &Source) {
   return Out;
 }
 
-/// Parses and fully verifies \p Source with Z3; returns the report.
-/// Asserts that parsing succeeded.
-inline VerifyReport verifySource(const std::string &Source,
-                                 bool CheckSafety = true) {
-  ParsedProgram P = parseProgram(Source);
+/// Fully verifies the parsed program \p P with Z3; returns the report,
+/// whose formulas live in \p P's context. Asserts that parsing succeeded.
+inline VerifyReport verifyParsed(ParsedProgram &P, bool CheckSafety = true) {
   EXPECT_TRUE(P.ok()) << P.diagnostics();
   if (!P.ok())
     return VerifyReport();
@@ -61,9 +59,13 @@ inline VerifyReport verifySource(const std::string &Source,
   return V.run(Opts);
 }
 
-/// Renders a failure explanation for a report.
-inline std::string explain(const VerifyReport &R, const ParsedProgram &P) {
-  return renderReport(R, P.Ctx->symbols()) + P.diagnostics();
+/// Parses and fully verifies \p Source with Z3; returns the report. The
+/// program's context dies on return, so read the report's verdicts only:
+/// to render it or read its formulas, keep the program with verifyParsed.
+inline VerifyReport verifySource(const std::string &Source,
+                                 bool CheckSafety = true) {
+  ParsedProgram P = parseProgram(Source);
+  return verifyParsed(P, CheckSafety);
 }
 
 /// Path to the repository's example programs (set by CMake).

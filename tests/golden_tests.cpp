@@ -14,14 +14,24 @@
 // Regenerate a golden after an intentional change with:
 //   relaxc print examples/programs/<name>.rlx > tests/golden/<name>.golden
 //
+// Also pins every case study's printed obligations, the output of
+// `relaxc dump-vcs`, to tests/golden/<name>.vcs. An obligation's
+// persistent-cache key is its printed text (fresh names such as x'7
+// included), so a VC-generation change that alters it cold-starts every
+// --cache-dir and every daemon cache. Regenerate after an intentional
+// change with:
+//   relaxc dump-vcs examples/programs/<name>.rlx > tests/golden/<name>.vcs
+//
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "ast/Structural.h"
+#include "support/Subprocess.h"
 
 #include <fstream>
 #include <sstream>
+#include <unistd.h>
 
 using namespace relax;
 using namespace relax::test;
@@ -30,6 +40,33 @@ namespace {
 
 std::string goldenPath(const std::string &Name) {
   return std::string(RELAXC_GOLDEN_DIR) + "/" + Name;
+}
+
+/// The contents of golden file \p Name, or nullopt when it is missing.
+std::optional<std::string> slurpGolden(const std::string &Name) {
+  std::ifstream In(goldenPath(Name));
+  if (!In.good())
+    return std::nullopt;
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// The standard output of `relaxc dump-vcs <Path>`.
+std::string dumpVcs(const std::string &Path) {
+  Subprocess P;
+  Status S = P.spawn(driverPath(), {"dump-vcs", Path}, /*MergeStderr=*/false);
+  EXPECT_TRUE(S.ok()) << (S.ok() ? "" : S.message());
+  if (!S.ok())
+    return std::string();
+  P.closeStdin();
+  std::string Out;
+  char Buf[4096];
+  ssize_t N;
+  while ((N = ::read(P.readFd(), Buf, sizeof(Buf))) > 0)
+    Out.append(Buf, static_cast<size_t>(N));
+  EXPECT_EQ(P.waitForExit(), 0) << "relaxc dump-vcs " << Path;
+  return Out;
 }
 
 class GoldenRoundTrip : public ::testing::TestWithParam<const char *> {};
@@ -45,13 +82,12 @@ TEST_P(GoldenRoundTrip, PrintReparsePointerEqualAndMatchesGolden) {
   std::string Printed = Pr.print(*P1.Prog);
 
   // The printed form is pinned byte-for-byte.
-  std::ifstream In(goldenPath(std::string(GetParam()) + ".golden"));
-  if (!In.good())
+  std::optional<std::string> Golden =
+      slurpGolden(std::string(GetParam()) + ".golden");
+  if (!Golden)
     GTEST_SKIP() << "golden file not found: "
                  << goldenPath(std::string(GetParam()) + ".golden");
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  EXPECT_EQ(Buf.str(), Printed)
+  EXPECT_EQ(*Golden, Printed)
       << "printer output changed for " << GetParam()
       << "; if intentional, regenerate with `relaxc print`";
 
@@ -78,6 +114,18 @@ TEST_P(GoldenRoundTrip, PrintReparsePointerEqualAndMatchesGolden) {
 
   // Printing is a fixpoint: the re-parse prints back to the golden.
   EXPECT_EQ(Printed, Pr.print(*P2));
+}
+
+TEST_P(GoldenRoundTrip, DumpedObligationsMatchGolden) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  std::string Name = GetParam();
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name + ".rlx");
+  std::optional<std::string> Golden = slurpGolden(Name + ".vcs");
+  if (!Golden)
+    GTEST_SKIP() << "golden file not found: " << goldenPath(Name + ".vcs");
+  EXPECT_EQ(*Golden, dumpVcs(examplePath(Name + ".rlx")))
+      << "printed obligations changed for " << Name
+      << "; if intentional, regenerate with `relaxc dump-vcs`";
 }
 
 INSTANTIATE_TEST_SUITE_P(CaseStudies, GoldenRoundTrip,

@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "TestUtil.h"
 
 #include "eval/PairRunner.h"
@@ -108,7 +109,7 @@ void expectTheoremsHold(const std::string &Source, unsigned Pairs,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// The three case studies satisfy every theorem dynamically
+// Every case study satisfies every theorem dynamically
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -124,8 +125,7 @@ TEST_P(ExampleTheorems, AllFiveGuaranteesHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(CaseStudies, ExampleTheorems,
-                         ::testing::Values("swish.rlx", "water.rlx",
-                                           "lu.rlx"),
+                         ::testing::ValuesIn(CaseStudies),
                          [](const auto &Info) {
                            std::string N = Info.param;
                            return N.substr(0, N.find('.'));

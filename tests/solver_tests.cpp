@@ -16,6 +16,7 @@
 #include "solver/FormulaProgram.h"
 #include "server/VerifyServer.h"
 #include "solver/Z3Solver.h"
+#include "support/PersistentCache.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #endif
 
 #include <chrono>
+#include <iterator>
 #include <limits>
 
 using namespace relax;
@@ -673,34 +675,81 @@ TEST(CachingSolver, PermutedObligationSetHitsCache) {
   EXPECT_EQ(Backend.queryCount(), 2u);
 }
 
-TEST(CachingSolver, SwishCacheEffectivenessDoesNotRegress) {
+TEST(CachingSolver, CaseStudyCacheEffectivenessDoesNotRegress) {
   RELAXC_SKIP_WITHOUT_Z3();
-  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
-  // Regression pin for the cache on a real workload: swish's diverge rule
-  // re-proves the presentation loop under |-o and |-i, and with no
-  // iinvariant both sub-proofs generate several formula-identical
-  // obligations (entry, variant-bound, consequence), so a full
-  // verification must see repeated hits, and every obligation must issue
-  // exactly one query through the cache (hits + backend queries == VCs).
-  // The scheduler's shared cache fronts the caller's solver, so the hits
-  // are its. Recorded bounds from BM_Solver_Z3_CacheOnSwish
-  // (BENCH_solver_ablation.json): 26 VCs, 5 hits, 21 backend queries.
-  relax::test::ParsedProgram P = relax::test::parseProgram(Source);
-  ASSERT_TRUE(P.ok()) << P.diagnostics();
-  Z3Solver Backend(P.Ctx->symbols());
-  DiagnosticEngine Diags;
-  Verifier V(*P.Ctx, *P.Prog, Backend, Diags);
-  DischargeStats Stats;
-  Verifier::Options VO;
-  VO.StatsOut = &Stats;
-  VerifyReport R = V.run(VO);
-  ASSERT_TRUE(R.verified()) << renderReport(R, P.Ctx->symbols());
-  EXPECT_EQ(Stats.SharedCacheHits + Backend.queryCount(), R.totalVCs())
-      << "every obligation issues exactly one query through the cache";
-  EXPECT_GE(Stats.SharedCacheHits, 3u)
-      << "the repeated sub-proof obligations must hit";
-  EXPECT_LE(Backend.queryCount(), R.totalVCs() - 3)
-      << "cache effectiveness regressed below the recorded bound";
+  // Regression pin for the cache on real workloads, at one job. Under
+  // the default configuration (the caller's Z3 behind the scheduler's
+  // shared cache) every obligation issues exactly one query through the
+  // cache: hits + backend queries == VCs. swish's diverge rule re-proves
+  // the presentation loop under |-o and |-i, and with no iinvariant both
+  // sub-proofs generate several formula-identical obligations (entry,
+  // variant-bound, consequence), so it must see repeated hits. Recorded
+  // bounds from BM_Solver_Z3_CacheOnSwish (BENCH_solver_ablation.json):
+  // 26 VCs, 5 hits, 21 backend queries.
+  //
+  // The simplify,bounded,z3 pipeline looks each obligation up once too,
+  // in the prepare stage or, for a repeat of a pending query, in its
+  // slot: it reads the default configuration's hits and misses, its
+  // persistent tier sees no more lookups than there are obligations, and
+  // its queries and per-tier settled counts stay at the recorded values.
+  struct Pinned {
+    uint64_t Queries, SimplifySettled, Z3Settled;
+  };
+  const Pinned Pins[] = {{23, 1, 20}, {23, 1, 22}, {15, 1, 14}, {22, 1, 21},
+                         {8, 1, 7},   {6, 1, 5},   {27, 1, 26}, {23, 1, 20}};
+  static_assert(std::size(Pins) == std::size(relax::test::CaseStudies));
+  for (size_t K = 0; K != std::size(Pins); ++K) {
+    const char *Name = relax::test::CaseStudies[K];
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+    ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+    DiagnosticEngine Diags;
+
+    Z3Solver Backend(P.Ctx->symbols());
+    Verifier V(*P.Ctx, *P.Prog, Backend, Diags);
+    DischargeStats Default;
+    Verifier::Options VO;
+    VO.StatsOut = &Default;
+    VerifyReport R = V.run(VO);
+    ASSERT_TRUE(R.verified()) << renderReport(R, P.Ctx->symbols());
+    uint64_t Obligations = R.totalVCs();
+    EXPECT_EQ(Default.SharedCacheHits + Backend.queryCount(), Obligations)
+        << Name << ": every obligation issues exactly one query through "
+        << "the cache";
+    EXPECT_EQ(Default.SharedCacheHits + Default.SharedCacheMisses,
+              Obligations)
+        << Name;
+    if (std::string(Name) == "swish.rlx") {
+      EXPECT_GE(Default.SharedCacheHits, 3u)
+          << "the repeated sub-proof obligations must hit";
+      EXPECT_LE(Backend.queryCount(), Obligations - 3)
+          << "cache effectiveness regressed below the recorded bound";
+    }
+
+    // Never loaded or flushed: a cold persistent tier that touches no
+    // disk.
+    PersistentCache Disk(::testing::TempDir() + "relaxc_unflushed", "cfg");
+    BoundedSolver Unused;
+    Verifier PV(*P.Ctx, *P.Prog, Unused, Diags);
+    DischargeStats Pipe;
+    Verifier::Options PO;
+    PO.Portfolio = PortfolioOptions(); // simplify,bounded,z3
+    PO.SmtFactory = [&P] {
+      return std::make_unique<Z3Solver>(P.Ctx->symbols());
+    };
+    PO.PCache = &Disk;
+    PO.StatsOut = &Pipe;
+    ASSERT_TRUE(PV.run(PO).verified()) << Name;
+    EXPECT_EQ(Pipe.SharedCacheHits, Default.SharedCacheHits) << Name;
+    EXPECT_EQ(Pipe.SharedCacheMisses, Default.SharedCacheMisses) << Name;
+    EXPECT_LE(Disk.stats().Hits + Disk.stats().Misses, Obligations) << Name;
+    const PortfolioStats &PS = Pipe.Portfolio;
+    ASSERT_EQ(PS.Tiers.size(), 3u);
+    EXPECT_EQ(PS.Queries, Pins[K].Queries) << Name;
+    EXPECT_EQ(PS.Tiers[0].Settled, Pins[K].SimplifySettled) << Name;
+    EXPECT_EQ(PS.Tiers[1].Settled, 0u) << Name;
+    EXPECT_EQ(PS.Tiers[2].Settled, Pins[K].Z3Settled) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -141,9 +141,9 @@ TEST(ExamplesMutated, LuWiderRelaxationFails) {
 
 TEST(Report, RenderNamesJudgmentsAndVerdict) {
   RELAXC_SKIP_WITHOUT_Z3();
-  VerifyReport R = verifySource("int x; requires (x > 0); "
-                                "{ assert x > 0; }");
-  ParsedProgram P = parseProgram("int x; { skip; }");
+  ParsedProgram P = parseProgram("int x; requires (x > 0); "
+                                 "{ assert x > 0; }");
+  VerifyReport R = verifyParsed(P);
   std::string Text = renderReport(R, P.Ctx->symbols());
   EXPECT_NE(Text.find("|-o"), std::string::npos);
   EXPECT_NE(Text.find("|-r"), std::string::npos);
@@ -166,9 +166,9 @@ TEST(Report, FailedVCsIncludeRuleAndFormula) {
 
 TEST(Report, VerboseListsEverything) {
   RELAXC_SKIP_WITHOUT_Z3();
-  VerifyReport R = verifySource("int x; requires (x > 0); "
-                                "{ assert x > 0; }");
-  ParsedProgram P = parseProgram("int x; { skip; }");
+  ParsedProgram P = parseProgram("int x; requires (x > 0); "
+                                 "{ assert x > 0; }");
+  VerifyReport R = verifyParsed(P);
   std::string Brief = renderReport(R, P.Ctx->symbols(), false);
   std::string Verbose = renderReport(R, P.Ctx->symbols(), true);
   EXPECT_GT(Verbose.size(), Brief.size());
