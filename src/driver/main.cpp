@@ -22,7 +22,6 @@
 #include "parser/Parser.h"
 #include "server/VerifyServer.h"
 #include "solver/Portfolio.h"
-#include "solver/RemotePool.h"
 #include "solver/ShardPool.h"
 #include "solver/Z3Solver.h"
 #include "support/FaultInjection.h"
@@ -39,6 +38,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <signal.h>
@@ -63,9 +63,6 @@ struct CliOptions {
   unsigned Runs = 16;
   /// Worker processes of the sharded discharge tier (0 = in-process).
   unsigned Shards = 0;
-  /// Remote discharge worker endpoints (`--remote-workers=host:port,...`);
-  /// empty = none. Mutually exclusive with --shards=.
-  std::string RemoteWorkers;
   /// Daemon address for client mode (`--connect=<addr>`): ship the file
   /// to a `--serve` daemon instead of verifying locally.
   std::string Connect;
@@ -134,15 +131,6 @@ void printUsage() {
       "                            each with its own AST and solver "
       "contexts\n"
       "                            (verdicts are identical to --shards=0)\n"
-      "  --remote-workers=<addr,...>\n"
-      "                            like --shards=, but the workers are "
-      "remote:\n"
-      "                            one socket endpoint (host:port or\n"
-      "                            unix:/path) per worker, each running\n"
-      "                            `relaxc --discharge-worker "
-      "--listen=<addr>`\n"
-      "                            or a `--serve` daemon (verdicts are\n"
-      "                            identical to the in-process chain)\n"
       "  --connect=<addr>          verify via a `relaxc --serve=<addr>` "
       "daemon:\n"
       "                            ship the file, print the served "
@@ -152,7 +140,7 @@ void printUsage() {
       "verification\n"
       "                            daemon on unix:/path or host:port; "
       "serves\n"
-      "                            --connect= clients and shard requests\n"
+      "                            --connect= clients\n"
       "  --cache-dir=<dir>         persistent verdict cache for `verify`: "
       "settled\n"
       "                            obligations are reused across runs "
@@ -293,14 +281,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
       Opts.Shards = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--remote-workers=")) {
-      if (*V == '\0') {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --remote-workers value (expected a "
-                     "comma-separated endpoint list)\n");
-        return false;
-      }
-      Opts.RemoteWorkers = V;
     } else if (const char *V = Value("--connect=")) {
       if (*V == '\0') {
         std::fprintf(stderr, "relaxc: error: bad --connect value (expected "
@@ -351,22 +331,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                  "(there is no cache to audit without one)\n");
     return false;
   }
-  if (Opts.Shards > 0 && !Opts.RemoteWorkers.empty()) {
-    std::fprintf(stderr,
-                 "relaxc: error: --shards= and --remote-workers= are "
-                 "mutually exclusive (one pool per run)\n");
-    return false;
-  }
   if (!Opts.Connect.empty()) {
     if (Opts.Command != "verify") {
       std::fprintf(stderr, "relaxc: error: --connect= only applies to "
                            "`verify`\n");
       return false;
     }
-    if (Opts.Shards > 0 || !Opts.RemoteWorkers.empty()) {
+    if (Opts.Shards > 0) {
       std::fprintf(stderr,
                    "relaxc: error: --connect= ships the whole job to the "
-                   "daemon; pool flags belong to the daemon's side\n");
+                   "daemon, which runs no worker pool; drop --shards=\n");
       return false;
     }
     if (!Opts.CacheDir.empty()) {
@@ -409,11 +383,11 @@ void printOutcome(const Interner &Syms, const char *Title, const Outcome &O) {
     std::printf(" at line %u: %s\n", O.ErrorLoc.Line, O.Reason.c_str());
 }
 
-/// The `--solver-stats` lines of a worker pool: requests served per
+/// The `--solver-stats` lines of the worker pool: requests served per
 /// worker, respawns, and health.
-void printPoolStats(const DischargePool &Pool, const char *Label) {
+void printPoolStats(const ShardPool &Pool) {
   PoolStats PS = Pool.stats();
-  std::printf("  %s: %u workers, %llu requests, %llu respawns; served", Label,
+  std::printf("  shard pool: %u workers, %llu requests, %llu respawns; served",
               Pool.shardCount(), static_cast<unsigned long long>(PS.Requests),
               static_cast<unsigned long long>(PS.Respawns));
   for (uint64_t N : PS.PerWorker)
@@ -542,24 +516,121 @@ bool printExplain(const VerifyReport &Report, const std::string &Id,
 //===----------------------------------------------------------------------===//
 // The hidden --discharge-worker mode: one shard of the out-of-process
 // discharge tier. Reads length-prefixed requests (wire format in
-// solver/ShardPool.h) from stdin, or with --listen=<addr> from accepted
-// socket connections, rebuilds each query in its own AstContext through
-// the ordinary parser (serveShardRequest, server/VerifyServer.h), and
-// writes the verdict frame back. Any framing error is answered with a
-// diagnosed error frame (never a hang or crash) and ends the channel,
-// since the stream position is unrecoverable: a pipe worker exits 2, a
-// socket worker drops only that connection and keeps listening.
+// solver/ShardPool.h) from stdin, rebuilds each query in its own
+// AstContext through the ordinary parser, and writes the verdict frame
+// to stdout. Any framing error is answered with a diagnosed error frame
+// (never a hang or crash) and ends the worker, since the stream position
+// is unrecoverable.
 //===----------------------------------------------------------------------===//
 
-/// Serves shard requests on one channel until the pool closes it.
-/// Returns true on a clean EOF; false after a framing error or a failed
-/// response write. \p CrashFd is the fd the pool reads from, where the
-/// worker-exit fault site leaves its garbage partial header.
-bool serveWorkerChannel(Transport &T, ShardWorkerState &W, int CrashFd) {
+/// Persistent across the requests of one worker process: the context's
+/// hash-cons tables, compiled formula programs, and Z3 term memos
+/// amortize over the obligations one shard serves. Rebuilt when a
+/// request changes the solver configuration. Safe to keep warm — shard
+/// queries never run VC generation, so the verify session's fresh-context
+/// rule (server/VerifyServer.h) does not apply to this state.
+struct ShardWorkerState {
+  std::string ConfigKey;
+  std::unique_ptr<AstContext> Ctx;
+  std::unique_ptr<PortfolioSolver> Port;
+};
+
+/// Answers one shard discharge request (every malformed payload becomes
+/// a diagnosed error response, never a crash).
+ShardResponse serveShardRequest(ShardWorkerState &W,
+                                std::string_view Payload) {
+  ShardResponse Resp;
+  auto Fail = [&](std::string Msg) {
+    Resp = ShardResponse();
+    Resp.IsError = true;
+    Resp.Error = std::move(Msg);
+    return Resp;
+  };
+
+  Result<ShardRequest> Req = parseShardRequest(Payload);
+  if (!Req.ok())
+    return Fail("bad request: " + Req.message());
+  if (FaultRegistry::shouldFail(FaultSite::SolverCall))
+    return Fail("injected solver-call fault");
+  Result<std::vector<TierKind>> Tiers = parsePipelineSpec(Req->Pipeline);
+  if (!Tiers.ok())
+    return Fail("bad worker pipeline: " + Tiers.message());
+  for (TierKind K : *Tiers)
+    if (K == TierKind::Shard)
+      return Fail("a discharge worker cannot itself run a shard tier");
+
+  // The configuration key is the request's own serialization with the
+  // per-query parts stripped: any future field added to the bounded
+  // wire line automatically participates in config-change detection.
+  ShardRequest KeyReq;
+  KeyReq.Pipeline = Req->Pipeline;
+  KeyReq.Bounded = Req->Bounded;
+  KeyReq.FinalBoundedStepFactor = Req->FinalBoundedStepFactor;
+  std::string Key = serializeShardRequest(KeyReq);
+  if (!W.Ctx || W.ConfigKey != Key) {
+    W.Port.reset();
+    W.Ctx = std::make_unique<AstContext>();
+    PortfolioOptions PO;
+    PO.Tiers = *Tiers;
+    PO.Bounded = Req->Bounded;
+    PO.FinalBoundedStepFactor = Req->FinalBoundedStepFactor;
+    PortfolioSolver::BackendFactory Smt;
+    if (RELAXC_HAVE_Z3) {
+      AstContext *C = W.Ctx.get();
+      Smt = [C] { return std::make_unique<Z3Solver>(C->symbols()); };
+    }
+    W.Port = std::make_unique<PortfolioSolver>(*W.Ctx, PO, Smt);
+    W.ConfigKey = Key;
+  }
+
+  std::unordered_map<Symbol, VarKind> Kinds;
+  for (const auto &[Name, Kind] : Req->Vars)
+    Kinds[W.Ctx->sym(Name)] = Kind;
+
+  std::vector<const BoolExpr *> Formulas;
+  for (const std::string &Text : Req->Formulas) {
+    SourceManager SM;
+    SM.setBuffer("<shard-request>", Text);
+    DiagnosticEngine Diags;
+    Diags.setFileName("<shard-request>");
+    Parser P(*W.Ctx, SM, Diags);
+    const BoolExpr *F = P.parseStandaloneFormula(Kinds);
+    if (!F || Diags.hasErrors())
+      return Fail("formula parse error in '" + Text + "': " + Diags.render());
+    Formulas.push_back(F);
+  }
+
+  Model Mod;
+  Result<SatResult> R = SatResult::Unknown;
+  if (Req->WantModel) {
+    VarRefSet Vars;
+    for (const WireVar &V : Req->ModelVars)
+      Vars.insert(VarRef{W.Ctx->sym(V.Name), V.Tag, V.Kind});
+    R = W.Port->checkSatWithModel(Formulas, Vars, Mod);
+  } else {
+    R = W.Port->checkSat(Formulas);
+  }
+  if (!R.ok())
+    return Fail(R.message());
+
+  Resp.Verdict = *R;
+  Resp.SettledBy = W.Port->settledBy();
+  Resp.Trail = W.Port->giveUpTrail();
+  if (Req->WantModel && *R == SatResult::Sat)
+    Resp.Model = wireModelOf(Mod, W.Ctx->symbols());
+  return Resp;
+}
+
+/// Serves shard requests on stdin/stdout until the pool closes the pipe:
+/// exit 0 on a clean EOF, 2 after a framing error or a failed response
+/// write.
+int runDischargeWorker() {
+  ShardWorkerState W;
+  PipeTransport Stdio(/*ReadFd=*/0, /*WriteFd=*/1, /*OwnsFds=*/false);
   for (;;) {
-    FrameRead F = T.recvMs(-1);
+    FrameRead F = Stdio.recvMs(-1);
     if (F.eof())
-      return true;
+      return 0;
     if (!F.ok()) {
       // Truncated or garbage input: answer with a diagnosed error frame
       // (best effort) and give up the channel — continuing could
@@ -567,10 +638,10 @@ bool serveWorkerChannel(Transport &T, ShardWorkerState &W, int CrashFd) {
       ShardResponse Resp;
       Resp.IsError = true;
       Resp.Error = "frame error: " + F.Message;
-      (void)T.send(serializeShardResponse(Resp));
+      (void)Stdio.send(serializeShardResponse(Resp));
       std::fprintf(stderr, "relaxc: discharge worker: %s\n",
                    F.Message.c_str());
-      return false;
+      return 2;
     }
     // Chaos-suite crash site: die instead of answering, alternating
     // between vanishing silently and dying mid-frame (garbage partial
@@ -580,43 +651,15 @@ bool serveWorkerChannel(Transport &T, ShardWorkerState &W, int CrashFd) {
     // always 1 here because a worker dies on its first fire.
     if (FaultRegistry::shouldFail(FaultSite::WorkerExit)) {
       if (FaultRegistry::instance().drawCount(FaultSite::WorkerExit) % 2 == 1)
-        (void)!::write(CrashFd, "RLXF\xff\xff", 6);
+        (void)!::write(STDOUT_FILENO, "RLXF\xff\xff", 6);
       ::_exit(3);
     }
     ShardResponse Resp = serveShardRequest(W, F.Payload);
     if (FaultRegistry::shouldFail(FaultSite::ResponseDelay))
       std::this_thread::sleep_for(std::chrono::milliseconds(
           FaultRegistry::instance().delayMs()));
-    if (!T.send(serializeShardResponse(Resp)).ok())
-      return false; // the pool went away mid-response
-  }
-}
-
-/// Runs the worker on stdin/stdout (exit 0 on clean EOF, 2 otherwise),
-/// or with \p ListenAddr on socket connections, served sequentially (one
-/// remote-pool slot holds one connection at a time). The solver context
-/// stays warm across connections, so a reconnecting pool keeps its
-/// amortized state.
-int runDischargeWorker(const std::string &ListenAddr) {
-  ShardWorkerState W;
-  if (ListenAddr.empty()) {
-    PipeTransport Stdio(/*ReadFd=*/0, /*WriteFd=*/1, /*OwnsFds=*/false);
-    return serveWorkerChannel(Stdio, W, /*CrashFd=*/1) ? 0 : 2;
-  }
-  Result<SocketListener> L = SocketListener::bind(ListenAddr);
-  if (!L.ok()) {
-    std::fprintf(stderr, "relaxc: error: %s\n", L.message().c_str());
-    return 2;
-  }
-  // Readiness line on stdout: scripts poll for it (and, with an
-  // ephemeral TCP port, read the resolved address from it).
-  std::printf("relaxc: discharge worker listening on %s\n",
-              L->address().c_str());
-  std::fflush(stdout);
-  for (;;) {
-    Result<std::unique_ptr<Transport>> C = L->accept();
-    if (C.ok()) // else a transient accept error
-      (void)serveWorkerChannel(**C, W, (*C)->recvFd());
+    if (!Stdio.send(serializeShardResponse(Resp)).ok())
+      return 2; // the pool went away mid-response
   }
 }
 
@@ -754,11 +797,10 @@ int runConnectVerify(const CliOptions &Opts) {
 }
 
 /// `verify <file>`: runs the verify session, with the worker pool of
-/// --shards= / --remote-workers= and the --cache-dir= cache around it,
-/// and prints what the session returns.
+/// --shards= and the --cache-dir= cache around it, and prints what the
+/// session returns.
 int runVerify(const CliOptions &Opts) {
-  std::unique_ptr<DischargePool> Pool; // must outlive the session
-  const char *PoolLabel = "shard pool";
+  std::unique_ptr<ShardPool> Pool; // must outlive the session
   if (Opts.Shards > 0) {
     ShardPoolOptions SO;
     SO.Shards = Opts.Shards;
@@ -769,22 +811,6 @@ int runVerify(const CliOptions &Opts) {
       return 2;
     }
     Pool = std::move(*PR);
-  } else if (!Opts.RemoteWorkers.empty()) {
-    RemotePoolOptions RO;
-    for (size_t Pos = 0; Pos <= Opts.RemoteWorkers.size();) {
-      size_t Comma = Opts.RemoteWorkers.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = Opts.RemoteWorkers.size();
-      RO.Endpoints.push_back(Opts.RemoteWorkers.substr(Pos, Comma - Pos));
-      Pos = Comma + 1;
-    }
-    Result<std::unique_ptr<RemotePool>> PR = RemotePool::create(std::move(RO));
-    if (!PR.ok()) {
-      std::fprintf(stderr, "relaxc: error: %s\n", PR.message().c_str());
-      return 2;
-    }
-    Pool = std::move(*PR);
-    PoolLabel = "remote pool";
   }
 
   // --cache-dir=: the persistent verdict cache, fronting the scheduler's
@@ -811,7 +837,7 @@ int runVerify(const CliOptions &Opts) {
   std::fputs(Job.Diagnostics.c_str(), stderr);
   std::fputs(Job.Report.c_str(), stdout);
   if (Opts.Verify.SolverStats && Pool)
-    printPoolStats(*Pool, PoolLabel);
+    printPoolStats(*Pool);
   if (Job.Ctx && !Opts.Explain.empty() &&
       !printExplain(Job.Verdicts, Opts.Explain, *Job.Ctx))
     return 2;
@@ -955,23 +981,24 @@ int main(int Argc, char **Argv) {
     return runServe(Argc, Argv);
 
   // The hidden worker mode of the sharded discharge tier: no file, no
-  // command — just the frame loop over stdin/stdout (or, with
-  // --listen=<addr>, over accepted socket connections). Workers accept
+  // command — just the frame loop over stdin/stdout. Workers accept
   // --faults= directly so tests can arm them via pool WorkerArgs without
-  // touching the parent's environment.
+  // touching the parent's environment; any other argument is an error.
   if (Argc >= 2 && std::strcmp(Argv[1], "--discharge-worker") == 0) {
-    std::string ListenAddr;
     for (int I = 2; I < Argc; ++I) {
-      if (std::strncmp(Argv[I], "--faults=", 9) == 0) {
-        if (Status S = FaultRegistry::instance().arm(Argv[I] + 9); !S.ok()) {
-          std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
-          return 2;
-        }
-      } else if (std::strncmp(Argv[I], "--listen=", 9) == 0) {
-        ListenAddr = Argv[I] + 9;
+      if (std::strncmp(Argv[I], "--faults=", 9) != 0) {
+        std::fprintf(stderr,
+                     "relaxc: error: unknown --discharge-worker option "
+                     "'%s'\n",
+                     Argv[I]);
+        return 2;
+      }
+      if (Status S = FaultRegistry::instance().arm(Argv[I] + 9); !S.ok()) {
+        std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
+        return 2;
       }
     }
-    return runDischargeWorker(ListenAddr);
+    return runDischargeWorker();
   }
 
   CliOptions Opts;

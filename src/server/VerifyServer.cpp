@@ -10,7 +10,6 @@
 #include "parser/Parser.h"
 #include "solver/BoundedSolver.h"
 #include "solver/Z3Solver.h"
-#include "support/FaultInjection.h"
 #include "support/IntMath.h"
 
 #include <algorithm>
@@ -19,108 +18,10 @@
 #include <cstdio>
 #include <cstring>
 #include <thread>
-#include <unordered_map>
 
 #include <poll.h>
 
 using namespace relax;
-
-//===----------------------------------------------------------------------===//
-// Shard-request serving (moved verbatim from the driver so the daemon,
-// the pipe worker, and the socket worker answer identically)
-//===----------------------------------------------------------------------===//
-
-ShardResponse relax::serveShardRequest(ShardWorkerState &W,
-                                       std::string_view Payload) {
-  ShardResponse Resp;
-  auto Fail = [&](std::string Msg) {
-    Resp = ShardResponse();
-    Resp.IsError = true;
-    Resp.Error = std::move(Msg);
-    return Resp;
-  };
-
-  Result<ShardRequest> Req = parseShardRequest(Payload);
-  if (!Req.ok())
-    return Fail("bad request: " + Req.message());
-  if (FaultRegistry::shouldFail(FaultSite::SolverCall))
-    return Fail("injected solver-call fault");
-  Result<std::vector<TierKind>> Tiers = parsePipelineSpec(Req->Pipeline);
-  if (!Tiers.ok())
-    return Fail("bad worker pipeline: " + Tiers.message());
-  for (TierKind K : *Tiers)
-    if (K == TierKind::Shard)
-      return Fail("a discharge worker cannot itself run a shard tier");
-
-  // The configuration key is the request's own serialization with the
-  // per-query parts stripped: any future field added to the bounded
-  // wire line automatically participates in config-change detection.
-  ShardRequest KeyReq;
-  KeyReq.Pipeline = Req->Pipeline;
-  KeyReq.Bounded = Req->Bounded;
-  KeyReq.FinalBoundedStepFactor = Req->FinalBoundedStepFactor;
-  std::string Key = serializeShardRequest(KeyReq);
-  if (!W.Ctx || W.ConfigKey != Key) {
-    W.Port.reset();
-    W.Ctx = std::make_unique<AstContext>();
-    PortfolioOptions PO;
-    PO.Tiers = *Tiers;
-    PO.Bounded = Req->Bounded;
-    PO.FinalBoundedStepFactor = Req->FinalBoundedStepFactor;
-    PortfolioSolver::BackendFactory Smt;
-    if (RELAXC_HAVE_Z3) {
-      AstContext *C = W.Ctx.get();
-      Smt = [C] { return std::make_unique<Z3Solver>(C->symbols()); };
-    }
-    W.Port = std::make_unique<PortfolioSolver>(*W.Ctx, PO, Smt);
-    W.ConfigKey = Key;
-  }
-
-  std::unordered_map<Symbol, VarKind> Kinds;
-  for (const auto &[Name, Kind] : Req->Vars)
-    Kinds[W.Ctx->sym(Name)] = Kind;
-
-  std::vector<const BoolExpr *> Formulas;
-  for (const std::string &Text : Req->Formulas) {
-    SourceManager SM;
-    SM.setBuffer("<shard-request>", Text);
-    DiagnosticEngine Diags;
-    Diags.setFileName("<shard-request>");
-    Parser P(*W.Ctx, SM, Diags);
-    const BoolExpr *F = P.parseStandaloneFormula(Kinds);
-    if (!F || Diags.hasErrors())
-      return Fail("formula parse error in '" + Text + "': " + Diags.render());
-    Formulas.push_back(F);
-  }
-
-  Model Mod;
-  Result<SatResult> R = SatResult::Unknown;
-  if (Req->WantModel) {
-    VarRefSet Vars;
-    for (const WireVar &V : Req->ModelVars)
-      Vars.insert(VarRef{W.Ctx->sym(V.Name), V.Tag, V.Kind});
-    R = W.Port->checkSatWithModel(Formulas, Vars, Mod);
-  } else {
-    R = W.Port->checkSat(Formulas);
-  }
-  if (!R.ok())
-    return Fail(R.message());
-
-  Resp.Verdict = *R;
-  Resp.SettledBy = W.Port->settledBy();
-  Resp.Trail = W.Port->giveUpTrail();
-  if (Req->WantModel && *R == SatResult::Sat)
-    Resp.Model = wireModelOf(Mod, W.Ctx->symbols());
-  return Resp;
-}
-
-bool relax::isShardRequestPayload(std::string_view Payload) {
-  return Payload.rfind("relax-shard-request", 0) == 0;
-}
-
-bool relax::isVerifyRequestPayload(std::string_view Payload) {
-  return Payload.rfind("relax-verify-request", 0) == 0;
-}
 
 //===----------------------------------------------------------------------===//
 // The verify wire codec
@@ -658,12 +559,11 @@ VerifyWireResponse VerifyServer::handleVerify(std::string_view Payload) {
     return Refusal;
   }
   // The daemon's two input checks. A shard tier can only come last, and
-  // a served request may not name one: the daemon is already the far
-  // side of one.
+  // a served request may not name one: the daemon runs no worker pool.
   Result<std::vector<TierKind>> Tiers = parsePipelineSpec(Req->Pipeline);
   if (Tiers.ok() && Tiers->back() == TierKind::Shard) {
     Refusal.Error = "a served verify request cannot run a shard tier (the "
-                    "daemon is already the far side of one)";
+                    "daemon runs no worker pool)";
     return Refusal;
   }
   // Clamp the request deadline to the server's cap so one client cannot
@@ -683,10 +583,6 @@ VerifyWireResponse VerifyServer::handleVerify(std::string_view Payload) {
 }
 
 void VerifyServer::serveConnection(std::shared_ptr<Transport> Conn) {
-  // Shard-serving context, warm across the frames of this connection —
-  // one remote-pool slot maps to one connection, so this is the daemon's
-  // counterpart of a pipe worker's per-process warm state.
-  ShardWorkerState Shard;
   for (;;) {
     if (Stopping.load())
       break;
@@ -714,19 +610,9 @@ void VerifyServer::serveConnection(std::shared_ptr<Transport> Conn) {
       (void)Conn->send(serializeVerifyResponse(E));
       break;
     }
-    std::string Out;
-    if (isShardRequestPayload(F.Payload)) {
-      Out = serializeShardResponse(serveShardRequest(Shard, F.Payload));
-    } else if (isVerifyRequestPayload(F.Payload)) {
-      Out = serializeVerifyResponse(handleVerify(F.Payload));
-    } else {
-      VerifyWireResponse E;
-      E.IsError = true;
-      E.ExitStatus = 2;
-      E.Error = "unrecognized request magic";
-      Out = serializeVerifyResponse(E);
-    }
-    if (!Conn->send(Out).ok())
+    // Every frame is a verify request; anything else fails its parse and
+    // is refused with status 2 on a connection that stays open.
+    if (!Conn->send(serializeVerifyResponse(handleVerify(F.Payload))).ok())
       break;
   }
   {

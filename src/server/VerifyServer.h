@@ -18,20 +18,15 @@
 /// derived from the configuration in exactly one place. Every job runs a
 /// portfolio: without a pipeline, the one tier `--solver=` names.
 ///
-/// The daemon is a long-lived process accepting framed requests over a
-/// Unix-domain or TCP socket (support/Transport.h). Two request kinds
-/// share the wire, dispatched by payload magic:
-///
-/// * Shard discharge requests (solver/ShardPool.h wire) — so a daemon
-///   doubles as a remote worker for `--remote-workers=`, with a warm
-///   per-connection solver context like a pipe worker's.
-/// * Verify requests — a whole program plus its configuration; the
-///   response carries the session's report, diagnostics, and exit
-///   status (0 verified / 1 refuted / 2 static error / 3 gave up), so
-///   `relaxc verify f.rlx --connect=<addr>` is a drop-in for a local
-///   run. Two input checks are the daemon's own: a served request may
-///   not name a literal `shard` tier (the daemon is already the far side
-///   of one), and `--serve-max-request-ms` clamps its deadline.
+/// The daemon is a long-lived process accepting framed verify requests
+/// over a Unix-domain or TCP socket (support/Transport.h): a whole
+/// program plus its configuration per frame. The response carries the
+/// session's report, diagnostics, and exit status (0 verified / 1
+/// refuted / 2 static error / 3 gave up), so `relaxc verify f.rlx
+/// --connect=<addr>` is a drop-in for a local run. Any other payload is
+/// refused with a diagnosed status-2 response. Two input checks are the
+/// daemon's own: a served request may not name a literal `shard` tier,
+/// and `--serve-max-request-ms` clamps its deadline.
 ///
 /// Warm state is chosen to keep verdicts bit-identical to a standalone
 /// run: each session gets a FRESH AstContext (VC generation through a
@@ -61,31 +56,6 @@
 #include <mutex>
 
 namespace relax {
-
-//===----------------------------------------------------------------------===//
-// Shard-request serving (shared by the pipe worker, the socket worker,
-// and the daemon)
-//===----------------------------------------------------------------------===//
-
-/// Persistent across requests of one worker/connection: the context's
-/// hash-cons tables, compiled formula programs, and Z3 term memos
-/// amortize over the obligations one shard serves. Rebuilt when a
-/// request changes the solver configuration. Safe to keep warm — shard
-/// queries never run VC generation, so the fresh-counter caveat above
-/// does not apply to this state.
-struct ShardWorkerState {
-  std::string ConfigKey;
-  std::unique_ptr<AstContext> Ctx;
-  std::unique_ptr<PortfolioSolver> Port;
-};
-
-/// Answers one shard discharge request (every malformed payload becomes
-/// a diagnosed error response, never a crash).
-ShardResponse serveShardRequest(ShardWorkerState &W, std::string_view Payload);
-
-/// Payload-magic dispatch for a multiplexed server loop.
-bool isShardRequestPayload(std::string_view Payload);
-bool isVerifyRequestPayload(std::string_view Payload);
 
 //===----------------------------------------------------------------------===//
 // The verify wire

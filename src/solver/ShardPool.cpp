@@ -12,6 +12,7 @@
 #include "support/FaultInjection.h"
 #include "support/IntMath.h"
 #include "support/Random.h"
+#include "support/Transport.h"
 
 #include <algorithm>
 #include <map>
@@ -232,29 +233,53 @@ Result<ShardResponse> relax::parseShardResponse(std::string_view Payload) {
 }
 
 //===----------------------------------------------------------------------===//
-// WorkerPoolBase — the shared borrow/health/retry machinery
+// ShardPool
 //===----------------------------------------------------------------------===//
 
-void WorkerPoolBase::initSlots(unsigned N) {
-  Slots.clear();
-  for (unsigned I = 0; I != N; ++I)
-    Slots.push_back(std::make_unique<Slot>());
+Result<std::unique_ptr<ShardPool>> ShardPool::create(ShardPoolOptions Opts) {
+  using R = Result<std::unique_ptr<ShardPool>>;
+  if (Opts.Shards == 0)
+    return R::error("a shard pool needs at least one worker");
+  if (Opts.WorkerExe.empty())
+    return R::error("no worker executable configured for the shard pool");
+  // Belt and braces next to the per-spawn handler in Subprocess: the pool
+  // outlives individual workers, and a worker dying mid-write must
+  // surface as a frame error on this side, never a SIGPIPE kill.
+  ::signal(SIGPIPE, SIG_IGN);
+  std::unique_ptr<ShardPool> P(new ShardPool(std::move(Opts)));
+  for (unsigned I = 0; I != P->Opts.Shards; ++I) {
+    P->Slots.push_back(std::make_unique<Slot>());
+    // A failed initial spawn is tolerated: the slot stays Healthy with no
+    // process, and the first borrower retries through the respawn path
+    // (spending budget there). Creation only fails on misconfiguration,
+    // checked above — not on transient spawn trouble.
+    (void)P->spawnWorker(*P->Slots.back());
+  }
+  return R(std::move(P));
 }
 
-void WorkerPoolBase::noteFailureLocked(unsigned I, Slot &S) {
+ShardPool::~ShardPool() = default; // Subprocess dtors reap the workers
+
+Status ShardPool::spawnWorker(Slot &S) {
+  if (FaultRegistry::shouldFail(FaultSite::WorkerSpawn))
+    return Status::error("injected worker-spawn fault");
+  return S.Proc.spawn(Opts.WorkerExe, Opts.WorkerArgs);
+}
+
+void ShardPool::noteFailureLocked(Slot &S) {
   ++Failures;
   ++S.ConsecutiveFailures;
-  if (!workerAlive(I) && S.Respawns >= HOpts.MaxRespawnsPerWorker) {
-    // No channel and no budget to make one: terminal.
+  if (!S.Proc.running() && S.Respawns >= Opts.MaxRespawnsPerWorker) {
+    // No process and no budget to make one: terminal.
     S.Health = WorkerHealth::Dead;
-  } else if (S.ConsecutiveFailures >= HOpts.CircuitBreakerThreshold) {
+  } else if (S.ConsecutiveFailures >= Opts.CircuitBreakerThreshold) {
     // Trip the breaker: the slot sits out a (growing) quarantine, then
     // exactly one borrower probes it. One bad worker thus costs each
     // request at most one failed attempt instead of failing all of them.
     uint64_t Ms =
-        std::min<uint64_t>(static_cast<uint64_t>(HOpts.QuarantineBaseMs)
+        std::min<uint64_t>(static_cast<uint64_t>(Opts.QuarantineBaseMs)
                                << std::min(S.Quarantines, 20u),
-                           HOpts.QuarantineMaxMs);
+                           Opts.QuarantineMaxMs);
     S.Health = WorkerHealth::Quarantined;
     S.ProbeAt =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(Ms);
@@ -268,23 +293,23 @@ void WorkerPoolBase::noteFailureLocked(unsigned I, Slot &S) {
     DegradedFlag = true;
 }
 
-bool WorkerPoolBase::degraded() const {
+bool ShardPool::degraded() const {
   std::lock_guard<std::mutex> L(M);
   return DegradedFlag;
 }
 
-void WorkerPoolBase::noteFallback() {
+void ShardPool::noteFallback() {
   std::lock_guard<std::mutex> L(M);
   ++DegradedFallbacks;
 }
 
-void WorkerPoolBase::terminateWorker(unsigned I) {
+void ShardPool::terminateWorker(unsigned I) {
   std::lock_guard<std::mutex> L(M);
   if (I < Slots.size())
-    killWorker(I);
+    Slots[I]->Proc.terminate();
 }
 
-PoolStats WorkerPoolBase::stats() const {
+PoolStats ShardPool::stats() const {
   std::lock_guard<std::mutex> L(M);
   PoolStats S;
   S.Requests = Requests;
@@ -301,11 +326,11 @@ PoolStats WorkerPoolBase::stats() const {
   return S;
 }
 
-Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
-                                                int TimeoutMs) {
+Result<ShardResponse> ShardPool::discharge(const ShardRequest &R,
+                                           int TimeoutMs) {
   const std::string Payload = serializeShardRequest(R);
   std::string FailDetail = "no attempt made";
-  int ReadTimeoutMs = HOpts.RoundTripTimeoutMs;
+  int ReadTimeoutMs = Opts.RoundTripTimeoutMs;
   if (TimeoutMs >= 0 && TimeoutMs < ReadTimeoutMs)
     ReadTimeoutMs = TimeoutMs;
   {
@@ -314,11 +339,11 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
   }
 
   for (int Attempt = 0; Attempt != 2; ++Attempt) {
-    // Borrow a slot; Busy grants exclusive use of its channel. Candidates
+    // Borrow a slot; Busy grants exclusive use of its process. Candidates
     // are non-Busy, non-Dead slots that are Healthy or whose quarantine
-    // has elapsed (the probe), and that either have a live channel or
-    // revive budget left. Only inspect a *free* slot's channel — a busy
-    // slot's channel belongs to its borrower.
+    // has elapsed (the probe), and that either have a live process or
+    // respawn budget left. Only inspect a *free* slot's process — a busy
+    // slot's process belongs to its borrower.
     using Clock = std::chrono::steady_clock;
     unsigned SlotIndex = 0;
     Slot *S = nullptr;
@@ -326,12 +351,10 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
       std::unique_lock<std::mutex> L(M);
       for (;;) {
         Clock::time_point Now = Clock::now();
-        bool AnyBusy = false, AllDead = true, HaveProbe = false;
+        bool AnyBusy = false, HaveProbe = false;
         Clock::time_point EarliestProbe = Clock::time_point::max();
         for (unsigned I = 0; I != Slots.size(); ++I) {
           Slot *W = Slots[I].get();
-          if (W->Health != WorkerHealth::Dead)
-            AllDead = false;
           if (W->Busy) {
             AnyBusy = true;
             continue;
@@ -343,8 +366,9 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
             EarliestProbe = std::min(EarliestProbe, W->ProbeAt);
             continue;
           }
-          if (!workerAlive(I) && W->Respawns >= HOpts.MaxRespawnsPerWorker) {
-            // Out of budget with no channel; finish the transition here
+          if (!W->Proc.running() &&
+              W->Respawns >= Opts.MaxRespawnsPerWorker) {
+            // Out of budget with no process; finish the transition here
             // (failures normally do it, but a terminateWorker() corpse
             // can reach this state without one).
             W->Health = WorkerHealth::Dead;
@@ -356,9 +380,7 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
         }
         if (S)
           break;
-        // Re-evaluate AllDead after the budget check above may have
-        // marked stragglers Dead.
-        AllDead = true;
+        bool AllDead = true;
         for (const auto &W : Slots)
           AllDead = AllDead && W->Health == WorkerHealth::Dead;
         if (AllDead) {
@@ -377,7 +399,7 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
     }
 
     std::string Err;
-    if (!workerAlive(SlotIndex)) {
+    if (!S->Proc.running()) {
       unsigned RespawnIndex;
       {
         std::lock_guard<std::mutex> L(M);
@@ -389,28 +411,29 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
       // siblings keep serving. The jitter subtracts up to half the delay,
       // hashed from (seed, slot, attempt) — reproducible, yet de-phased
       // across slots.
-      if (HOpts.RespawnBackoffBaseMs > 0) {
+      if (Opts.RespawnBackoffBaseMs > 0) {
         uint64_t Ms = std::min<uint64_t>(
-            static_cast<uint64_t>(HOpts.RespawnBackoffBaseMs)
+            static_cast<uint64_t>(Opts.RespawnBackoffBaseMs)
                 << std::min(RespawnIndex - 1, 20u),
-            HOpts.RespawnBackoffMaxMs);
+            Opts.RespawnBackoffMaxMs);
         uint64_t Jitter =
-            splitMixHash(HOpts.JitterSeed ^ (uint64_t(SlotIndex) << 32) ^
+            splitMixHash(Opts.JitterSeed ^ (uint64_t(SlotIndex) << 32) ^
                          RespawnIndex) %
             (Ms / 2 + 1);
         std::this_thread::sleep_for(std::chrono::milliseconds(Ms - Jitter));
       }
-      if (Status St = reviveWorker(SlotIndex); !St.ok())
+      if (Status St = spawnWorker(*S); !St.ok())
         Err = "worker respawn failed: " + St.message();
     }
     if (Err.empty()) {
-      Transport *Chan = channel(SlotIndex);
-      if (!Chan) {
-        Err = "request write failed: worker has no channel";
-      } else if (Status St = Chan->send(Payload); !St.ok()) {
+      // Non-owning view of the worker's pipes: the Subprocess owns the
+      // fds (terminate/respawn), the transport only frames over them.
+      PipeTransport Chan(S->Proc.readFd(), S->Proc.writeFd(),
+                         /*OwnsFds=*/false);
+      if (Status St = Chan.send(Payload); !St.ok()) {
         Err = "request write failed: " + St.message();
       } else {
-        FrameRead F = Chan->recvMs(ReadTimeoutMs);
+        FrameRead F = Chan.recvMs(ReadTimeoutMs);
         if (F.ok()) {
           {
             std::lock_guard<std::mutex> L(M);
@@ -427,69 +450,19 @@ Result<ShardResponse> WorkerPoolBase::discharge(const ShardRequest &R,
         Err = F.eof() ? "worker exited before answering"
                       : "response read failed: " + F.Message;
       }
-      // The channel state is unknown after an I/O failure; kill the
-      // worker so the next borrower revives a clean one. This is also
-      // how a socket channel's lazily-detected peer death (EOF at the
-      // read) converges with the pipe channel's eagerly-known corpse:
-      // both leave the slot channel-less for the retry's revive path.
-      killWorker(SlotIndex);
+      // The pipe state is unknown after an I/O failure; kill the worker
+      // so the next borrower respawns a clean one.
+      S->Proc.terminate();
     }
     {
       std::lock_guard<std::mutex> L(M);
-      noteFailureLocked(SlotIndex, *S);
+      noteFailureLocked(*S);
       S->Busy = false;
     }
     FreeCV.notify_all();
     FailDetail = Err;
   }
   return Result<ShardResponse>::error("shard discharge failed: " + FailDetail);
-}
-
-//===----------------------------------------------------------------------===//
-// ShardPool
-//===----------------------------------------------------------------------===//
-
-Result<std::unique_ptr<ShardPool>> ShardPool::create(ShardPoolOptions Opts) {
-  using R = Result<std::unique_ptr<ShardPool>>;
-  if (Opts.Shards == 0)
-    return R::error("a shard pool needs at least one worker");
-  if (Opts.WorkerExe.empty())
-    return R::error("no worker executable configured for the shard pool");
-  // Belt and braces next to the per-spawn handler in Subprocess: the pool
-  // outlives individual workers, and a worker dying mid-write must
-  // surface as a frame error on this side, never a SIGPIPE kill.
-  ::signal(SIGPIPE, SIG_IGN);
-  std::unique_ptr<ShardPool> P(new ShardPool(std::move(Opts)));
-  P->initSlots(P->Opts.Shards);
-  for (unsigned I = 0; I != P->Opts.Shards; ++I) {
-    P->Procs.push_back(std::make_unique<Subprocess>());
-    P->Pipes.push_back(nullptr);
-    // A failed initial spawn is tolerated: the slot stays Healthy with no
-    // process, and the first borrower retries through the respawn path
-    // (spending budget there). Creation only fails on misconfiguration,
-    // checked above — not on transient spawn trouble.
-    (void)P->reviveWorker(I);
-  }
-  return R(std::move(P));
-}
-
-ShardPool::~ShardPool() = default; // Subprocess dtors reap the workers
-
-Status ShardPool::reviveWorker(unsigned I) {
-  if (FaultRegistry::shouldFail(FaultSite::WorkerSpawn))
-    return Status::error("injected worker-spawn fault");
-  if (Status S = Procs[I]->spawn(Opts.WorkerExe, Opts.WorkerArgs); !S.ok())
-    return S;
-  // Non-owning view of the subprocess pipes: Subprocess manages the fds'
-  // lifetime (terminate/respawn), the transport only frames over them.
-  Pipes[I] = std::make_unique<PipeTransport>(
-      Procs[I]->readFd(), Procs[I]->writeFd(), /*OwnsFds=*/false);
-  return Status::success();
-}
-
-void ShardPool::killWorker(unsigned I) {
-  Procs[I]->terminate();
-  Pipes[I].reset();
 }
 
 //===----------------------------------------------------------------------===//

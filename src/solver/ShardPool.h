@@ -31,8 +31,8 @@
 /// generated VC formulas: element reads over `store(...)` and freshened
 /// names (`x'1`) print and re-parse (pinned by shard_tests). The bounded
 /// configuration rides as its one text form (formatBoundedOptions), and
-/// every number is parsed strictly: any peer that connects can send a
-/// frame, so a malformed value is an error, never a clamped guess.
+/// every number is parsed strictly: a malformed value is an error, never
+/// a clamped guess.
 ///
 /// ## Determinism
 ///
@@ -50,7 +50,6 @@
 #include "solver/BoundedSolver.h"
 #include "solver/ModelCodec.h"
 #include "support/Subprocess.h"
-#include "support/Transport.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -95,12 +94,12 @@ Result<ShardResponse> parseShardResponse(std::string_view Payload);
 /// Health state of one pool worker slot (see the health model below).
 enum class WorkerHealth : uint8_t { Healthy, Quarantined, Dead };
 
-/// Aggregated pool statistics, identical across pool flavors so the
-/// driver and the chaos pins read one shape.
+/// Aggregated pool statistics: what the driver's `--solver-stats` lines
+/// and the chaos pins read.
 struct PoolStats {
   uint64_t Requests = 0; ///< discharge() calls (not per-attempt)
   uint64_t Attempts = 0; ///< slot borrows, including the sound retries
-  uint64_t Respawns = 0; ///< process respawns / connection re-dials
+  uint64_t Respawns = 0; ///< worker process respawns
   uint64_t Failures = 0;    ///< failed round-trip attempts
   uint64_t Quarantines = 0; ///< circuit-breaker trips across all slots
   uint64_t DegradedFallbacks = 0; ///< queries answered by the fallback
@@ -109,10 +108,8 @@ struct PoolStats {
   std::vector<WorkerHealth> PerWorkerHealth;
 };
 
-/// The abstract pool the portfolio's shard tier dispatches to: a
-/// subprocess pool (ShardPool), a remote socket pool (RemotePool), or a
-/// test double. All flavors share the retry/health/degradation contract
-/// documented on ShardPool.
+/// What the portfolio's shard tier dispatches to: the interface of
+/// ShardPool below, whose retry/health/degradation contract it carries.
 class DischargePool {
 public:
   using WorkerHealth = ::relax::WorkerHealth;
@@ -123,7 +120,7 @@ public:
   virtual unsigned shardCount() const = 0;
 
   /// Serializes \p R, round-trips it on any free healthy (or probe-due)
-  /// worker, and parses the response. A dead worker is revived with
+  /// worker, and parses the response. A dead worker is respawned with
   /// backoff (bounded by MaxRespawnsPerWorker) and the request retried on
   /// failure exactly once — the single sound retry: worker answers are
   /// pure functions of the request, so a retry cannot change a verdict,
@@ -144,19 +141,24 @@ public:
   virtual PoolStats stats() const = 0;
 };
 
-/// Health-machine knobs shared by every worker-backed pool flavor.
-struct PoolHealthOptions {
+/// Pool configuration: the workers, and the knobs of the health machine
+/// documented on ShardPool.
+struct ShardPoolOptions {
+  unsigned Shards = 2;
+  /// The worker executable — normally currentExecutablePath() of the
+  /// relaxc driver itself.
+  std::string WorkerExe;
+  std::vector<std::string> WorkerArgs = {"--discharge-worker"};
   /// Per-round-trip read timeout; a hung worker is diagnosed, not waited
   /// on forever.
   int RoundTripTimeoutMs = 600'000;
-  /// Lifetime revive budget per worker slot (process respawns on the
-  /// pipe flavor, reconnects on the socket flavor); an exhausted slot
-  /// with no live channel transitions to Dead.
+  /// Lifetime respawn budget per worker slot; an exhausted slot with no
+  /// live process transitions to Dead.
   unsigned MaxRespawnsPerWorker = 3;
-  /// Exponential revive backoff: revive K of a slot sleeps
+  /// Exponential respawn backoff: respawn K of a slot sleeps
   /// min(Base << (K-1), Max) ms minus a deterministic jitter (hashed from
   /// JitterSeed, the slot index, and K — no wall-clock randomness), so
-  /// all slots crashing at once do not revive in lockstep. Base 0
+  /// all slots crashing at once do not respawn in lockstep. Base 0
   /// disables the sleep (tests use this to keep chaos runs fast).
   unsigned RespawnBackoffBaseMs = 25;
   unsigned RespawnBackoffMaxMs = 1000;
@@ -170,94 +172,11 @@ struct PoolHealthOptions {
   unsigned QuarantineMaxMs = 2000;
 };
 
-/// The shared machinery of a worker-backed pool: slot borrowing, the
-/// per-slot health state machine, the single sound retry, revive
-/// backoff, and statistics. Subclasses provide the channel operations —
-/// a subprocess pipe pair (ShardPool) or a socket connection
-/// (RemotePool) — under the borrow discipline: channel calls on slot I
-/// happen either while its borrower holds it Busy or under the pool
-/// lock for a free slot.
-class WorkerPoolBase : public DischargePool {
-public:
-  unsigned shardCount() const override {
-    return static_cast<unsigned>(Slots.size());
-  }
-  Result<ShardResponse> discharge(const ShardRequest &R,
-                                  int TimeoutMs = -1) override;
-  bool degraded() const override;
-  void noteFallback() override;
-  PoolStats stats() const override;
-
-  /// Test hook: kills worker \p I's channel — SIGKILL of the subprocess
-  /// on the pipe flavor, connection drop on the socket flavor (no state
-  /// change — the next borrower finds the corpse and takes the revive
-  /// path). The chaos suite uses this to kill workers between requests;
-  /// it must not race an in-flight borrow of the same slot.
-  void terminateWorker(unsigned I);
-
-protected:
-  explicit WorkerPoolBase(const PoolHealthOptions &H) : HOpts(H) {}
-
-  /// Sizes the slot table; called once by the subclass factory before
-  /// any discharge().
-  void initSlots(unsigned N);
-
-  /// True when slot \p I has a live channel. The pipe flavor sees a
-  /// kill eagerly (waitpid knows the corpse); the socket flavor only
-  /// lazily (a dead peer surfaces at the next read), which is why the
-  /// two transports report different stats *values* for the same
-  /// kill-between-requests scenario through the same stats *fields*.
-  virtual bool workerAlive(unsigned I) = 0;
-  /// (Re)creates slot \p I's channel: spawn the subprocess / dial the
-  /// endpoint. Implementations draw the WorkerSpawn fault site.
-  virtual Status reviveWorker(unsigned I) = 0;
-  /// Destroys the channel so the next borrower revives a clean one.
-  virtual void killWorker(unsigned I) = 0;
-  /// The framed channel of a live slot (null when none).
-  virtual Transport *channel(unsigned I) = 0;
-
-private:
-  struct Slot {
-    bool Busy = false;
-    unsigned Respawns = 0;
-    uint64_t Served = 0;
-    unsigned ConsecutiveFailures = 0;
-    unsigned Quarantines = 0;
-    WorkerHealth Health = WorkerHealth::Healthy;
-    /// When Quarantined: the earliest time a probe may borrow the slot.
-    std::chrono::steady_clock::time_point ProbeAt{};
-  };
-
-  PoolHealthOptions HOpts;
-  mutable std::mutex M;
-  std::condition_variable FreeCV;
-  std::vector<std::unique_ptr<Slot>> Slots;
-  uint64_t Requests = 0;
-  uint64_t Attempts = 0;
-  uint64_t Respawns = 0;
-  uint64_t Failures = 0;
-  uint64_t QuarantinesTotal = 0;
-  uint64_t DegradedFallbacks = 0;
-  bool DegradedFlag = false;
-
-  /// Records a failed attempt on \p S under the lock: bumps the
-  /// consecutive-failure count and advances the health state machine.
-  void noteFailureLocked(unsigned I, Slot &S);
-};
-
-/// Pool configuration. Inherits the health knobs so existing callers
-/// keep setting them as direct members.
-struct ShardPoolOptions : PoolHealthOptions {
-  unsigned Shards = 2;
-  /// The worker executable — normally currentExecutablePath() of the
-  /// relaxc driver itself.
-  std::string WorkerExe;
-  std::vector<std::string> WorkerArgs = {"--discharge-worker"};
-};
-
 /// A fixed pool of discharge worker processes. Thread-safe: scheduler
 /// workers borrow one subprocess each for the duration of a round trip,
-/// blocking when all are busy.
+/// blocking when all are busy. A slot's process and pipes are touched
+/// either by its borrower, which holds it Busy, or under the pool lock
+/// while it is free.
 ///
 /// ## Health model (per slot)
 ///
@@ -269,7 +188,7 @@ struct ShardPoolOptions : PoolHealthOptions {
 /// returns the slot to Healthy. When every slot is Dead the pool is
 /// *degraded* (sticky): discharge() fails fast and the portfolio's shard
 /// tier switches to its in-process fallback tail — same verdicts, no pool.
-class ShardPool final : public WorkerPoolBase {
+class ShardPool final : public DischargePool {
 public:
   /// Creates the pool and spawns the workers. A worker that cannot be
   /// started at creation is left for on-demand respawn (it costs one unit
@@ -278,26 +197,60 @@ public:
   static Result<std::unique_ptr<ShardPool>> create(ShardPoolOptions Opts);
   ~ShardPool() override;
 
+  unsigned shardCount() const override {
+    return static_cast<unsigned>(Slots.size());
+  }
+  Result<ShardResponse> discharge(const ShardRequest &R,
+                                  int TimeoutMs = -1) override;
+  bool degraded() const override;
+  void noteFallback() override;
+  PoolStats stats() const override;
+
+  /// Test hook: SIGKILLs worker \p I without a state change — the next
+  /// borrower finds the corpse and respawns it. The chaos suite uses
+  /// this to kill workers between requests; it must not race an
+  /// in-flight borrow of the same slot.
+  void terminateWorker(unsigned I);
+
 private:
-  explicit ShardPool(ShardPoolOptions O)
-      : WorkerPoolBase(O), Opts(std::move(O)) {}
+  struct Slot {
+    Subprocess Proc; ///< not running until spawned, and after a kill
+    bool Busy = false;
+    unsigned Respawns = 0;
+    uint64_t Served = 0;
+    unsigned ConsecutiveFailures = 0;
+    unsigned Quarantines = 0;
+    WorkerHealth Health = WorkerHealth::Healthy;
+    /// When Quarantined: the earliest time a probe may borrow the slot.
+    std::chrono::steady_clock::time_point ProbeAt{};
+  };
+
+  explicit ShardPool(ShardPoolOptions O) : Opts(std::move(O)) {}
+
+  /// Spawns \p S's worker process; draws the WorkerSpawn fault site.
+  Status spawnWorker(Slot &S);
+
+  /// Records a failed attempt on \p S under the lock: bumps the
+  /// consecutive-failure count and advances the health state machine.
+  void noteFailureLocked(Slot &S);
 
   ShardPoolOptions Opts;
-  /// Parallel to the base's slots; entries are only touched under the
-  /// borrow discipline.
-  std::vector<std::unique_ptr<Subprocess>> Procs;
-  std::vector<std::unique_ptr<PipeTransport>> Pipes;
-
-  bool workerAlive(unsigned I) override { return Procs[I]->running(); }
-  Status reviveWorker(unsigned I) override;
-  void killWorker(unsigned I) override;
-  Transport *channel(unsigned I) override { return Pipes[I].get(); }
+  mutable std::mutex M;
+  std::condition_variable FreeCV;
+  std::vector<std::unique_ptr<Slot>> Slots;
+  uint64_t Requests = 0;
+  uint64_t Attempts = 0;
+  uint64_t Respawns = 0;
+  uint64_t Failures = 0;
+  uint64_t QuarantinesTotal = 0;
+  uint64_t DegradedFallbacks = 0;
+  bool DegradedFlag = false;
 };
 
 /// The `Solver` face of a pool: serializes each query (formulas, free
 /// variables, tail-tier config), round-trips it, and surfaces the
 /// worker's verdict/trail. One ShardSolver per portfolio instance; many
-/// may share one pool — of any DischargePool flavor.
+/// may share one pool.
 class ShardSolver : public Solver {
 public:
   ShardSolver(DischargePool &Pool, const Interner &Syms,

@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The transport abstraction of the discharge wire: one interface over
-/// the magic+length-prefixed frame protocol (support/Subprocess.h), with
-/// a pipe-pair implementation (the classic subprocess shard channel) and
-/// a Unix-domain/TCP socket implementation (the remote shard tier and
-/// the `--serve` daemon).
+/// One interface over the magic+length-prefixed frame protocol
+/// (support/Subprocess.h), with a pipe-pair implementation (the channel
+/// between a shard pool and its `--discharge-worker` subprocesses) and a
+/// Unix-domain/TCP socket implementation (the `--serve` daemon and its
+/// `--connect=` clients).
 ///
 /// ## Invariants (see src/support/README.md, "Transport invariants")
 ///
@@ -71,7 +71,7 @@ public:
   virtual void close() = 0;
 };
 
-/// The classic stdin/stdout pipe pair of a subprocess worker.
+/// The stdin/stdout pipe pair of a subprocess worker.
 class PipeTransport final : public Transport {
 public:
   /// \p OwnsFds: close the fds on destruction (the worker side passes
@@ -117,7 +117,7 @@ private:
 Result<std::unique_ptr<Transport>> connectSocket(const std::string &Addr,
                                                  int TimeoutMs);
 
-/// A listening socket (`--serve=`, `--discharge-worker --listen=`).
+/// A listening socket (the `--serve=` daemon's).
 class SocketListener {
 public:
   SocketListener() = default;

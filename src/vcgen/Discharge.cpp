@@ -310,7 +310,7 @@ DischargeScheduler::DischargeScheduler(AstContext &Ctx, Config Cfg)
 DischargeScheduler::~DischargeScheduler() = default;
 
 Deadline DischargeScheduler::perVcDeadline() const {
-  Deadline D = Cfg.Global;
+  Deadline D = Cfg.GlobalDeadline;
   if (Cfg.VcTimeoutMs >= 0)
     D = Deadline::earliest(D, Deadline::inMs(Cfg.VcTimeoutMs));
   return D;

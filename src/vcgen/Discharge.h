@@ -231,10 +231,10 @@ public:
     /// none. Obligations reached after expiry settle immediately as
     /// gave-ups with reason "deadline" — the scheduler drains
     /// cooperatively, it never abandons outcomes or hangs.
-    Deadline Global;
+    Deadline GlobalDeadline;
     /// Per-VC timeout in milliseconds (`--vc-timeout-ms`); < 0 disables.
-    /// Each obligation (re)arms `earliest(Global, now + VcTimeoutMs)`
-    /// when a discharge stage picks it up.
+    /// Each obligation (re)arms `earliest(GlobalDeadline, now +
+    /// VcTimeoutMs)` when a discharge stage picks it up.
     int64_t VcTimeoutMs = -1;
     /// On-disk verdict cache (`--cache-dir=`) fronting the shared result
     /// cache; not owned, may be null. The caller loads and flushes it.

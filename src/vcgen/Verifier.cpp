@@ -24,14 +24,7 @@ VerifyReport Verifier::run(Options Opts) {
   // One scheduler for the whole run: obligations duplicated between the
   // |-o and |-r passes (convergence/safety side conditions) share its
   // result cache, and its statistics span both passes.
-  DischargeScheduler::Config SchedCfg;
-  SchedCfg.Jobs = Opts.Jobs;
-  SchedCfg.Portfolio = Opts.Portfolio;
-  SchedCfg.SmtFactory = Opts.SmtFactory;
-  SchedCfg.Global = Opts.GlobalDeadline;
-  SchedCfg.VcTimeoutMs = Opts.VcTimeoutMs;
-  SchedCfg.PCache = Opts.PCache;
-  DischargeScheduler Sched(Ctx, std::move(SchedCfg));
+  DischargeScheduler Sched(Ctx, Opts);
 
   Sema SemaPass(Prog, Diags);
   std::optional<SemaInfo> Info = SemaPass.run();

@@ -84,33 +84,17 @@ struct VerifyReport {
 /// result cache and statistics span both judgment passes of one run().
 class Verifier {
 public:
-  struct Options {
+  /// The run's configuration: the discharge scheduler's (slots,
+  /// portfolio, SMT factory, deadlines, persistent cache; without a
+  /// Portfolio the constructor-supplied solver discharges on one slot),
+  /// plus what the Verifier itself reads.
+  struct Options : DischargeScheduler::Config {
     VCGenOptions GenOpts;
     bool RunOriginal = true;
     bool RunRelaxed = true;
-    /// Number of discharge slots (see DischargeScheduler::Config::Jobs);
-    /// without a Portfolio, discharge runs on one.
-    unsigned Jobs = 1;
-    /// Tier chain for the portfolio pipeline. When set, discharging runs
-    /// through per-slot PortfolioSolvers and the constructor-supplied
-    /// solver is not consulted.
-    std::optional<PortfolioOptions> Portfolio;
-    /// Final-tier SMT backend factory for the portfolio; null degrades
-    /// the z3 tier to bounded-at-full-domain.
-    PortfolioSolver::BackendFactory SmtFactory;
     /// When non-null, the run's discharge statistics (per-tier settled /
     /// escalated counts, cache hits, work counters) are merged here.
     DischargeStats *StatsOut = nullptr;
-    /// Global deadline (`--timeout-ms`) for the whole run; unarmed means
-    /// none. Obligations past it settle as gave-ups with reason
-    /// "deadline" — a bounded run always produces a complete report.
-    Deadline GlobalDeadline;
-    /// Per-VC timeout in milliseconds (`--vc-timeout-ms`); < 0 disables.
-    int64_t VcTimeoutMs = -1;
-    /// On-disk verdict cache (`--cache-dir=`) fronting the scheduler's
-    /// shared result cache; not owned, may be null. The caller loads it
-    /// before run() and flushes it after.
-    PersistentCache *PCache = nullptr;
   };
 
   Verifier(AstContext &Ctx, const Program &Prog, Solver &S,

@@ -10,7 +10,7 @@
 //    error, 3 not-verified-but-nothing-refuted (solver gave up);
 //  * --explain= rejection paths: malformed specs and out-of-range ids
 //    are diagnosed on stderr and exit 2;
-//  * --shards= validation;
+//  * --shards= validation, and the worker mode's argument check;
 //  * deadlines: an expired --timeout-ms / --vc-timeout-ms budget exits 3
 //    with "deadline" in the report, never hangs, and so does a budget of
 //    a few milliseconds on a query Z3 cannot settle;
@@ -405,6 +405,28 @@ TEST(DriverShardsFlag, RejectsBadValues) {
   EXPECT_NE(R.Output.find("needs a final bounded or z3 tier"),
             std::string::npos)
       << R.Output;
+}
+
+TEST(DriverDischargeWorker, RejectsArgumentsItDoesNotParse) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The worker mode parses --faults= and nothing else. Any other
+  // argument is diagnosed by name and exits 2 before the frame loop
+  // starts, rather than being ignored (a worker reading the closed stdin
+  // would exit 0 at EOF).
+  for (const char *Bad : {"--bogus", "--shards=2", "--serve=unix:/tmp/x",
+                          "verify"}) {
+    RunResult R = runDriver({"--discharge-worker", "--faults=seed=1", Bad},
+                            Deadline::inMs(30'000));
+    ASSERT_FALSE(R.Overran) << Bad;
+    EXPECT_EQ(R.Exit, 2) << Bad << "\n" << R.Output;
+    EXPECT_NE(R.Output.find(std::string("'") + Bad + "'"), std::string::npos)
+        << Bad << "\n" << R.Output;
+  }
+  // --faults= alone is the worker's one argument: a clean EOF exits 0.
+  RunResult R = runDriver({"--discharge-worker", "--faults=seed=1"},
+                          Deadline::inMs(30'000));
+  ASSERT_FALSE(R.Overran);
+  EXPECT_EQ(R.Exit, 0) << R.Output;
 }
 
 const char *CaseStudies[] = {"swish.rlx",     "water.rlx",

@@ -1,4 +1,4 @@
-//===- serve_tests.cpp - Socket transport, remote pool, and --serve daemon -----===//
+//===- serve_tests.cpp - Socket transport and the --serve daemon ---------------===//
 //
 // Part of the relaxc project: a verifier for relaxed nondeterministic
 // approximate programs (Carbin et al., PLDI 2012).
@@ -13,17 +13,15 @@
 //  * the daemon: served reports are bit-identical to a local run on
 //    every case study, concurrently and under chaos; the warm
 //    per-config cache answers a repeated request with zero solver
-//    queries; a slow-loris client cannot stall other clients;
+//    queries; a slow-loris client cannot stall other clients; a
+//    garbage connection costs only itself, and a payload that is not a
+//    verify request (a shard request included) is refused with status 2
+//    on a connection that keeps serving;
 //  * the CLI and the verify session: `relaxc verify` prints exactly the
 //    report, diagnostics and exit status runVerifyJob returns, a pool
 //    only chooses where the final tier runs, and a cache written by the
 //    CLI warms the daemon and vice versa (one fingerprint);
-//  * RemotePool: a worker dying between requests surfaces as a
-//    retryable failure with the pinned stats shape — one failure, one
-//    reconnect, identical verdict, never a parse error — and case
-//    studies verify identically through socket workers under chaos,
-//    degrading to the in-process tail when every endpoint dies; a
-//    listen worker drops a garbage connection and keeps serving.
+//  * hygiene: no daemon leaves its Unix socket file behind.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +30,6 @@
 #include "TestUtil.h"
 
 #include "server/VerifyServer.h"
-#include "solver/RemotePool.h"
 #include "support/Subprocess.h"
 #include "support/Transport.h"
 
@@ -46,6 +43,7 @@
 #include <regex>
 #include <thread>
 
+#include <dirent.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -59,13 +57,41 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// A fresh AF_UNIX address per call (the kernel caps the path well below
-/// PATH_MAX, so keep it short and unique per process + counter).
+/// PATH_MAX, so keep it short and unique per process + counter). The
+/// `relaxc_<tag>_<pid>_` prefix is what the leak sweep below looks for.
 std::string uniqueUnixAddr(const char *Tag) {
   static std::atomic<unsigned> Counter{0};
   return "unix:/tmp/relaxc_" + std::string(Tag) + "_" +
          std::to_string(::getpid()) + "_" +
          std::to_string(Counter.fetch_add(1)) + ".sock";
 }
+
+/// After the whole suite: no `/tmp/relaxc_*_<pid>_*.sock` of this process
+/// may remain. A listener unlinks its path on close, but a daemon killed
+/// with SIGKILL cannot, so the Daemon fixture removes it.
+class SocketLeakSweep : public ::testing::Environment {
+public:
+  void TearDown() override {
+    std::string Pid = "_" + std::to_string(::getpid()) + "_";
+    std::vector<std::string> Leaked;
+    if (DIR *D = ::opendir("/tmp")) {
+      while (const dirent *E = ::readdir(D)) {
+        std::string Name = E->d_name;
+        if (Name.rfind("relaxc_", 0) == 0 &&
+            Name.find(Pid) != std::string::npos &&
+            Name.compare(Name.size() - 5, 5, ".sock") == 0)
+          Leaked.push_back(Name);
+      }
+      ::closedir(D);
+    }
+    EXPECT_TRUE(Leaked.empty())
+        << Leaked.size() << " socket file(s) left in /tmp, e.g. "
+        << Leaked.front();
+  }
+};
+
+::testing::Environment *const LeakSweep =
+    ::testing::AddGlobalTestEnvironment(new SocketLeakSweep);
 
 /// Reads one '\n'-terminated line (the readiness line of a spawned
 /// server) from \p Fd within \p TimeoutMs.
@@ -90,19 +116,23 @@ std::string readLine(int Fd, int TimeoutMs) {
   return Line;
 }
 
-/// Spawns the driver as a server (`--serve=` or `--discharge-worker
-/// --listen=`) and waits for its readiness line; SIGKILLed on
-/// destruction. Addr holds the resolved address the line reported.
-struct ServerProcess {
+/// Spawns a `--serve` daemon on a fresh Unix socket and waits for its
+/// readiness line; SIGKILLed on destruction, after which its socket file
+/// is removed. Addr holds the resolved address the line reported.
+struct Daemon {
   Subprocess Proc;
+  std::string Bind = uniqueUnixAddr("serve");
   std::string Addr;
   bool Ready = false;
 
-  ServerProcess(const std::vector<std::string> &Args, const char *ReadyTag) {
+  explicit Daemon(const std::vector<std::string> &Extra = {}) {
+    std::vector<std::string> Args = {"--serve=" + Bind};
+    Args.insert(Args.end(), Extra.begin(), Extra.end());
     Status S = Proc.spawn(relax::test::driverPath(), Args);
     EXPECT_TRUE(S.ok()) << (S.ok() ? "" : S.message());
     if (!S.ok())
       return;
+    const char ReadyTag[] = "serving on ";
     std::string Line = readLine(Proc.readFd(), 30'000);
     size_t At = Line.find(ReadyTag);
     EXPECT_NE(At, std::string::npos)
@@ -112,35 +142,10 @@ struct ServerProcess {
     Addr = Line.substr(At + std::strlen(ReadyTag));
     Ready = true;
   }
-  ~ServerProcess() { Proc.terminate(); }
-};
-
-struct Daemon : ServerProcess {
-  explicit Daemon(std::vector<std::string> Extra = {},
-                  std::string Bind = std::string())
-      : ServerProcess(
-            [&] {
-              std::vector<std::string> Args = {
-                  "--serve=" + (Bind.empty() ? uniqueUnixAddr("serve") : Bind)};
-              for (std::string &A : Extra)
-                Args.push_back(std::move(A));
-              return Args;
-            }(),
-            "serving on ") {}
-};
-
-struct ListenWorker : ServerProcess {
-  explicit ListenWorker(const std::string &Bind,
-                        const std::string &Faults = std::string())
-      : ServerProcess(
-            [&] {
-              std::vector<std::string> Args = {"--discharge-worker",
-                                               "--listen=" + Bind};
-              if (!Faults.empty())
-                Args.push_back("--faults=" + Faults);
-              return Args;
-            }(),
-            "listening on ") {}
+  ~Daemon() {
+    Proc.terminate();
+    ::unlink(Bind.c_str() + std::strlen("unix:"));
+  }
 };
 
 /// One verify request over a fresh connection, retrying capacity
@@ -360,10 +365,7 @@ TEST(VerifyWire, RequestRoundTripsEveryField) {
   R.Verbose = true;
   R.SolverStats = true;
 
-  std::string Wire = serializeVerifyRequest(R);
-  EXPECT_TRUE(isVerifyRequestPayload(Wire));
-  EXPECT_FALSE(isShardRequestPayload(Wire));
-  auto P = parseVerifyRequest(Wire);
+  auto P = parseVerifyRequest(serializeVerifyRequest(R));
   ASSERT_TRUE(P.ok()) << P.message();
   EXPECT_EQ(P->FileName, R.FileName);
   EXPECT_EQ(P->Source, R.Source);
@@ -428,12 +430,6 @@ TEST(VerifyWire, MalformedPayloadsAreDiagnosedNeverAccepted) {
       EXPECT_NE(P.message().find("bad verify request"), std::string::npos)
           << P.message();
   }
-
-  EXPECT_FALSE(isVerifyRequestPayload("garbage"));
-  EXPECT_FALSE(isShardRequestPayload("garbage"));
-  ShardRequest SR;
-  EXPECT_TRUE(isShardRequestPayload(serializeShardRequest(SR)));
-  EXPECT_FALSE(isVerifyRequestPayload(serializeShardRequest(SR)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -588,6 +584,88 @@ TEST(ServeDaemon, ChaosDaemonStaysVerdictIdentical) {
   }
   std::string Cleanup = "rm -rf '" + std::string(Dir) + "'";
   ASSERT_EQ(std::system(Cleanup.c_str()), 0);
+}
+
+TEST(ServeDaemon, GarbageConnectionIsDroppedAndTheNextIsServed) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // Raw bytes that are not even a frame header get a diagnosed error
+  // frame (or a bare hang-up) and cost only that connection; the daemon
+  // keeps serving the next one.
+  Daemon D;
+  ASSERT_TRUE(D.Ready);
+  {
+    auto C = connectSocket(D.Addr, 10'000);
+    ASSERT_TRUE(C.ok()) << C.message();
+    // Exactly one header's worth, so the daemon has read everything sent
+    // when it hangs up (unread bytes would turn its close into a reset).
+    const char Junk[] = "not-RLXF";
+    ASSERT_EQ(::write((*C)->recvFd(), Junk, 8), 8);
+    FrameRead F = (*C)->recvMs(10'000);
+    if (F.ok()) {
+      auto R = parseVerifyResponse(F.Payload);
+      ASSERT_TRUE(R.ok()) << R.message();
+      EXPECT_TRUE(R->IsError);
+      EXPECT_NE(R->Error.find("frame error"), std::string::npos) << R->Error;
+      F = (*C)->recvMs(10'000);
+    }
+    EXPECT_TRUE(F.eof()) << "the garbage connection was not closed: "
+                         << F.Message;
+  }
+  expectServedMatchesLocal(
+      D.Addr, boundedRequest("after.rlx", "int x;\n{ assert x >= 0; }\n"),
+      "after a garbage connection");
+}
+
+TEST(ServeDaemon, RefusesPayloadsThatAreNotVerifyRequests) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The daemon speaks one protocol: a shard discharge request (the wire
+  // of the worker processes behind --shards=) is a malformed verify
+  // request, refused with a parsed, non-retryable status-2 response, and
+  // so is a verify request naming a shard tier. The connection stays
+  // open: the verify request sent after them on it is answered.
+  Daemon D;
+  ASSERT_TRUE(D.Ready);
+  auto C = connectSocket(D.Addr, 10'000);
+  ASSERT_TRUE(C.ok()) << C.message();
+  auto Ask = [&](const std::string &Payload) {
+    EXPECT_TRUE((*C)->send(Payload).ok());
+    FrameRead F = (*C)->recvMs(300'000);
+    EXPECT_TRUE(F.ok()) << F.Message;
+    auto R = parseVerifyResponse(F.Payload);
+    EXPECT_TRUE(R.ok()) << R.message();
+    return R.ok() ? *R : VerifyWireResponse();
+  };
+
+  ShardRequest SR;
+  SR.Pipeline = "bounded";
+  SR.Vars = {{"x", VarKind::Int}};
+  SR.Formulas = {"x > 4"};
+  VerifyWireResponse Shard = Ask(serializeShardRequest(SR));
+  EXPECT_TRUE(Shard.IsError);
+  EXPECT_FALSE(Shard.Retryable);
+  EXPECT_EQ(Shard.ExitStatus, 2);
+  EXPECT_NE(Shard.Error.find("not speaking the verify protocol"),
+            std::string::npos)
+      << Shard.Error;
+
+  VerifyWireRequest Sharded =
+      boundedRequest("tier.rlx", "int x;\n{ assert x >= 0; }\n");
+  Sharded.Pipeline = "simplify,bounded,shard";
+  VerifyWireResponse Tier = Ask(serializeVerifyRequest(Sharded));
+  EXPECT_TRUE(Tier.IsError);
+  EXPECT_FALSE(Tier.Retryable);
+  EXPECT_EQ(Tier.ExitStatus, 2);
+  EXPECT_NE(Tier.Error.find("cannot run a shard tier"), std::string::npos)
+      << Tier.Error;
+
+  VerifyWireRequest R =
+      boundedRequest("next.rlx", "int x;\nrequires (x >= 0 && x <= 2);\n"
+                                 "{ x = x + 1; assert x >= 1; }\n");
+  VerifyWireResponse Local = runVerifyJob(R, nullptr);
+  VerifyWireResponse Served = Ask(serializeVerifyRequest(R));
+  ASSERT_FALSE(Served.IsError) << Served.Error;
+  EXPECT_EQ(Served.ExitStatus, 0);
+  EXPECT_EQ(Served.Report, Local.Report);
 }
 
 //===----------------------------------------------------------------------===//
@@ -806,229 +884,6 @@ TEST(CliMatchesSession, CliAndDaemonShareOneCacheFingerprint) {
         << "the CLI missed the daemon's cache:\n"
         << Second.Out;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// RemotePool: the socket shard tier
-//===----------------------------------------------------------------------===//
-
-RemotePoolOptions remoteOptions(std::vector<std::string> Endpoints) {
-  RemotePoolOptions O;
-  O.Endpoints = std::move(Endpoints);
-  O.RoundTripTimeoutMs = 60'000;
-  O.RespawnBackoffBaseMs = 0;
-  O.QuarantineBaseMs = 1;
-  O.QuarantineMaxMs = 2;
-  return O;
-}
-
-ShardRequest simpleRequest() {
-  ShardRequest R;
-  R.Pipeline = "bounded";
-  R.Vars = {{"x", VarKind::Int}};
-  R.Formulas = {"x > 4"};
-  return R;
-}
-
-TEST(RemotePoolSocket, DischargesThroughAListenWorker) {
-  RELAXC_SKIP_WITHOUT_DRIVER();
-  std::string Addr = uniqueUnixAddr("rw");
-  ListenWorker W(Addr);
-  ASSERT_TRUE(W.Ready);
-  auto Pool = RemotePool::create(remoteOptions({W.Addr}));
-  ASSERT_TRUE(Pool.ok()) << Pool.message();
-  auto R = (*Pool)->discharge(simpleRequest());
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_EQ(R->Verdict, SatResult::Sat);
-  EXPECT_FALSE((*Pool)->degraded());
-}
-
-TEST(RemotePoolSocket, DaemonDoublesAsARemoteWorker) {
-  RELAXC_SKIP_WITHOUT_DRIVER();
-  // The --serve daemon answers shard requests on the same socket as
-  // verify requests (payload-magic dispatch).
-  Daemon D;
-  ASSERT_TRUE(D.Ready);
-  auto Pool = RemotePool::create(remoteOptions({D.Addr}));
-  ASSERT_TRUE(Pool.ok()) << Pool.message();
-  auto R = (*Pool)->discharge(simpleRequest());
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_EQ(R->Verdict, SatResult::Sat);
-}
-
-TEST(RemotePoolSocket, WorkerDeathBetweenRequestsIsARetriedFailure) {
-  RELAXC_SKIP_WITHOUT_DRIVER();
-  // The socket twin of PoolHealth.KillBetweenRequests, pinning the one
-  // sanctioned asymmetry: a pipe worker's corpse is found eagerly at
-  // borrow (a respawn, no failure), while a socket peer's death is lazy
-  // — the doomed attempt books one failure and the sound retry
-  // reconnects. Same fields, identical verdict, never a parse error.
-  std::string Addr = uniqueUnixAddr("kill");
-  auto W = std::make_unique<ListenWorker>(Addr);
-  ASSERT_TRUE(W->Ready);
-  auto PoolR = RemotePool::create(remoteOptions({W->Addr}));
-  ASSERT_TRUE(PoolR.ok()) << PoolR.message();
-  RemotePool &Pool = **PoolR;
-
-  auto A = Pool.discharge(simpleRequest());
-  ASSERT_TRUE(A.ok()) << A.message();
-  EXPECT_EQ(A->Verdict, SatResult::Sat);
-
-  // Kill the worker process and bring a fresh one up on the SAME
-  // address (bind unlinks the stale Unix path). The pool's slot still
-  // holds the dead connection.
-  W.reset();
-  ListenWorker W2(Addr);
-  ASSERT_TRUE(W2.Ready);
-
-  auto B = Pool.discharge(simpleRequest());
-  ASSERT_TRUE(B.ok()) << "worker death leaked to the caller: "
-                      << B.message();
-  EXPECT_EQ(B->Verdict, A->Verdict);
-
-  PoolStats S = Pool.stats();
-  EXPECT_EQ(S.Requests, 2u);
-  EXPECT_EQ(S.Attempts, 3u) << "the doomed attempt plus one sound retry";
-  EXPECT_EQ(S.Failures, 1u) << "a socket death is lazy: seen on the wire";
-  EXPECT_EQ(S.Respawns, 1u) << "the retry re-dials exactly once";
-  ASSERT_EQ(S.PerWorker.size(), 1u);
-  EXPECT_EQ(S.PerWorker[0], 2u);
-  ASSERT_EQ(S.PerWorkerHealth.size(), 1u);
-  EXPECT_EQ(S.PerWorkerHealth[0], WorkerHealth::Healthy);
-  EXPECT_FALSE(Pool.degraded());
-}
-
-TEST(RemotePoolSocket, CaseStudiesIdenticalThroughRemoteWorkersUnderDelays) {
-  RELAXC_SKIP_WITHOUT_DRIVER();
-  std::string A1 = uniqueUnixAddr("cs1"), A2 = uniqueUnixAddr("cs2");
-  ListenWorker W1(A1, "seed=13,response-delay=0.5,delay-ms=5");
-  ListenWorker W2(A2, "seed=13,response-delay=0.5,delay-ms=5");
-  ASSERT_TRUE(W1.Ready);
-  ASSERT_TRUE(W2.Ready);
-  auto Pool = RemotePool::create(remoteOptions({W1.Addr, W2.Addr}));
-  ASSERT_TRUE(Pool.ok()) << Pool.message();
-
-  for (const char *Name : CaseStudies) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
-    relax::test::ParsedProgram Base = relax::test::parseProgram(Source);
-    ASSERT_TRUE(Base.ok()) << Name << ": " << Base.diagnostics();
-    relax::test::ParsedProgram Remote = relax::test::parseProgram(Source);
-    ASSERT_TRUE(Remote.ok());
-
-    auto Run = [](relax::test::ParsedProgram &P,
-                  DischargePool *Pool) -> VerifyReport {
-      BoundedSolver Dummy;
-      DiagnosticEngine Diags;
-      Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
-      Verifier::Options VO;
-      PortfolioOptions PO;
-      PO.Tiers = {TierKind::Simplify, TierKind::Bounded, TierKind::Shard};
-      PO.Bounded.MaxCandidates = 50'000;
-      PO.Bounded.MaxQuantSteps = 20'000;
-      PO.Pool = Pool;
-      PO.ShardWorkerPipeline = "bounded";
-      VO.Portfolio = PO;
-      return V.run(VO);
-    };
-    VerifyReport Local = Run(Base, nullptr);
-    VerifyReport Overt = Run(Remote, Pool->get());
-
-    auto Compare = [&](const JudgmentReport &X, const JudgmentReport &Y,
-                       const char *Pass) {
-      ASSERT_EQ(X.Outcomes.size(), Y.Outcomes.size()) << Name << " " << Pass;
-      for (size_t I = 0; I != X.Outcomes.size(); ++I) {
-        EXPECT_EQ(X.Outcomes[I].Condition.Id, Y.Outcomes[I].Condition.Id)
-            << Name << " " << Pass << " VC #" << I;
-        EXPECT_EQ(X.Outcomes[I].Status, Y.Outcomes[I].Status)
-            << Name << " " << Pass << " VC #" << I << ": "
-            << X.Outcomes[I].Detail << " vs " << Y.Outcomes[I].Detail;
-        EXPECT_EQ(X.Outcomes[I].Detail, Y.Outcomes[I].Detail)
-            << Name << " " << Pass << " VC #" << I;
-      }
-    };
-    Compare(Local.Original, Overt.Original, "|-o");
-    Compare(Local.Relaxed, Overt.Relaxed, "|-r");
-  }
-}
-
-TEST(RemotePoolSocket, AllEndpointsDeadDegradesToInProcessTail) {
-  RELAXC_SKIP_WITHOUT_DRIVER();
-  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
-  // No worker ever listened here: every connect fails, the respawn
-  // budget drains, and the portfolio's in-process tail must still
-  // answer everything with the fault-free verdicts.
-  auto Pool = RemotePool::create(remoteOptions({uniqueUnixAddr("dead")}));
-  ASSERT_TRUE(Pool.ok()) << Pool.message();
-
-  auto Run = [&Source](DischargePool *Pool) -> VerifyReport {
-    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
-    EXPECT_TRUE(P.ok()) << P.diagnostics();
-    BoundedSolver Dummy;
-    DiagnosticEngine Diags;
-    Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
-    Verifier::Options VO;
-    PortfolioOptions PO;
-    PO.Tiers = {TierKind::Simplify, TierKind::Bounded, TierKind::Shard};
-    PO.Bounded.MaxCandidates = 50'000;
-    PO.Bounded.MaxQuantSteps = 20'000;
-    PO.Pool = Pool;
-    PO.ShardWorkerPipeline = "bounded";
-    VO.Portfolio = PO;
-    return V.run(VO);
-  };
-  VerifyReport Local = Run(nullptr);
-  VerifyReport R = Run(Pool->get());
-  for (auto Pass : {std::make_pair(&Local.Original, &R.Original),
-                    std::make_pair(&Local.Relaxed, &R.Relaxed)}) {
-    ASSERT_EQ(Pass.first->Outcomes.size(), Pass.second->Outcomes.size());
-    for (size_t I = 0; I != Pass.first->Outcomes.size(); ++I) {
-      EXPECT_EQ(Pass.first->Outcomes[I].Status, Pass.second->Outcomes[I].Status)
-          << "VC #" << I;
-      EXPECT_EQ(Pass.first->Outcomes[I].Detail, Pass.second->Outcomes[I].Detail)
-          << "VC #" << I;
-    }
-  }
-  EXPECT_TRUE((*Pool)->degraded());
-  PoolStats S = (*Pool)->stats();
-  EXPECT_TRUE(S.Degraded);
-  EXPECT_GT(S.DegradedFallbacks, 0u);
-}
-
-TEST(RemotePoolSocket, ListenWorkerDropsAGarbageConnectionAndKeepsServing) {
-  RELAXC_SKIP_WITHOUT_DRIVER();
-  // The socket twin of ShardWorker.GarbageFrameYieldsDiagnosedErrorNotHang,
-  // minus the exit: raw bytes that are not even a frame header get a
-  // diagnosed error frame (or a bare hang-up) and cost only that
-  // connection; the worker keeps listening.
-  ListenWorker W(uniqueUnixAddr("junk"));
-  ASSERT_TRUE(W.Ready);
-  {
-    auto C = connectSocket(W.Addr, 10'000);
-    ASSERT_TRUE(C.ok()) << C.message();
-    // Exactly one header's worth, so the worker has read everything sent
-    // when it hangs up (unread bytes would turn its close into a reset).
-    const char Junk[] = "not-RLXF";
-    ASSERT_EQ(::write((*C)->recvFd(), Junk, 8), 8);
-    FrameRead F = (*C)->recvMs(10'000);
-    if (F.ok()) {
-      auto R = parseShardResponse(F.Payload);
-      ASSERT_TRUE(R.ok()) << R.message();
-      EXPECT_TRUE(R->IsError);
-      EXPECT_NE(R->Error.find("frame error"), std::string::npos) << R->Error;
-      F = (*C)->recvMs(10'000);
-    }
-    EXPECT_TRUE(F.eof()) << "the garbage connection was not closed: "
-                         << F.Message;
-  }
-  auto C = connectSocket(W.Addr, 10'000);
-  ASSERT_TRUE(C.ok()) << C.message();
-  ASSERT_TRUE((*C)->send(serializeShardRequest(simpleRequest())).ok());
-  FrameRead F = (*C)->recvMs(30'000);
-  ASSERT_TRUE(F.ok()) << F.Message;
-  auto R = parseShardResponse(F.Payload);
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_FALSE(R->IsError) << R->Error;
-  EXPECT_EQ(R->Verdict, SatResult::Sat);
 }
 
 } // namespace
