@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -74,98 +73,202 @@ struct CliOptions {
   /// Verify-on-hit sampling rate in parts per million (0 = off).
   uint64_t CacheVerifyPpm = 0;
   bool CacheVerifySet = false; ///< --cache-verify= was passed explicitly
-  /// Hidden fault-injection spec (see support/FaultInjection.h); also
-  /// exported as RELAXC_FAULTS so shard workers inherit it.
-  std::string Faults;
   bool SmtLib = false;
 };
+
+/// The CLI's flags besides the verify knobs (`verifyFlags()`).
+const std::vector<Flag<CliOptions>> &cliFlags() {
+  using C = CliOptions;
+  static const std::vector<Flag<C>> Flags = {
+      {"--explain", "<o:N|r:N|proc:name>",
+       "after `verify`, print obligation N of\nthe |-o / |-r pass "
+       "(provenance, formula,\nand which tier settled it), or list "
+       "every\nobligation of one procedure's summaries",
+       [](const FlagArg &A, C &O) { return A.text(O.Explain); }},
+      {"--oracle", "<solver|random|identity>",
+       "havoc/relax resolution strategy of `run`\n(default solver)",
+       [](const FlagArg &A, C &O) {
+         return A.choice(O.OracleName, "oracle",
+                         {"solver", "random", "identity"});
+       }},
+      {"--semantics", "<original|relaxed>", "for `run` (default relaxed)",
+       [](const FlagArg &A, C &O) {
+         return A.choice(O.Semantics, "semantics", {"original", "relaxed"});
+       }},
+      {"--seed", "<n>", "oracle randomness seed (default 1)",
+       [](const FlagArg &A, C &O) {
+         return A.decimal(O.Seed, "a decimal seed");
+       }},
+      {"--runs", "<n>", "pair runs for `monitor` (default 16)",
+       [](const FlagArg &A, C &O) {
+         return A.decimal(O.Runs, "a decimal run count");
+       }},
+      {"--array-len", "<n>", "initial array length (default 8)",
+       [](const FlagArg &A, C &O) {
+         return A.decimal(O.ArrayLen, "a decimal length", UINT32_MAX);
+       }},
+      {"--shards", "<n>",
+       "discharge escalated obligations on <n> worker\nprocesses: the "
+       "pipeline's final tier becomes a\n`shard` tier backed by a pool of "
+       "subprocesses,\neach with its own AST and solver contexts\n"
+       "(verdicts are identical to --shards=0)",
+       [](const FlagArg &A, C &O) {
+         return A.decimal(O.Shards,
+                          "a decimal worker count <= 256; 0 = in-process",
+                          256);
+       }},
+      {"--connect", "<addr>",
+       "verify via a `relaxc --serve=<addr>` daemon:\nship the file, print "
+       "the served report,\nexit with the served status",
+       [](const FlagArg &A, C &O) {
+         return A.nonEmpty(O.Connect, "unix:<path> or host:port");
+       }},
+      {"--cache-dir", "<dir>",
+       "persistent verdict cache for `verify`: settled\nobligations are "
+       "reused across runs (content-\naddressed by printed formula, var "
+       "kinds, and\npipeline config; deadline and gave-up\nverdicts are "
+       "never stored); a refutation keeps\nits counterexample, so a warm "
+       "run prints what\nthe cold run printed",
+       [](const FlagArg &A, C &O) {
+         return A.nonEmpty(O.CacheDir, "a directory path");
+       }},
+      {"--cache-verify", "<ppm>",
+       "re-discharge a deterministic sample of cache\nhits (parts per "
+       "million of lookups) and\nhard-fail on any divergence; "
+       "requires\n--cache-dir=",
+       [](const FlagArg &A, C &O) {
+         O.CacheVerifySet = true;
+         return A.decimal(O.CacheVerifyPpm,
+                          "a parts-per-million rate <= 1000000", 1'000'000);
+       }},
+      {"--smtlib", nullptr, "dump-vcs: emit SMT-LIB 2 scripts",
+       [](const FlagArg &A, C &O) { return A.on(O.SmtLib); }},
+  };
+  return Flags;
+}
+
+/// The daemon's flags (`relaxc --serve=<addr> [flags]`).
+const std::vector<Flag<VerifyServerOptions>> &serveFlags() {
+  using S = VerifyServerOptions;
+  static const std::vector<Flag<S>> Flags = {
+      {"--cache-dir", "<dir>",
+       "the persistent verdict cache of every request,\nshared with "
+       "`verify --cache-dir=<dir>` runs\n(default: in memory only)",
+       [](const FlagArg &A, S &O) {
+         return A.nonEmpty(O.CacheDir, "a directory path");
+       }},
+      {"--serve-threads", "<n>",
+       "concurrent connections, 1..1024 (default 8);\na connection past "
+       "them is refused retryably",
+       [](const FlagArg &A, S &O) {
+         return A.decimal(O.MaxConnections, "1..1024", 1024, /*Min=*/1);
+       }},
+      {"--serve-frame-timeout-ms", "<n>",
+       "whole-frame read budget once a request's\nfirst byte arrives "
+       "(default 30000)",
+       [](const FlagArg &A, S &O) {
+         return A.decimal(O.FrameReadTimeoutMs,
+                          "a decimal millisecond count <= 2147483647");
+       }},
+      {"--serve-max-request-ms", "<n>",
+       "cap on every request's --timeout-ms=; a\nrequest without one gets "
+       "the cap (default none)",
+       [](const FlagArg &A, S &O) {
+         return A.decimal(O.MaxRequestTimeoutMs,
+                          "a decimal millisecond count");
+       }},
+  };
+  return Flags;
+}
+
+/// One usage section: each flag of \p Flags and its help text.
+template <typename T>
+void printFlags(const char *Title, const std::vector<Flag<T>> &Flags) {
+  const std::string Indent = "\n" + std::string(28, ' ');
+  std::fprintf(stderr, "\n%s:\n", Title);
+  for (const Flag<T> &F : Flags) {
+    std::string Line = std::string("  ") + F.Name;
+    if (F.Metavar)
+      Line += std::string("=") + F.Metavar;
+    Line += Line.size() < 28 ? std::string(28 - Line.size(), ' ') : Indent;
+    for (const char *C = F.Help; *C; ++C)
+      Line += *C == '\n' ? Indent : std::string(1, *C);
+    std::fprintf(stderr, "%s\n", Line.c_str());
+  }
+}
 
 void printUsage() {
   std::fprintf(
       stderr,
       "usage: relaxc <verify|run|monitor|dump-vcs|print> <file.rlx> "
       "[options]\n"
+      "       relaxc --serve=<addr> [daemon options]\n"
       "\n"
-      "options:\n"
-      "  --solver=<z3|bounded>     `verify` without --pipeline= runs this\n"
-      "                            one tier as its pipeline; `run` and\n"
-      "                            `monitor` use it as their oracle solver\n"
-      "                            (default z3)\n"
-      "  --pipeline=<tier,...>     tiered portfolio discharge for `verify`\n"
-      "                            (tiers: simplify, bounded, z3; e.g.\n"
-      "                            --pipeline=simplify,bounded,z3). A\n"
-      "                            bounded tier before z3 runs behind it:\n"
-      "                            it rescues z3's unknowns and supplies\n"
-      "                            failed obligations' counterexamples\n"
-      "  --bounded-steps=<n>       per-query quantifier-step budget of the\n"
-      "                            bounded search, as a pipeline tier and\n"
-      "                            as --solver=bounded (default 200000;\n"
-      "                            0 = unlimited)\n"
-      "  --explain=<o:N|r:N|proc:name>\n"
-      "                            after `verify`, print obligation N of\n"
-      "                            the |-o / |-r pass (provenance, formula,\n"
-      "                            and which tier settled it), or list every\n"
-      "                            obligation of one procedure's summaries\n"
-      "  --solver-stats            print per-tier settled/escalated counts,\n"
-      "                            cache/work counters, per-pass wall times,\n"
-      "                            and per-procedure obligation counts after\n"
-      "                            `verify`\n"
-      "  --oracle=<solver|random|identity>\n"
-      "                            havoc/relax resolution strategy\n"
-      "  --semantics=<original|relaxed>   for `run` (default relaxed)\n"
-      "  --seed=<n>                oracle randomness seed (default 1)\n"
-      "  --runs=<n>                pair runs for `monitor` (default 16)\n"
-      "  --array-len=<n>           initial array length (default 8)\n"
-      "  --timeout-ms=<n>          global wall-clock budget for `verify`;\n"
-      "                            obligations past it settle as gave-ups\n"
-      "                            with reason 'deadline' (exit code 3)\n"
-      "  --vc-timeout-ms=<n>       per-obligation wall-clock budget\n"
-      "  --jobs=<n>                parallel VC discharge workers for "
-      "`verify` (default 1)\n"
-      "  --shards=<n>              discharge escalated obligations on <n> "
-      "worker\n"
-      "                            processes: the pipeline's final tier "
-      "becomes a\n"
-      "                            `shard` tier backed by a pool of "
-      "subprocesses,\n"
-      "                            each with its own AST and solver "
-      "contexts\n"
-      "                            (verdicts are identical to --shards=0)\n"
-      "  --connect=<addr>          verify via a `relaxc --serve=<addr>` "
-      "daemon:\n"
-      "                            ship the file, print the served "
-      "report,\n"
-      "                            exit with the served status\n"
-      "  --serve=<addr>            (as the first argument) run the "
-      "verification\n"
-      "                            daemon on unix:/path or host:port; "
-      "serves\n"
-      "                            --connect= clients\n"
-      "  --cache-dir=<dir>         persistent verdict cache for `verify`: "
-      "settled\n"
-      "                            obligations are reused across runs "
-      "(content-\n"
-      "                            addressed by printed formula, var kinds, "
-      "and\n"
-      "                            pipeline config; deadline and gave-up\n"
-      "                            verdicts are never stored); a refutation "
-      "keeps\n"
-      "                            its counterexample, so a warm run prints "
-      "what\n"
-      "                            the cold run printed\n"
-      "  --cache-verify=<ppm>      re-discharge a deterministic sample of "
-      "cache\n"
-      "                            hits (parts per million of lookups) and\n"
-      "                            hard-fail on any divergence; requires\n"
-      "                            --cache-dir=\n"
-      "  --no-safety               skip division/bounds trap obligations\n"
-      "  --original-only           verify only the |-o judgment\n"
-      "  --smtlib                  dump-vcs: emit SMT-LIB 2 scripts\n"
-      "  --verbose                 print every VC, not just failures\n"
+      "--serve=<addr> runs the verification daemon on unix:<path> or\n"
+      "host:port; it serves `verify --connect=<addr>` clients.\n"
+      "--discharge-worker is the worker process behind --shards=.\n");
+  printFlags("verify options (--connect= ships them to the daemon)",
+             verifyFlags());
+  printFlags("options", cliFlags());
+  printFlags("daemon options", serveFlags());
+  std::fprintf(
+      stderr,
       "\n"
       "verify exit codes: 0 verified; 1 at least one obligation refuted;\n"
       "2 usage/parse/static error; 3 not verified but nothing refuted\n"
       "(solver gave up or errored)\n");
+}
+
+/// Prints a failed \p S as relaxc's error line; true when it failed.
+bool reportError(const Status &S) {
+  if (!S.ok())
+    std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
+  return !S.ok();
+}
+
+/// `--faults=<spec>`: hidden, and every mode's — deterministic fault
+/// injection for the chaos suite (support/FaultInjection.h), exported as
+/// RELAXC_FAULTS so shard workers inherit it.
+Status armFaults(std::string_view Spec) {
+  std::string Text(Spec);
+  if (Status S = FaultRegistry::instance().arm(Text); !S.ok())
+    return S;
+  ::setenv("RELAXC_FAULTS", Text.c_str(), 1);
+  return Status::success();
+}
+
+/// Parses the flags Argv[First..] of one mode: `--faults=`, else \p Set,
+/// the mode's own flags. Diagnoses the first bad one.
+template <typename SetFn>
+bool parseFlags(int Argc, char **Argv, int First, SetFn Set) {
+  for (int I = First; I < Argc; ++I) {
+    FlagArg A(Argv[I]);
+    if (reportError(A.spells("--faults", /*Valued=*/true)
+                        ? armFaults(A.value())
+                        : Set(A)))
+      return false;
+  }
+  return true;
+}
+
+/// The CLI grammar's checks that span flags.
+Status checkCliOptions(const CliOptions &Opts) {
+  if (Opts.CacheVerifySet && Opts.CacheDir.empty())
+    return Status::error("--cache-verify= requires --cache-dir= (there is no "
+                         "cache to audit without one)");
+  if (Opts.Connect.empty())
+    return Status::success();
+  if (Opts.Command != "verify")
+    return Status::error("--connect= only applies to `verify`");
+  if (Opts.Shards > 0)
+    return Status::error("--connect= ships the whole job to the daemon, "
+                         "which runs no worker pool; drop --shards=");
+  if (!Opts.CacheDir.empty())
+    return Status::error("--cache-dir= does not combine with --connect= (the "
+                         "cache lives in the daemon; pass it to --serve=)");
+  if (!Opts.Explain.empty())
+    return Status::error("--explain= is not available over --connect=");
+  return Status::success();
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
@@ -173,190 +276,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     return false;
   Opts.Command = Argv[1];
   Opts.Verify.FileName = Argv[2];
-  for (int I = 3; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Value = [&](const char *Prefix) -> const char * {
-      size_t N = std::strlen(Prefix);
-      return A.compare(0, N, Prefix) == 0 ? A.c_str() + N : nullptr;
-    };
-    if (const char *V = Value("--solver=")) {
-      if (!isKnownSolverName(V)) {
-        std::fprintf(stderr,
-                     "relaxc: error: unknown solver '%s' for --solver= "
-                     "(valid choices: %s)\n",
-                     V, knownSolverNamesForDiagnostics().c_str());
-        return false;
-      }
-      Opts.Verify.SolverName = V;
-    } else if (const char *V = Value("--pipeline=")) {
-      Result<std::vector<TierKind>> Tiers = parsePipelineSpec(V);
-      if (!Tiers.ok()) {
-        std::fprintf(stderr, "relaxc: error: %s\n",
-                     Tiers.message().c_str());
-        return false;
-      }
-      Opts.Verify.Pipeline = formatPipeline(*Tiers);
-    } else if (const char *V = Value("--bounded-steps=")) {
-      if (!parseDecimal(V, Opts.Verify.BoundedSteps)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-steps value '%s' "
-                     "(expected a decimal step count; 0 = unlimited)\n",
-                     V);
-        return false;
-      }
-    } else if (const char *V = Value("--explain="))
-      Opts.Explain = V;
-    else if (A == "--solver-stats")
-      Opts.Verify.SolverStats = true;
-    else if (const char *V = Value("--oracle="))
-      Opts.OracleName = V;
-    else if (const char *V = Value("--semantics="))
-      Opts.Semantics = V;
-    else if (const char *V = Value("--seed=")) {
-      // Strict, like every other numeric flag: bare strtoull mapped
-      // --seed=garbage to 0 and --seed=12abc to 12, silently changing
-      // which runs a reported failure reproduces.
-      if (!parseDecimal(V, Opts.Seed)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --seed value '%s' (expected a "
-                     "decimal seed)\n",
-                     V);
-        return false;
-      }
-    } else if (const char *V = Value("--runs=")) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N) || N > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --runs value '%s' (expected a "
-                     "decimal run count)\n",
-                     V);
-        return false;
-      }
-      Opts.Runs = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--array-len=")) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N) || N > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --array-len value '%s' (expected a "
-                     "decimal length)\n",
-                     V);
-        return false;
-      }
-      Opts.ArrayLen = static_cast<size_t>(N);
-    } else if (const char *V = Value("--jobs=")) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N) || N > 1024) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --jobs value '%s' (expected a "
-                     "decimal worker count <= 1024)\n",
-                     V);
-        return false;
-      }
-      Opts.Verify.Jobs = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--cache-dir=")) {
-      if (*V == '\0') {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --cache-dir value (expected a "
-                     "directory path)\n");
-        return false;
-      }
-      Opts.CacheDir = V;
-    } else if (const char *V = Value("--cache-verify=")) {
-      if (!parseDecimal(V, Opts.CacheVerifyPpm) ||
-          Opts.CacheVerifyPpm > 1'000'000) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --cache-verify value '%s' "
-                     "(expected a parts-per-million rate <= 1000000)\n",
-                     V);
-        return false;
-      }
-      Opts.CacheVerifySet = true;
-    } else if (const char *V = Value("--shards=")) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N) || N > 256) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --shards value '%s' (expected a "
-                     "decimal worker count <= 256; 0 = in-process)\n",
-                     V);
-        return false;
-      }
-      Opts.Shards = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--connect=")) {
-      if (*V == '\0') {
-        std::fprintf(stderr, "relaxc: error: bad --connect value (expected "
-                             "unix:<path> or host:port)\n");
-        return false;
-      }
-      Opts.Connect = V;
-    } else if (const char *V = Value("--timeout-ms=")) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --timeout-ms value '%s' (expected "
-                     "a decimal millisecond count)\n",
-                     V);
-        return false;
-      }
-      Opts.Verify.TimeoutMs = static_cast<int64_t>(N);
-    } else if (const char *V = Value("--vc-timeout-ms=")) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --vc-timeout-ms value '%s' "
-                     "(expected a decimal millisecond count)\n",
-                     V);
-        return false;
-      }
-      Opts.Verify.VcTimeoutMs = static_cast<int64_t>(N);
-    } else if (const char *V = Value("--faults=")) {
-      // Hidden: deterministic fault injection for the chaos suite.
-      Opts.Faults = V;
-    }
-    else if (A == "--verbose")
-      Opts.Verify.Verbose = true;
-    else if (A == "--no-safety")
-      Opts.Verify.NoSafety = true;
-    else if (A == "--original-only")
-      Opts.Verify.OriginalOnly = true;
-    else if (A == "--smtlib")
-      Opts.SmtLib = true;
-    else {
-      std::fprintf(stderr, "relaxc: error: unknown option '%s'\n", A.c_str());
-      return false;
-    }
-  }
-  if (Opts.CacheVerifySet && Opts.CacheDir.empty()) {
-    std::fprintf(stderr,
-                 "relaxc: error: --cache-verify= requires --cache-dir= "
-                 "(there is no cache to audit without one)\n");
-    return false;
-  }
-  if (!Opts.Connect.empty()) {
-    if (Opts.Command != "verify") {
-      std::fprintf(stderr, "relaxc: error: --connect= only applies to "
-                           "`verify`\n");
-      return false;
-    }
-    if (Opts.Shards > 0) {
-      std::fprintf(stderr,
-                   "relaxc: error: --connect= ships the whole job to the "
-                   "daemon, which runs no worker pool; drop --shards=\n");
-      return false;
-    }
-    if (!Opts.CacheDir.empty()) {
-      std::fprintf(stderr,
-                   "relaxc: error: --cache-dir= does not combine with "
-                   "--connect= (the cache lives in the daemon; pass it to "
-                   "--serve=)\n");
-      return false;
-    }
-    if (!Opts.Explain.empty()) {
-      std::fprintf(stderr, "relaxc: error: --explain= is not available "
-                           "over --connect=\n");
-      return false;
-    }
-  }
-  return true;
+  return parseFlags(Argc, Argv, 3,
+                    [&](FlagArg &A) {
+                      const Flag<CliOptions> *F = A.find(cliFlags());
+                      return F ? F->Set(A, Opts)
+                               : parseVerifyFlag(A.arg(), Opts.Verify);
+                    }) &&
+         !reportError(checkCliOptions(Opts));
 }
 
 std::unique_ptr<Oracle> makeOracle(const CliOptions &Opts, AstContext &Ctx,
@@ -664,64 +590,7 @@ int runDischargeWorker() {
 }
 
 /// `--serve=<addr>` (as the first argument): the verification daemon.
-/// Remaining arguments are daemon-scoped flags, parsed strictly here —
-/// the regular CLI grammar (command + file) does not apply.
-int runServe(int Argc, char **Argv) {
-  VerifyServerOptions SO;
-  SO.Address = Argv[1] + std::strlen("--serve=");
-  if (SO.Address.empty()) {
-    std::fprintf(stderr, "relaxc: error: bad --serve value (expected "
-                         "unix:<path> or host:port)\n");
-    return 2;
-  }
-  for (int I = 2; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Value = [&](const char *Prefix) -> const char * {
-      size_t N = std::strlen(Prefix);
-      return A.compare(0, N, Prefix) == 0 ? A.c_str() + N : nullptr;
-    };
-    uint64_t N = 0;
-    if (const char *V = Value("--faults=")) {
-      if (Status S = FaultRegistry::instance().arm(V); !S.ok()) {
-        std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
-        return 2;
-      }
-    } else if (const char *V = Value("--cache-dir=")) {
-      SO.CacheDir = V;
-    } else if (const char *V = Value("--serve-threads=")) {
-      if (!parseDecimal(V, N) || N == 0 || N > 1024) {
-        std::fprintf(stderr, "relaxc: error: bad --serve-threads value "
-                             "'%s' (expected 1..1024)\n", V);
-        return 2;
-      }
-      SO.MaxConnections = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--serve-queue=")) {
-      if (!parseDecimal(V, N) || N == 0 || N > 4096) {
-        std::fprintf(stderr, "relaxc: error: bad --serve-queue value "
-                             "'%s' (expected 1..4096)\n", V);
-        return 2;
-      }
-      SO.AcceptBacklog = static_cast<int>(N);
-    } else if (const char *V = Value("--serve-frame-timeout-ms=")) {
-      if (!parseDecimal(V, N) || N > uint64_t(INT32_MAX)) {
-        std::fprintf(stderr, "relaxc: error: bad --serve-frame-timeout-ms "
-                             "value '%s'\n", V);
-        return 2;
-      }
-      SO.FrameReadTimeoutMs = static_cast<int>(N);
-    } else if (const char *V = Value("--serve-max-request-ms=")) {
-      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
-        std::fprintf(stderr, "relaxc: error: bad --serve-max-request-ms "
-                             "value '%s'\n", V);
-        return 2;
-      }
-      SO.MaxRequestTimeoutMs = static_cast<int64_t>(N);
-    } else {
-      std::fprintf(stderr, "relaxc: error: unknown --serve option '%s'\n",
-                   A.c_str());
-      return 2;
-    }
-  }
+int runServe(VerifyServerOptions SO) {
   Result<std::unique_ptr<VerifyServer>> S = VerifyServer::create(std::move(SO));
   if (!S.ok()) {
     std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
@@ -934,9 +803,18 @@ int runDumpVCs(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
       Verifier::passVCs(Ctx, Prog, *Info, JudgmentKind::Relaxed, Diags, GO);
 
   Z3Solver SmtPrinter(Ctx.symbols());
-  auto Dump = [&](const char *Title, const VCSet &Set) {
+  auto Dump = [&](const char *Title, const VCSet &Set) -> Status {
     std::printf("== %s: %zu VCs ==\n", Title, Set.VCs.size());
     for (const VC &C : Set.VCs) {
+      // Validity VCs are emitted negated, so `unsat` means proved — the
+      // conventional SMT-LIB phrasing of a proof obligation. A build
+      // without Z3 has no printer: that is an error, not an empty dump.
+      Result<std::string> Script = std::string();
+      if (Opts.SmtLib)
+        Script = SmtPrinter.toSmtLib(
+            {C.Kind == VCKind::Validity ? Ctx.notExpr(C.Formula) : C.Formula});
+      if (!Script.ok())
+        return Script.status();
       std::string ProcPrefix =
           !C.Proc.empty() && C.Proc != "main" ? C.Proc + ": " : "";
       std::printf("[%s/%s] %s%s (line %u): %s\n  %s\n",
@@ -944,22 +822,15 @@ int runDumpVCs(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
                   C.Kind == VCKind::Validity ? "valid" : "sat",
                   ProcPrefix.c_str(), C.Rule.c_str(), C.Loc.Line,
                   C.Description.c_str(), P.print(C.Formula).c_str());
-      if (Opts.SmtLib) {
-        // Validity VCs are emitted negated, so `unsat` means proved —
-        // the conventional SMT-LIB phrasing of a proof obligation.
-        std::vector<const BoolExpr *> Query = {
-            C.Kind == VCKind::Validity ? Ctx.notExpr(C.Formula) : C.Formula};
-        Result<std::string> Script = SmtPrinter.toSmtLib(Query);
-        if (Script.ok())
-          std::printf("  ; SMT-LIB (%s expected)\n%s\n",
-                      C.Kind == VCKind::Validity ? "unsat" : "sat",
-                      Script->c_str());
-      }
+      if (Opts.SmtLib)
+        std::printf("  ; SMT-LIB (%s expected)\n%s\n",
+                    C.Kind == VCKind::Validity ? "unsat" : "sat",
+                    Script->c_str());
     }
+    return Status::success();
   };
-  Dump("|-o", OSet);
-  Dump("|-r", RSet);
-  return 0;
+  Status S = Dump("|-o", OSet);
+  return reportError(S.ok() ? Dump("|-r", RSet) : S) ? 2 : 0;
 }
 
 } // namespace
@@ -970,34 +841,29 @@ int main(int Argc, char **Argv) {
   // process. The pool ignores SIGPIPE again at creation (belt and
   // braces); this covers the worker side and every other write path.
   ::signal(SIGPIPE, SIG_IGN);
-  if (Status S = FaultRegistry::instance().armFromEnvironment(); !S.ok()) {
-    std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
+  if (reportError(FaultRegistry::instance().armFromEnvironment()))
     return 2;
+
+  // The two modes without a file, dispatched before the regular grammar:
+  // the verification daemon, `relaxc --serve=<addr> [daemon flags]`, and
+  // the hidden worker of the sharded discharge tier, which takes only
+  // --faults= (tests arm workers through the pool's WorkerArgs).
+  FlagArg Mode(Argc >= 2 ? Argv[1] : "");
+  if (Mode.spells("--serve", /*Valued=*/true)) {
+    VerifyServerOptions SO;
+    if (reportError(Mode.nonEmpty(SO.Address, "unix:<path> or host:port")) ||
+        !parseFlags(Argc, Argv, 2, [&](FlagArg &A) {
+          const Flag<VerifyServerOptions> *F = A.find(serveFlags());
+          return F ? F->Set(A, SO) : A.unknown("--serve ");
+        }))
+      return 2;
+    return runServe(std::move(SO));
   }
-
-  // The verification daemon: `relaxc --serve=<addr> [daemon flags]`.
-  // Dispatched before the regular grammar — a daemon has no file.
-  if (Argc >= 2 && std::strncmp(Argv[1], "--serve=", 8) == 0)
-    return runServe(Argc, Argv);
-
-  // The hidden worker mode of the sharded discharge tier: no file, no
-  // command — just the frame loop over stdin/stdout. Workers accept
-  // --faults= directly so tests can arm them via pool WorkerArgs without
-  // touching the parent's environment; any other argument is an error.
-  if (Argc >= 2 && std::strcmp(Argv[1], "--discharge-worker") == 0) {
-    for (int I = 2; I < Argc; ++I) {
-      if (std::strncmp(Argv[I], "--faults=", 9) != 0) {
-        std::fprintf(stderr,
-                     "relaxc: error: unknown --discharge-worker option "
-                     "'%s'\n",
-                     Argv[I]);
-        return 2;
-      }
-      if (Status S = FaultRegistry::instance().arm(Argv[I] + 9); !S.ok()) {
-        std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
-        return 2;
-      }
-    }
+  if (Mode.spells("--discharge-worker", /*Valued=*/false)) {
+    if (!parseFlags(Argc, Argv, 2, [](FlagArg &A) {
+          return A.unknown("--discharge-worker ");
+        }))
+      return 2;
     return runDischargeWorker();
   }
 
@@ -1006,21 +872,11 @@ int main(int Argc, char **Argv) {
     printUsage();
     return 2;
   }
-  if (!Opts.Faults.empty()) {
-    if (Status S = FaultRegistry::instance().arm(Opts.Faults); !S.ok()) {
-      std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
-      return 2;
-    }
-    // Shard workers (respawns of this executable) inherit the spec.
-    ::setenv("RELAXC_FAULTS", Opts.Faults.c_str(), 1);
-  }
   Opts.ExePath = currentExecutablePath(Argv[0]);
 
   SourceManager SM;
-  if (Status S = SM.loadFile(Opts.Verify.FileName); !S.ok()) {
-    std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
+  if (reportError(SM.loadFile(Opts.Verify.FileName)))
     return 2;
-  }
   // `verify` parses inside the session — in the daemon for a --connect=
   // client — so each run parses its program exactly once.
   if (Opts.Command == "verify") {

@@ -24,12 +24,129 @@
 using namespace relax;
 
 //===----------------------------------------------------------------------===//
+// Flags
+//===----------------------------------------------------------------------===//
+
+bool FlagArg::spells(std::string_view FlagName, bool Valued) {
+  size_t N = FlagName.size();
+  if (!Valued)
+    return Arg == FlagName;
+  if (Arg.substr(0, N) != FlagName || Arg.substr(N, 1) != "=")
+    return false;
+  Name = FlagName;
+  Value = Arg.substr(N + 1);
+  return true;
+}
+
+Status FlagArg::text(std::string &Out) const {
+  Out = Value;
+  return Status::success();
+}
+
+Status FlagArg::nonEmpty(std::string &Out, const char *Expected) const {
+  return Value.empty() ? bad(Expected) : text(Out);
+}
+
+Status FlagArg::choice(std::string &Out, const char *What,
+                       const std::vector<const char *> &Choices) const {
+  std::string Valid;
+  for (const char *C : Choices) {
+    if (Value == C)
+      return text(Out);
+    Valid += Valid.empty() ? C : std::string(", ") + C;
+  }
+  return Status::error(std::string("unknown ") + What + " '" +
+                       std::string(Value) + "' for " + std::string(Name) +
+                       "= (valid choices: " + Valid + ")");
+}
+
+Status FlagArg::on(bool &Out) const {
+  Out = true;
+  return Status::success();
+}
+
+Status FlagArg::bad(const char *Expected) const {
+  return Status::error("bad " + std::string(Name) + " value '" +
+                       std::string(Value) + "' (expected " + Expected + ")");
+}
+
+Status FlagArg::unknown(const char *Mode) const {
+  return Status::error(std::string("unknown ") + Mode + "option '" +
+                       std::string(Arg) + "'");
+}
+
+const std::vector<Flag<VerifyWireRequest>> &relax::verifyFlags() {
+  using R = VerifyWireRequest;
+  static const std::vector<Flag<R>> Flags = {
+      {"--solver", "<z3|bounded>",
+       "`verify` without --pipeline= runs this\none tier as its pipeline; "
+       "`run` and\n`monitor` use it as their oracle solver\n(default z3)",
+       [](const FlagArg &A, R &O) {
+         return A.choice(O.SolverName, "solver", knownSolverNames());
+       }},
+      {"--pipeline", "<tier,...>",
+       "tiered portfolio discharge for `verify`\n(tiers: simplify, bounded, "
+       "z3; e.g.\n--pipeline=simplify,bounded,z3). A\nbounded tier before "
+       "z3 runs behind it:\nit rescues z3's unknowns and supplies\nfailed "
+       "obligations' counterexamples",
+       [](const FlagArg &A, R &O) {
+         Result<std::vector<TierKind>> Tiers = parsePipelineSpec(A.value());
+         if (!Tiers.ok())
+           return Tiers.status();
+         O.Pipeline = formatPipeline(*Tiers);
+         return Status::success();
+       }},
+      {"--bounded-steps", "<n>",
+       "per-query quantifier-step budget of the\nbounded search, as a "
+       "pipeline tier and\nas --solver=bounded (default 200000;\n0 = "
+       "unlimited)",
+       [](const FlagArg &A, R &O) {
+         return A.decimal(O.BoundedSteps,
+                          "a decimal step count; 0 = unlimited");
+       }},
+      {"--jobs", "<n>",
+       "parallel VC discharge workers for\n`verify` (default 1)",
+       [](const FlagArg &A, R &O) {
+         return A.decimal(O.Jobs, "a decimal worker count <= 1024", 1024);
+       }},
+      {"--timeout-ms", "<n>",
+       "global wall-clock budget for `verify`;\nobligations past it settle "
+       "as gave-ups\nwith reason 'deadline' (exit code 3)",
+       [](const FlagArg &A, R &O) {
+         return A.decimal(O.TimeoutMs, "a decimal millisecond count");
+       }},
+      {"--vc-timeout-ms", "<n>", "per-obligation wall-clock budget",
+       [](const FlagArg &A, R &O) {
+         return A.decimal(O.VcTimeoutMs, "a decimal millisecond count");
+       }},
+      {"--no-safety", nullptr, "skip division/bounds trap obligations",
+       [](const FlagArg &A, R &O) { return A.on(O.NoSafety); }},
+      {"--original-only", nullptr, "verify only the |-o judgment",
+       [](const FlagArg &A, R &O) { return A.on(O.OriginalOnly); }},
+      {"--verbose", nullptr, "print every VC, not just failures",
+       [](const FlagArg &A, R &O) { return A.on(O.Verbose); }},
+      {"--solver-stats", nullptr,
+       "print per-tier settled/escalated counts,\ncache/work counters, "
+       "per-pass wall times,\nand per-procedure obligation counts "
+       "after\n`verify`",
+       [](const FlagArg &A, R &O) { return A.on(O.SolverStats); }},
+  };
+  return Flags;
+}
+
+Status relax::parseVerifyFlag(std::string_view Arg, VerifyWireRequest &R) {
+  FlagArg A(Arg);
+  const Flag<VerifyWireRequest> *F = A.find(verifyFlags());
+  return F ? F->Set(A, R) : A.unknown("");
+}
+
+//===----------------------------------------------------------------------===//
 // The verify wire codec
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-const char *VerifyRequestMagic = "relax-verify-request 2";
+const char *VerifyRequestMagic = "relax-verify-request 3";
 const char *VerifyResponseMagic = "relax-verify-response 1";
 
 void putLine(std::string &Out, const std::string &S) {
@@ -65,6 +182,9 @@ struct WireCursor {
     return true;
   }
 
+  /// Whether the next line is a flag (`--...`).
+  bool atFlag() const { return Pos < S.size() && S.substr(Pos, 2) == "--"; }
+
   Status blob(const char *Tag, std::string &Out) {
     std::string_view L;
     if (!line(L))
@@ -94,70 +214,28 @@ struct WireCursor {
   }
 };
 
-/// `<key> <value>` with exact key match; -1 is the only allowed negative.
-Status takeKeyed(WireCursor &C, const char *Key, std::string_view &Value) {
-  std::string_view L;
-  if (!C.line(L))
-    return Status::error(std::string("missing '") + Key + "' field");
-  size_t KeyLen = std::strlen(Key);
-  if (L.compare(0, KeyLen, Key) != 0 || L.size() <= KeyLen ||
-      L[KeyLen] != ' ')
-    return Status::error(std::string("expected '") + Key + " <value>', got '" +
-                         std::string(L) + "'");
-  Value = L.substr(KeyLen + 1);
-  return Status::success();
-}
-
-Status takeUnsigned(WireCursor &C, const char *Key, uint64_t &Out) {
-  std::string_view V;
-  if (Status S = takeKeyed(C, Key, V); !S.ok())
-    return S;
-  if (!parseDecimal(V, Out))
-    return Status::error(std::string("bad '") + Key + "' value '" +
-                         std::string(V) + "'");
-  return Status::success();
-}
-
-Status takeMs(WireCursor &C, const char *Key, int64_t &Out) {
-  std::string_view V;
-  if (Status S = takeKeyed(C, Key, V); !S.ok())
-    return S;
-  if (V == "-1") {
-    Out = -1;
-    return Status::success();
-  }
-  uint64_t N = 0;
-  if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX))
-    return Status::error(std::string("bad '") + Key + "' value '" +
-                         std::string(V) + "'");
-  Out = static_cast<int64_t>(N);
-  return Status::success();
-}
-
 } // namespace
 
 std::string relax::serializeVerifyRequest(const VerifyWireRequest &R) {
+  const VerifyWireRequest Default;
   std::string Out;
   putLine(Out, VerifyRequestMagic);
-  putLine(Out, "solver " + R.SolverName);
-  putLine(Out, "pipeline " + (R.Pipeline.empty() ? "-" : R.Pipeline));
-  putLine(Out, "bounded-steps " + std::to_string(R.BoundedSteps));
-  putLine(Out, "jobs " + std::to_string(R.Jobs));
-  putLine(Out, "timeout-ms " + std::to_string(R.TimeoutMs));
-  putLine(Out, "vc-timeout-ms " + std::to_string(R.VcTimeoutMs));
-  std::string Flags;
-  auto AddFlag = [&](bool On, const char *Name) {
-    if (!On)
-      return;
-    if (!Flags.empty())
-      Flags += ' ';
-    Flags += Name;
+  // A knob at its default is left out; a negative timeout means none.
+  auto Put = [&](bool Set, const std::string &Flag) {
+    if (Set)
+      putLine(Out, Flag);
   };
-  AddFlag(R.NoSafety, "no-safety");
-  AddFlag(R.OriginalOnly, "original-only");
-  AddFlag(R.Verbose, "verbose");
-  AddFlag(R.SolverStats, "solver-stats");
-  putLine(Out, "flags " + (Flags.empty() ? std::string("-") : Flags));
+  Put(R.SolverName != Default.SolverName, "--solver=" + R.SolverName);
+  Put(!R.Pipeline.empty(), "--pipeline=" + R.Pipeline);
+  Put(R.BoundedSteps != Default.BoundedSteps,
+      "--bounded-steps=" + std::to_string(R.BoundedSteps));
+  Put(R.Jobs != Default.Jobs, "--jobs=" + std::to_string(R.Jobs));
+  Put(R.TimeoutMs >= 0, "--timeout-ms=" + std::to_string(R.TimeoutMs));
+  Put(R.VcTimeoutMs >= 0, "--vc-timeout-ms=" + std::to_string(R.VcTimeoutMs));
+  Put(R.NoSafety, "--no-safety");
+  Put(R.OriginalOnly, "--original-only");
+  Put(R.Verbose, "--verbose");
+  Put(R.SolverStats, "--solver-stats");
   putBlob(Out, "file", R.FileName);
   putBlob(Out, "source", R.Source);
   return Out;
@@ -173,45 +251,10 @@ Result<VerifyWireRequest> relax::parseVerifyRequest(std::string_view Payload) {
   if (!C.line(L) || L != VerifyRequestMagic)
     return Bad("bad magic (stream is not speaking the verify protocol)");
   VerifyWireRequest R;
-  std::string_view V;
-  if (Status S = takeKeyed(C, "solver", V); !S.ok())
-    return Bad(S.message());
-  R.SolverName = std::string(V);
-  if (Status S = takeKeyed(C, "pipeline", V); !S.ok())
-    return Bad(S.message());
-  R.Pipeline = V == "-" ? std::string() : std::string(V);
-  if (Status S = takeUnsigned(C, "bounded-steps", R.BoundedSteps); !S.ok())
-    return Bad(S.message());
-  uint64_t N = 0;
-  if (Status S = takeUnsigned(C, "jobs", N); !S.ok() || N > 1024)
-    return Bad(S.ok() ? "bad 'jobs' value (> 1024)" : S.message());
-  R.Jobs = static_cast<unsigned>(N);
-  if (Status S = takeMs(C, "timeout-ms", R.TimeoutMs); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeMs(C, "vc-timeout-ms", R.VcTimeoutMs); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeKeyed(C, "flags", V); !S.ok())
-    return Bad(S.message());
-  if (V != "-") {
-    size_t Pos = 0;
-    while (Pos < V.size()) {
-      size_t Sp = V.find(' ', Pos);
-      std::string_view F = V.substr(Pos, Sp == std::string_view::npos
-                                             ? std::string_view::npos
-                                             : Sp - Pos);
-      if (F == "no-safety")
-        R.NoSafety = true;
-      else if (F == "original-only")
-        R.OriginalOnly = true;
-      else if (F == "verbose")
-        R.Verbose = true;
-      else if (F == "solver-stats")
-        R.SolverStats = true;
-      else
-        return Bad("unknown flag '" + std::string(F) + "'");
-      Pos = Sp == std::string_view::npos ? V.size() : Sp + 1;
-    }
-  }
+  // One CLI flag a line, checked as the CLI checks it.
+  while (C.atFlag() && C.line(L))
+    if (Status S = parseVerifyFlag(L, R); !S.ok())
+      return Bad(S.message());
   if (Status S = C.blob("file", R.FileName); !S.ok())
     return Bad(S.message());
   if (Status S = C.blob("source", R.Source); !S.ok())
@@ -242,12 +285,12 @@ relax::parseVerifyResponse(std::string_view Payload) {
   if (!C.line(L) || L != VerifyResponseMagic)
     return Bad("bad magic (stream is not speaking the verify protocol)");
   VerifyWireResponse R;
-  std::string_view V;
-  if (Status S = takeKeyed(C, "status", V); !S.ok())
-    return Bad(S.message());
+  if (!C.line(L) || L.rfind("status ", 0) != 0)
+    return Bad("missing 'status' line");
+  std::string_view V = L.substr(std::strlen("status "));
   size_t Sp = V.find(' ');
   if (Sp == std::string_view::npos)
-    return Bad("bad 'status' line '" + std::string(V) + "'");
+    return Bad("bad 'status' line '" + std::string(L) + "'");
   uint64_t N = 0;
   if (!parseDecimal(V.substr(0, Sp), N) || N > 3)
     return Bad("bad exit status '" + std::string(V.substr(0, Sp)) + "'");
@@ -515,7 +558,7 @@ VerifyServer::create(VerifyServerOptions O) {
   using R = Result<std::unique_ptr<VerifyServer>>;
   if (O.MaxConnections == 0)
     return R::error("the server needs at least one connection slot");
-  Result<SocketListener> L = SocketListener::bind(O.Address, O.AcceptBacklog);
+  Result<SocketListener> L = SocketListener::bind(O.Address);
   if (!L.ok())
     return R::error(L.message());
   std::unique_ptr<VerifyServer> S(new VerifyServer());

@@ -8,25 +8,29 @@
 /// \file
 /// The verify session and the `--serve=<addr>` daemon around it.
 ///
-/// `VerifyWireRequest` is the one verify configuration: the CLI parses
-/// its flags into one, `--connect=` ships it, and the daemon parses it
-/// back. `runVerifyJob` is the one path from a configuration to a
-/// report — the local `verify` command (with or without a worker pool
-/// and a persistent cache), the daemon, and the benchmark harness all
-/// run it, so a served report equals a local one by construction. The
-/// portfolio options, the cache fingerprint and the exit code are each
-/// derived from the configuration in exactly one place. Every job runs a
-/// portfolio: without a pipeline, the one tier `--solver=` names.
+/// `VerifyWireRequest` is the one verify configuration and
+/// `parseVerifyFlag` the one parser of its knobs: the CLI runs it on its
+/// argv, and the daemon on each request, whose wire form is the magic
+/// line `relax-verify-request 3`, the non-default knobs in their CLI
+/// spelling one a line, and the counted `file` and `source` blobs.
+/// `runVerifyJob` is the one path from a configuration to a report — the
+/// local `verify` command (with or without a worker pool and a persistent
+/// cache), the daemon, and the benchmark harness all run it, so a served
+/// report equals a local one by construction. The portfolio options, the
+/// cache fingerprint and the exit code are each derived from the
+/// configuration in exactly one place. Every job runs a portfolio:
+/// without a pipeline, the one tier `--solver=` names.
 ///
 /// The daemon is a long-lived process accepting framed verify requests
 /// over a Unix-domain or TCP socket (support/Transport.h): a whole
 /// program plus its configuration per frame. The response carries the
 /// session's report, diagnostics, and exit status (0 verified / 1
 /// refuted / 2 static error / 3 gave up), so `relaxc verify f.rlx
-/// --connect=<addr>` is a drop-in for a local run. Any other payload is
-/// refused with a diagnosed status-2 response. Two input checks are the
-/// daemon's own: a served request may not name a literal `shard` tier,
-/// and `--serve-max-request-ms` clamps its deadline.
+/// --connect=<addr>` is a drop-in for a local run. Any other payload, and
+/// a knob the CLI would refuse, is refused with a diagnosed status-2
+/// response. Two input checks are the daemon's own: a served request may
+/// not name a literal `shard` tier, and `--serve-max-request-ms` clamps
+/// its deadline.
 ///
 /// Warm state is chosen to keep verdicts bit-identical to a standalone
 /// run: each session gets a FRESH AstContext (VC generation through a
@@ -45,17 +49,84 @@
 
 #include "solver/Portfolio.h"
 #include "solver/ShardPool.h"
+#include "support/IntMath.h"
 #include "support/PersistentCache.h"
 #include "support/Transport.h"
 #include "vcgen/Verifier.h"
 
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 
 namespace relax {
+
+//===----------------------------------------------------------------------===//
+// Flags
+//===----------------------------------------------------------------------===//
+
+class FlagArg;
+
+/// One flag of a parser over the options \p T: its spelling, its usage
+/// text, and the check that stores it. The CLI, the daemon and the verify
+/// wire parse through tables of these, and the usage prints them.
+template <typename T> struct Flag {
+  const char *Name;    ///< `--jobs`
+  const char *Metavar; ///< `<n>` for `--jobs=<n>`; null for a switch
+  const char *Help;    ///< usage text; each '\n' starts an indented line
+  Status (*Set)(const FlagArg &, T &);
+};
+
+/// One argument matched against a parser's flags. The checks store its
+/// value or diagnose it as `bad --name value 'V' (expected ...)`.
+class FlagArg {
+public:
+  explicit FlagArg(std::string_view Arg) : Arg(Arg) {}
+
+  /// Whether the argument is `Name=<value>` (\p Valued) or the switch
+  /// `Name`; a match names the flag value() belongs to.
+  bool spells(std::string_view Name, bool Valued);
+
+  template <typename T>
+  const Flag<T> *find(const std::vector<Flag<T>> &Flags) {
+    for (const Flag<T> &F : Flags)
+      if (spells(F.Name, F.Metavar != nullptr))
+        return &F;
+    return nullptr;
+  }
+
+  std::string_view arg() const { return Arg; }
+  std::string_view value() const { return Value; }
+
+  /// A strict decimal (support/IntMath.h) in [Min, Max].
+  template <typename T>
+  Status decimal(T &Out, const char *Expected,
+                 uint64_t Max = std::numeric_limits<T>::max(),
+                 uint64_t Min = 0) const {
+    uint64_t N = 0;
+    if (!parseDecimal(Value, N) || N < Min || N > Max)
+      return bad(Expected);
+    Out = static_cast<T>(N);
+    return Status::success();
+  }
+  Status text(std::string &Out) const;
+  Status nonEmpty(std::string &Out, const char *Expected) const;
+  /// One of \p Choices, else `unknown <What> 'V' for --name= (valid
+  /// choices: a, b)`.
+  Status choice(std::string &Out, const char *What,
+                const std::vector<const char *> &Choices) const;
+  /// Sets a switch.
+  Status on(bool &Out) const;
+  /// `unknown <Mode>option 'A'` (\p Mode: "" for the CLI, "--serve " ...).
+  Status unknown(const char *Mode) const;
+
+private:
+  Status bad(const char *Expected) const;
+
+  std::string_view Arg, Name, Value;
+};
 
 //===----------------------------------------------------------------------===//
 // The verify wire
@@ -77,6 +148,13 @@ struct VerifyWireRequest {
   bool Verbose = false;
   bool SolverStats = false;
 };
+
+/// The verify knobs in their CLI spelling, as parseVerifyFlag parses them.
+const std::vector<Flag<VerifyWireRequest>> &verifyFlags();
+
+/// Parses one verify knob (`--jobs=4`, `--verbose`) into \p R; an
+/// argument that is none is an `unknown option`.
+Status parseVerifyFlag(std::string_view Arg, VerifyWireRequest &R);
 
 std::string serializeVerifyRequest(const VerifyWireRequest &R);
 Result<VerifyWireRequest> parseVerifyRequest(std::string_view Payload);
@@ -145,7 +223,6 @@ VerifyJobResult runVerifyJob(const VerifyWireRequest &R,
 struct VerifyServerOptions {
   std::string Address;          ///< unix:<path> or host:port (0 = ephemeral)
   unsigned MaxConnections = 8;  ///< concurrent connections; more are refused
-  int AcceptBacklog = 16;       ///< kernel accept queue (the only queue)
   /// Whole-frame read budget once a request's first byte arrives: the
   /// anti-slow-loris bound. Idle connections may wait indefinitely.
   int FrameReadTimeoutMs = 30'000;

@@ -21,7 +21,10 @@
 //    its cache; a build without Z3 refuses --solver=z3 without a
 //    pipeline;
 //  * dump-vcs lists exactly the obligations `verify --verbose` reports,
-//    in the same order, and --smtlib emits one script per obligation.
+//    in the same order, and --smtlib emits one script per obligation
+//    (exit 2 without Z3, whose printer it needs);
+//  * --oracle= and --semantics= reject values outside their choices, and
+//    the usage lists every flag of the CLI and of the daemon.
 //
 //===----------------------------------------------------------------------===//
 
@@ -638,6 +641,84 @@ TEST(DriverDumpVcs, SmtLibEmitsOneScriptPerObligation) {
     EXPECT_GT(VCs, 0u) << Name;
     EXPECT_EQ(Scripts, VCs) << Name;
   }
+}
+
+TEST(DriverDumpVcs, SmtLibWithoutZ3IsExitTwo) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  if (relax::test::haveZ3())
+    GTEST_SKIP() << "pins the build without Z3 (RELAXC_ENABLE_Z3=OFF)";
+  // The SMT-LIB printer is Z3's. Without it a dump cannot keep what
+  // --smtlib promises, so it says so and exits 2 instead of printing the
+  // obligations without their scripts.
+  TempProgram P("int x;\n{ assert x >= 0; }\n");
+  RunResult R = runDriver({"dump-vcs", P.Path, "--smtlib"});
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  EXPECT_NE(R.Output.find("relaxc: error: z3 backend not built"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("; SMT-LIB"), std::string::npos) << R.Output;
+  RunResult Plain = runDriver({"dump-vcs", P.Path});
+  EXPECT_EQ(Plain.Exit, 0) << Plain.Output;
+}
+
+TEST(DriverRunFlags, UnknownOracleOrSemanticsIsExitTwo) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // Both flags used to fall through to their defaults, so a typo ran the
+  // solver oracle under the relaxed semantics. They name their valid
+  // choices now, the way --solver= does.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Swish, "swish.rlx");
+  std::string Path = relax::test::examplePath("swish.rlx");
+  const std::pair<std::vector<std::string>, const char *> Bad[] = {
+      {{"--oracle=garbage", "--semantics=nonsense"},
+       "relaxc: error: unknown oracle 'garbage' for --oracle= (valid "
+       "choices: solver, random, identity)"},
+      {{"--semantics=nonsense"},
+       "relaxc: error: unknown semantics 'nonsense' for --semantics= "
+       "(valid choices: original, relaxed)"},
+      {{"--oracle="}, "unknown oracle '' for --oracle="},
+  };
+  for (const auto &[Flags, Want] : Bad) {
+    std::vector<std::string> Args = {"run", Path};
+    Args.insert(Args.end(), Flags.begin(), Flags.end());
+    RunResult R = runDriver(Args);
+    EXPECT_EQ(R.Exit, 2) << Flags.front() << "\n" << R.Output;
+    EXPECT_NE(R.Output.find(Want), std::string::npos)
+        << Flags.front() << "\n" << R.Output;
+  }
+  // Every valid choice still runs; this program consults no oracle.
+  TempProgram P("int x;\n{ x = x + 1; }\n");
+  for (const char *Flag : {"--oracle=solver", "--oracle=random",
+                           "--oracle=identity", "--semantics=original",
+                           "--semantics=relaxed"}) {
+    RunResult R = runDriver({"run", P.Path, Flag});
+    EXPECT_EQ(R.Exit, 0) << Flag << "\n" << R.Output;
+  }
+}
+
+TEST(DriverUsage, ListsEveryFlagOfEveryParser) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The usage is printed from the parsers' own flag tables: every verify
+  // knob, and the daemon's flags under their own heading, --cache-dir=
+  // among them. --faults= is the one hidden flag.
+  RunResult R = runDriver({});
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  for (const Flag<VerifyWireRequest> &F : verifyFlags())
+    EXPECT_NE(R.Output.find(std::string("  ") + F.Name +
+                            (F.Metavar ? "=" : " ")),
+              std::string::npos)
+        << F.Name << "\n" << R.Output;
+  size_t Daemon = R.Output.find("daemon options:");
+  ASSERT_NE(Daemon, std::string::npos) << R.Output;
+  for (const char *Name :
+       {"--cache-dir=", "--serve-threads=", "--serve-frame-timeout-ms=",
+        "--serve-max-request-ms="})
+    EXPECT_NE(R.Output.find(std::string("  ") + Name, Daemon),
+              std::string::npos)
+        << Name << "\n" << R.Output;
+  for (const char *Name : {"--serve=", "--discharge-worker"})
+    EXPECT_NE(R.Output.find(Name), std::string::npos) << Name;
+  EXPECT_EQ(R.Output.find("--faults"), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output.find("--serve-queue"), std::string::npos) << R.Output;
 }
 
 } // namespace

@@ -15,8 +15,10 @@
 //    per-config cache answers a repeated request with zero solver
 //    queries; a slow-loris client cannot stall other clients; a
 //    garbage connection costs only itself, and a payload that is not a
-//    verify request (a shard request included) is refused with status 2
-//    on a connection that keeps serving;
+//    verify request (a shard request or an older format included) is
+//    refused with status 2 on a connection that keeps serving, as is a
+//    knob the CLI would refuse, in the CLI's words; a request without a
+//    deadline runs under --serve-max-request-ms;
 //  * the CLI and the verify session: `relaxc verify` prints exactly the
 //    report, diagnostics and exit status runVerifyJob returns, a pool
 //    only chooses where the final tier runs, and a cache written by the
@@ -348,6 +350,19 @@ TEST(TransportRoundTrip, AcceptDeadlineTimesOut) {
 // The verify wire
 //===----------------------------------------------------------------------===//
 
+/// A request in the keyed-field format 2, which the flag lines replaced.
+const char FormatTwoRequest[] =
+    "relax-verify-request 2\nsolver z3\npipeline simplify,bounded\n"
+    "bounded-steps 200000\njobs 1\ntimeout-ms -1\nvc-timeout-ms -1\n"
+    "flags -\nfile 5\nx.rlx\nsource 17\nint x;\n{ skip; }\n\n";
+
+/// A format-3 request spelled out by hand: \p Flag as its one flag line,
+/// and a small program.
+std::string rawRequest(const std::string &Flag) {
+  return "relax-verify-request 3\n" + Flag +
+         "\nfile 5\nx.rlx\nsource 17\nint x;\n{ skip; }\n\n";
+}
+
 TEST(VerifyWire, RequestRoundTripsEveryField) {
   VerifyWireRequest R;
   R.FileName = "weird name.rlx";
@@ -413,11 +428,34 @@ TEST(VerifyWire, MalformedPayloadsAreDiagnosedNeverAccepted) {
   EXPECT_NE(Bad.message().find("not speaking the verify protocol"),
             std::string::npos)
       << Bad.message();
-  // The format that still carried the bounded-search knobs is refused.
+  // The formats before the flag lines are refused: the one that still
+  // carried the bounded-search knobs, and the keyed-field one.
   std::string Old = serializeVerifyRequest(VerifyWireRequest());
-  ASSERT_EQ(Old.rfind("relax-verify-request 2\n", 0), 0u);
-  Old[std::strlen("relax-verify-request ")] = '1';
-  EXPECT_FALSE(parseVerifyRequest(Old).ok());
+  ASSERT_EQ(Old.rfind("relax-verify-request 3\n", 0), 0u);
+  for (char Format : {'1', '2'}) {
+    Old[std::strlen("relax-verify-request ")] = Format;
+    EXPECT_FALSE(parseVerifyRequest(Old).ok()) << Format;
+  }
+  EXPECT_FALSE(parseVerifyRequest(FormatTwoRequest).ok());
+
+  // The format is the CLI's spelling of the non-default knobs, one a
+  // line, before the counted blobs.
+  VerifyWireRequest Verbose;
+  Verbose.FileName = "x.rlx";
+  Verbose.Source = "int x;\n{ skip; }\n";
+  Verbose.Verbose = true;
+  EXPECT_EQ(serializeVerifyRequest(Verbose), rawRequest("--verbose"));
+
+  // A flag line is parsed by the CLI's own parser: a bad value carries
+  // the CLI's diagnostic, and a flag that is no verify knob is unknown.
+  for (const char *Flag : {"--jobs=1025", "--shards=2", "--jobs"}) {
+    VerifyWireRequest Ignored;
+    Status Cli = parseVerifyFlag(Flag, Ignored);
+    ASSERT_FALSE(Cli.ok()) << Flag;
+    auto P = parseVerifyRequest(rawRequest(Flag));
+    ASSERT_FALSE(P.ok()) << Flag;
+    EXPECT_EQ(P.message(), "bad verify request: " + Cli.message());
+  }
 
   // Every truncation of a valid payload is rejected with a diagnosis.
   VerifyWireRequest R;
@@ -648,6 +686,14 @@ TEST(ServeDaemon, RefusesPayloadsThatAreNotVerifyRequests) {
             std::string::npos)
       << Shard.Error;
 
+  VerifyWireResponse Two = Ask(FormatTwoRequest);
+  EXPECT_TRUE(Two.IsError);
+  EXPECT_FALSE(Two.Retryable);
+  EXPECT_EQ(Two.ExitStatus, 2);
+  EXPECT_NE(Two.Error.find("not speaking the verify protocol"),
+            std::string::npos)
+      << Two.Error;
+
   VerifyWireRequest Sharded =
       boundedRequest("tier.rlx", "int x;\n{ assert x >= 0; }\n");
   Sharded.Pipeline = "simplify,bounded,shard";
@@ -666,6 +712,63 @@ TEST(ServeDaemon, RefusesPayloadsThatAreNotVerifyRequests) {
   ASSERT_FALSE(Served.IsError) << Served.Error;
   EXPECT_EQ(Served.ExitStatus, 0);
   EXPECT_EQ(Served.Report, Local.Report);
+}
+
+TEST(ServeDaemon, RefusesEachBadKnobWithTheCliDiagnostic) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // The daemon parses a request's flag lines with the CLI's parser, so a
+  // knob the CLI refuses is refused with the CLI's words: a status-2
+  // answer on a connection that stays open. A switch given a value is
+  // no knob at all, on either side.
+  Daemon D;
+  ASSERT_TRUE(D.Ready);
+  auto C = connectSocket(D.Addr, 10'000);
+  ASSERT_TRUE(C.ok()) << C.message();
+  for (const char *Flag :
+       {"--solver=bogus", "--pipeline=simplify,bogus", "--pipeline=",
+        "--bounded-steps=x", "--jobs=1025", "--timeout-ms=-5",
+        "--vc-timeout-ms=1e3", "--no-safety=1", "--original-only=1",
+        "--verbose=1", "--solver-stats=1"}) {
+    CliRun Cli = runCli({"verify", "x.rlx", Flag});
+    EXPECT_EQ(Cli.Exit, 2) << Flag;
+    const std::string Prefix = "relaxc: error: ";
+    ASSERT_EQ(Cli.Err.rfind(Prefix, 0), 0u) << Flag << "\n" << Cli.Err;
+    std::string Message =
+        Cli.Err.substr(Prefix.size(), Cli.Err.find('\n') - Prefix.size());
+
+    ASSERT_TRUE((*C)->send(rawRequest(Flag)).ok()) << Flag;
+    FrameRead F = (*C)->recvMs(300'000);
+    ASSERT_TRUE(F.ok()) << Flag << ": " << F.Message;
+    auto R = parseVerifyResponse(F.Payload);
+    ASSERT_TRUE(R.ok()) << R.message();
+    EXPECT_TRUE(R->IsError) << Flag;
+    EXPECT_FALSE(R->Retryable) << Flag;
+    EXPECT_EQ(R->ExitStatus, 2) << Flag;
+    EXPECT_EQ(R->Error, "bad verify request: " + Message) << Flag;
+  }
+}
+
+TEST(ServeDaemon, MaxRequestMsCapsARequestWithoutADeadline) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // --serve-max-request-ms is the daemon's guard against a request that
+  // asks for no deadline: the request runs under the cap, so a cap of 0
+  // answers a case study exactly as a local run under --timeout-ms=0.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
+  std::string Path = relax::test::examplePath("swish.rlx");
+  Daemon D({"--serve-max-request-ms=0"});
+  ASSERT_TRUE(D.Ready);
+  VerifyWireRequest R = boundedRequest(Path, Source);
+  ASSERT_LT(R.TimeoutMs, 0);
+  VerifyWireResponse Served = sendVerify(D.Addr, R);
+  ASSERT_FALSE(Served.IsError) << Served.Error;
+  CliRun Local = runCli(
+      {"verify", Path, "--pipeline=" + R.Pipeline, "--timeout-ms=0"});
+  EXPECT_EQ(Local.Exit, 3) << Local.Out << Local.Err;
+  EXPECT_EQ(Served.ExitStatus, Local.Exit);
+  EXPECT_EQ(Served.Report, Local.Out);
+  EXPECT_EQ(Served.Diagnostics, Local.Err);
+  EXPECT_NE(Served.Report.find("deadline"), std::string::npos)
+      << Served.Report;
 }
 
 //===----------------------------------------------------------------------===//
