@@ -31,6 +31,7 @@
 #include "support/Transport.h"
 #include "vcgen/Verifier.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -589,18 +590,39 @@ int runDischargeWorker() {
   }
 }
 
+/// The daemon SIGTERM and SIGINT stop while it serves.
+std::atomic<VerifyServer *> ServingDaemon{nullptr};
+
+void stopServing(int) {
+  if (VerifyServer *S = ServingDaemon.load())
+    S->requestStop();
+}
+
 /// `--serve=<addr>` (as the first argument): the verification daemon.
+/// SIGTERM and SIGINT drain it: requests in flight get their responses,
+/// then it exits 0 and removes its Unix socket.
 int runServe(VerifyServerOptions SO) {
   Result<std::unique_ptr<VerifyServer>> S = VerifyServer::create(std::move(SO));
   if (!S.ok()) {
     std::fprintf(stderr, "relaxc: error: %s\n", S.message().c_str());
     return 2;
   }
+  ServingDaemon.store(S->get());
+  struct sigaction Stop = {};
+  Stop.sa_handler = stopServing;
+  Stop.sa_flags = SA_RESTART;
+  sigemptyset(&Stop.sa_mask);
+  ::sigaction(SIGTERM, &Stop, nullptr);
+  ::sigaction(SIGINT, &Stop, nullptr);
   // Readiness line: scripts poll for it and read the resolved address
   // (TCP port 0 becomes the real ephemeral port here).
   std::printf("relaxc: serving on %s\n", (*S)->boundAddress().c_str());
   std::fflush(stdout);
-  return (*S)->run();
+  int RC = (*S)->run();
+  ::signal(SIGTERM, SIG_DFL);
+  ::signal(SIGINT, SIG_DFL);
+  ServingDaemon.store(nullptr);
+  return RC;
 }
 
 /// `verify <file> --connect=<addr>`: the thin client. Ships the file's

@@ -77,6 +77,10 @@ Status FlagArg::unknown(const char *Mode) const {
 
 const std::vector<Flag<VerifyWireRequest>> &relax::verifyFlags() {
   using R = VerifyWireRequest;
+  static const std::string JobsHelp =
+      "parallel VC discharge for `verify`:\neach pass runs on at most <n> slots\n"
+      "(default 1), and starts slot k only\nwhen more than k*" +
+      std::to_string(ObligationsPerSlot) + " of its obligations\nare pending";
   static const std::vector<Flag<R>> Flags = {
       {"--solver", "<z3|bounded>",
        "`verify` without --pipeline= runs this\none tier as its pipeline; "
@@ -104,8 +108,7 @@ const std::vector<Flag<VerifyWireRequest>> &relax::verifyFlags() {
          return A.decimal(O.BoundedSteps,
                           "a decimal step count; 0 = unlimited");
        }},
-      {"--jobs", "<n>",
-       "parallel VC discharge workers for\n`verify` (default 1)",
+      {"--jobs", "<n>", JobsHelp.c_str(),
        [](const FlagArg &A, R &O) {
          return A.decimal(O.Jobs, "a decimal worker count <= 1024", 1024);
        }},
@@ -382,7 +385,12 @@ std::string renderSolverStats(const std::vector<TierKind> &Tiers,
           U(S.Search.EvictedNogoods), U(S.Search.UnitPropagations),
           U(S.Search.Backjumps), U(S.Search.Restarts),
           U(S.Search.MaxTrailDepth));
-  appendf(Out, "  scheduler: %llu stolen tasks\n", U(S.StolenTasks));
+  // The passes run |-o first, then |-r (absent under --original-only).
+  appendf(Out, "  scheduler: %llu stolen tasks", U(S.StolenTasks));
+  const char *Passes[] = {"|-o", "|-r"};
+  for (size_t I = 0; I != S.PassSlots.size() && I != 2; ++I)
+    appendf(Out, "%s %s %u", I ? "," : ", slots", Passes[I], S.PassSlots[I]);
+  Out += "\n";
   appendf(Out, "  pass times: |-o %.1f ms, |-r %.1f ms\n",
           Report.Original.TotalMillis, Report.Relaxed.TotalMillis);
   return Out;

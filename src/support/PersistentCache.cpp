@@ -15,9 +15,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string_view>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace relax;
@@ -382,9 +382,12 @@ Status PersistentCache::flush() {
   std::lock_guard<std::mutex> L(M);
   if (!RewriteNeeded && Fresh.empty())
     return Status::success();
-  if (::mkdir(Dir.c_str(), 0777) != 0 && errno != EEXIST)
+  // The whole path: a --cache-dir= whose parents do not exist yet.
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC)
     return Status::error("cannot create cache directory '" + Dir +
-                         "': " + std::strerror(errno));
+                         "': " + EC.message());
   Status S = RewriteNeeded ? writeAllLocked() : appendLocked();
   if (S.ok()) {
     RewriteNeeded = false;

@@ -99,6 +99,7 @@ public:
                bool MergeStderr = false);
 
   bool running() const { return Pid > 0; }
+  long pid() const { return Pid; } ///< -1 when not running
   int writeFd() const { return InFd; }
   int readFd() const { return OutFd; }
 

@@ -47,6 +47,7 @@ void DischargeStats::merge(const DischargeStats &O) {
   Search.merge(O.Search);
   EscalatedObligations += O.EscalatedObligations;
   StolenTasks += O.StolenTasks;
+  PassSlots.insert(PassSlots.end(), O.PassSlots.begin(), O.PassSlots.end());
 }
 
 namespace {
@@ -331,6 +332,7 @@ DischargeStats DischargeScheduler::stats() const {
   S.SharedCacheHits = Shared.hitCount();
   S.SharedCacheMisses = Shared.missCount();
   S.StolenTasks = StolenTasks;
+  S.PassSlots = PassSlots;
   return S;
 }
 
@@ -375,14 +377,17 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
     Out.Millis = millisSince(Start);
   }
 
-  // The work-stealing stage. One portfolio per extra slot for the
+  // The work-stealing stage. Slot k starts only when more than
+  // k * ObligationsPerSlot obligations are pending, so a pass of P runs
+  // on ceil(P / ObligationsPerSlot) slots, capped by Jobs (and none when
+  // nothing is pending). One portfolio per extra slot for the
   // scheduler's lifetime: the second judgment pass reuses the first
   // pass's (and their Z3 contexts) instead of building its own.
-  unsigned Jobs = 1;
-  if (MainPortfolio && !Pending.empty())
-    Jobs = static_cast<unsigned>(
-        std::min<size_t>(std::max(Cfg.Jobs, 1u), Pending.size()));
-  while (Workers.size() + 1 < Jobs)
+  size_t Cap = MainPortfolio ? std::max(Cfg.Jobs, 1u) : 1;
+  unsigned Slots = static_cast<unsigned>(std::min<size_t>(
+      Cap, (Pending.size() + ObligationsPerSlot - 1) / ObligationsPerSlot));
+  PassSlots.push_back(Slots);
+  while (Workers.size() + 1 < Slots)
     Workers.push_back(std::make_unique<PortfolioSolver>(Ctx, *Cfg.Portfolio,
                                                         Cfg.SmtFactory));
 
@@ -392,9 +397,9 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
     std::mutex M;
     std::deque<size_t> Q;
   };
-  std::vector<SlotDeque> Deques(Jobs);
+  std::vector<SlotDeque> Deques(Slots);
   for (size_t K = 0; K != Pending.size(); ++K)
-    Deques[K % Jobs].Q.push_back(Pending[K]);
+    Deques[K % Slots].Q.push_back(Pending[K]);
   std::atomic<uint64_t> Steals{0};
 
   auto PopOwn = [&](unsigned W, size_t &I) {
@@ -406,8 +411,8 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
     return true;
   };
   auto StealFrom = [&](unsigned W, size_t &I) {
-    for (unsigned D = 1; D != Jobs; ++D) {
-      SlotDeque &V = Deques[(W + D) % Jobs];
+    for (unsigned D = 1; D != Slots; ++D) {
+      SlotDeque &V = Deques[(W + D) % Slots];
       std::lock_guard<std::mutex> L(V.M);
       if (!V.Q.empty()) {
         I = V.Q.back();
@@ -441,10 +446,10 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
   };
 
   std::vector<std::thread> Pool;
-  Pool.reserve(Jobs - 1);
-  for (unsigned W = 1; W != Jobs; ++W)
+  for (unsigned W = 1; W < Slots; ++W)
     Pool.emplace_back(SlotFn, W);
-  SlotFn(0);
+  if (Slots != 0)
+    SlotFn(0);
   for (std::thread &T : Pool)
     T.join();
   StolenTasks += Steals.load();

@@ -28,17 +28,22 @@
 /// a repeat of a query still pending is looked up by its slot instead, so
 /// (at one job) it finds the verdict of its first occurrence. The
 /// work-stealing stage then runs the remaining obligations through the
-/// rest of the chain, one solver per slot. Slots pull obligation indices
-/// from per-slot deques and steal from a victim's deque when their own
-/// runs dry. Slot 0 runs on the
-/// submitting thread with the main solver: the scheduler's portfolio, or
-/// the caller's solver (alone, at one job) when no portfolio is
-/// configured. A failed validity obligation's counterexample query runs
-/// right after its verdict query, on the same solver, and its model
-/// enters the shared cache with the verdict, so a cache hit never
-/// queries a backend: at one job the backend sees each query the cache
-/// has not seen in VC order, each failed one followed by its model
-/// query. Each slot's solver lives as long as the scheduler, so both
+/// rest of the chain, one solver per slot. `Jobs` caps the slots; within
+/// the cap, slot k starts only when the pass has more than
+/// k * `ObligationsPerSlot` obligations pending after the prepare stage,
+/// so a pass with P pending runs on min(Jobs, ceil(P / ObligationsPerSlot))
+/// slots and builds no backend (no Z3 context, ≈12 ms) that its share of
+/// the work cannot repay. Slots are seeded round-robin, pull obligation
+/// indices from their own deques, and steal from a victim's deque when
+/// their own runs dry. Slot 0 runs on the submitting thread with the
+/// main solver: the scheduler's portfolio, or the caller's solver
+/// (alone, on one slot) when no portfolio is configured. A one-slot pass
+/// spawns no thread, which is the `Jobs = 1` path whatever the cap. A
+/// failed validity obligation's counterexample query runs right after
+/// its verdict query, on the same solver, and its model enters the
+/// shared cache with the verdict, so a cache hit never queries a
+/// backend: at one job the backend sees each query the cache has not
+/// seen in VC order, each failed one followed by its model query. Each slot's solver lives as long as the scheduler, so both
 /// judgment passes share it (and its Z3 context). `TotalMillis` is the
 /// pass's wall time; each outcome's `Millis` its own.
 ///
@@ -73,6 +78,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 namespace relax {
 
@@ -209,9 +215,20 @@ struct DischargeStats {
   /// moved behind the decision tier. Kept for existing stats readers.
   uint64_t EscalatedObligations = 0;
   uint64_t StolenTasks = 0; ///< obligations run by a non-owner worker
+  /// The slots each discharge pass started, in pass order (0 for a pass
+  /// with nothing pending past the prepare stage).
+  std::vector<unsigned> PassSlots;
 
   void merge(const DischargeStats &O);
 };
+
+/// The obligations one discharge slot must have in prospect before the
+/// scheduler starts it: slot k of a pass starts only when more than
+/// k * ObligationsPerSlot obligations are pending. Measured on a 4-vCPU
+/// host (the table is in ROADMAP.md, the runs in BENCH_e2e.json): below
+/// it a second Z3 context costs more than it saves, and above it failing
+/// obligations' witness searches stop overlapping.
+inline constexpr size_t ObligationsPerSlot = 8;
 
 /// The work-stealing obligation scheduler (see the file comment). One
 /// instance serves both judgment passes of a verification run, sharing
@@ -219,7 +236,8 @@ struct DischargeStats {
 class DischargeScheduler {
 public:
   struct Config {
-    /// Number of discharge slots; <= 1 runs on the submitting thread
+    /// The most discharge slots a pass may start (see the file comment
+    /// for how many it does start); <= 1 runs on the submitting thread
     /// only. Without a Portfolio there is one slot: the caller's solver.
     unsigned Jobs = 1;
     /// Tier chain every slot runs; nullopt = the caller's solver alone.
@@ -263,6 +281,7 @@ private:
   /// every later pass; stats() reads them live.
   std::vector<std::unique_ptr<PortfolioSolver>> Workers;
   uint64_t StolenTasks = 0;
+  std::vector<unsigned> PassSlots;
 
   /// The deadline one obligation runs under right now: the global
   /// deadline capped by a freshly armed per-VC timeout.

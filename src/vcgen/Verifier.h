@@ -21,9 +21,11 @@
 /// on one path: with `Options::Portfolio` set, the tiered portfolio
 /// (simplify → budgeted bounded → SMT, with the final tier optionally
 /// sharded onto a worker-process pool via `PortfolioOptions::Pool`),
-/// fanned out over a work-stealing pool of `Jobs` slots; without it, the
+/// fanned out over a work-stealing pool of at most `Jobs` slots, one per
+/// `ObligationsPerSlot` obligations a pass has pending; without it, the
 /// constructor-supplied solver alone. Verdicts and report ordering are
-/// independent of the schedule, the process count, and the pool size.
+/// independent of the schedule, the slot count, the process count, and
+/// the pool size.
 ///
 //===----------------------------------------------------------------------===//
 

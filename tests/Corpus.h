@@ -10,7 +10,9 @@
 /// on: the eight case studies (every obligation proved), their seven
 /// `ExamplesMutated` mutants (refuted obligations, with Z3
 /// counterexamples), and `GenProgram.h` programs (nonlinear `*`
-/// products, and falsifiable asserts on even seeds).
+/// products, and falsifiable asserts on even seeds); and the copies
+/// program, whose passes are large enough to start four discharge
+/// slots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,8 @@
 
 #include "GenProgram.h"
 #include "TestUtil.h"
+
+#include "vcgen/Discharge.h"
 
 #include <optional>
 #include <string>
@@ -74,6 +78,41 @@ inline std::optional<std::string> mutantSource(const Mutation &M) {
   Source->replace(At, std::string(M.From).size(), M.To);
   return Source;
 }
+
+/// A program of \p K renamed copies of one small contracted procedure,
+/// `step0` .. `step<K-1>`, and a `main` of its own. Copy j bounds `x` by
+/// `2 + j`, so no two copies' obligations print alike and none is a
+/// shared-cache hit for another. The program verifies, and every
+/// obligation is linear and quantifier-free over a few small integers,
+/// so the bounded tier settles each one in well under a millisecond,
+/// cheap enough for the sanitizer builds.
+///
+/// Each pass holds 3 * K + 2 obligations: three per copy, and main's
+/// assert and postcondition. The postcondition is `true`, which a
+/// simplify prefix settles before the slots start, so behind such a
+/// prefix 3 * K + 1 of them are pending.
+inline std::string copiesProgram(unsigned K) {
+  std::string Out = "int x, y;\n";
+  for (unsigned J = 0; J != K; ++J) {
+    std::string N = std::to_string(J), Lo = std::to_string(2 + J),
+                Hi = std::to_string(3 + J);
+    Out += "\nproc step" + N + "(int d)\n  modifies (y)\n"
+           "  requires (0 <= d && d <= 1 && 0 <= x && x <= " + Lo + ");\n"
+           "  ensures (0 <= y && y <= " + Hi + ");\n"
+           "  rrequires (d<o> == d<r> && 0 <= d<o> && d<o> <= 1 && "
+           "0 <= x<o> && x<o> <= " + Lo + " && x<o> == x<r>);\n"
+           "  rensures (y<o> == y<r> && y<o> <= " + Hi + ");\n"
+           "{\n  y = x + d;\n  assert 0 <= y;\n  assert y <= " + Hi +
+           ";\n}\n";
+  }
+  return Out + "\nproc main()\n  requires (x == 0 && y == 0);\n"
+               "{\n  assert x <= 1;\n}\n";
+}
+
+/// The copies after which every pass of copiesProgram holds more than
+/// 3 * ObligationsPerSlot pending obligations, so that four jobs start
+/// four slots in each.
+inline constexpr unsigned ManyCopies = ObligationsPerSlot + 1;
 
 /// Named sources of the case studies, their mutants, and the programs
 /// `ProgramGen` draws from seeds 1..50 (odd seeds plain, even seeds with

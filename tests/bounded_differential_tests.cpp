@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "EnumerateSolver.h"
 #include "TestUtil.h"
 
@@ -304,6 +305,29 @@ TEST(BoundedCaseStudies, SequentialAndParallelDischargeIdentically) {
     VerifyReport Par = verifyBounded(P, 4);
     expectSameReports(Seq, Par, Name, "--jobs=1 vs --jobs=4");
   }
+
+  // The copies program, whose passes start four discharge slots: the
+  // bounded search chunked across workers, and the obligations spread
+  // over the scheduler's slots, each discharge as the sequential run.
+  relax::test::ParsedProgram P =
+      relax::test::parseProgram(relax::test::copiesProgram(
+          relax::test::ManyCopies));
+  ASSERT_TRUE(P.ok()) << P.diagnostics();
+  VerifyReport Seq = verifyBounded(P, 1);
+  expectSameReports(Seq, verifyBounded(P, 4), "copies program",
+                    "--jobs=1 vs --jobs=4");
+  BoundedSolver Unused;
+  DiagnosticEngine Diags;
+  Verifier V(*P.Ctx, *P.Prog, Unused, Diags);
+  Verifier::Options VO;
+  VO.Portfolio = PortfolioOptions();
+  VO.Portfolio->Tiers = {TierKind::Bounded};
+  VO.Portfolio->Bounded = caseStudyOpts(1);
+  VO.Jobs = 4;
+  DischargeStats Stats;
+  VO.StatsOut = &Stats;
+  expectSameReports(Seq, V.run(VO), "copies program", "1 slot vs 4 slots");
+  EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{4, 4}));
 }
 
 // Nogood learning, conflict-directed backjumping, activity ordering, and

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "TestUtil.h"
 
 #include "eval/Interp.h"
@@ -139,16 +140,15 @@ verdictsOf(const JudgmentReport &J) {
   return Out;
 }
 
-class ExampleJobsDifferential : public ::testing::TestWithParam<const char *> {
-};
-
-} // namespace
-
-TEST_P(ExampleJobsDifferential, ParallelVerdictsMatchSequential) {
-  RELAXC_SKIP_WITHOUT_Z3();
-  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, GetParam());
+/// Verifies \p Source sequentially and on four slots and pins equal
+/// verdicts; returns the four-slot run's discharge statistics.
+DischargeStats expectJobsDifferential(const std::string &Source,
+                                      const std::string &Name) {
+  DischargeStats Stats;
   ParsedProgram P = parseProgram(Source);
-  ASSERT_TRUE(P.ok()) << P.diagnostics();
+  EXPECT_TRUE(P.ok()) << P.diagnostics();
+  if (!P.ok())
+    return Stats;
 
   // Sequential: one cached solver, Jobs = 1 (the default).
   Z3Solver SeqBackend(P.Ctx->symbols());
@@ -167,11 +167,34 @@ TEST_P(ExampleJobsDifferential, ParallelVerdictsMatchSequential) {
   ParOpts.SmtFactory = [&P] {
     return std::make_unique<Z3Solver>(P.Ctx->symbols());
   };
+  ParOpts.StatsOut = &Stats;
   VerifyReport Par = ParV.run(ParOpts);
 
-  EXPECT_EQ(Seq.verified(), Par.verified()) << GetParam();
-  EXPECT_EQ(verdictsOf(Seq.Original), verdictsOf(Par.Original)) << GetParam();
-  EXPECT_EQ(verdictsOf(Seq.Relaxed), verdictsOf(Par.Relaxed)) << GetParam();
+  EXPECT_EQ(Seq.verified(), Par.verified()) << Name;
+  EXPECT_EQ(verdictsOf(Seq.Original), verdictsOf(Par.Original)) << Name;
+  EXPECT_EQ(verdictsOf(Seq.Relaxed), verdictsOf(Par.Relaxed)) << Name;
+  return Stats;
+}
+
+class ExampleJobsDifferential : public ::testing::TestWithParam<const char *> {
+};
+
+} // namespace
+
+TEST_P(ExampleJobsDifferential, ParallelVerdictsMatchSequential) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, GetParam());
+  expectJobsDifferential(Source, GetParam());
+}
+
+// No case study holds enough obligations in a pass to start four slots;
+// the copies program starts all four in both passes, which is where
+// slots can steal from each other.
+TEST(ManyObligationJobsDifferential, ParallelVerdictsMatchSequential) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  DischargeStats Stats = expectJobsDifferential(
+      copiesProgram(ManyCopies), "copies program");
+  EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{4, 4}));
 }
 
 INSTANTIATE_TEST_SUITE_P(CaseStudies, ExampleJobsDifferential,

@@ -20,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "TestUtil.h"
 
 #include "ast/Structural.h"
@@ -241,8 +242,18 @@ std::vector<VCStatus> statusesOf(const JudgmentReport &J) {
   return Out;
 }
 
+/// The parallel corpus plus the copies program, whose passes are the
+/// only ones large enough to start four slots.
+std::vector<std::string> parallelInputs() {
+  std::vector<std::string> Out(std::begin(ParallelCorpus),
+                               std::end(ParallelCorpus));
+  Out.push_back(copiesProgram(ManyCopies));
+  return Out;
+}
+
 TEST(ParallelVerifier, VerdictsMatchSequential) {
-  for (const char *Source : ParallelCorpus) {
+  std::vector<std::string> Inputs = parallelInputs();
+  for (const std::string &Source : Inputs) {
     ParsedProgram P = parseProgram(Source);
     ASSERT_TRUE(P.ok()) << P.diagnostics();
 
@@ -262,6 +273,8 @@ TEST(ParallelVerifier, VerdictsMatchSequential) {
     ParOpts.Portfolio = PortfolioOptions();
     ParOpts.Portfolio->Tiers = {TierKind::Bounded};
     ParOpts.Portfolio->Bounded = BoundedSolverOptions();
+    DischargeStats Stats;
+    ParOpts.StatsOut = &Stats;
     VerifyReport Par = ParV.run(ParOpts);
 
     EXPECT_EQ(Seq.verified(), Par.verified()) << Source;
@@ -275,12 +288,15 @@ TEST(ParallelVerifier, VerdictsMatchSequential) {
       EXPECT_EQ(Seq.Original.Outcomes[I].Detail,
                 Par.Original.Outcomes[I].Detail);
     }
+    if (&Source == &Inputs.back())
+      EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{4, 4}));
   }
 }
 
 #if RELAXC_HAVE_Z3
 TEST(ParallelVerifier, VerdictsMatchSequentialWithZ3) {
-  for (const char *Source : ParallelCorpus) {
+  std::vector<std::string> Inputs = parallelInputs();
+  for (const std::string &Source : Inputs) {
     ParsedProgram P = parseProgram(Source);
     ASSERT_TRUE(P.ok()) << P.diagnostics();
 
@@ -297,11 +313,15 @@ TEST(ParallelVerifier, VerdictsMatchSequentialWithZ3) {
     ParOpts.SmtFactory = [&P] {
       return std::make_unique<Z3Solver>(P.Ctx->symbols());
     };
+    DischargeStats Stats;
+    ParOpts.StatsOut = &Stats;
     VerifyReport Par = ParV.run(ParOpts);
 
     EXPECT_EQ(Seq.verified(), Par.verified()) << Source;
     EXPECT_EQ(statusesOf(Seq.Original), statusesOf(Par.Original)) << Source;
     EXPECT_EQ(statusesOf(Seq.Relaxed), statusesOf(Par.Relaxed)) << Source;
+    if (&Source == &Inputs.back())
+      EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{3, 3}));
   }
 }
 #endif

@@ -51,7 +51,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -76,17 +76,8 @@ struct TempDir {
       Path = P;
   }
   ~TempDir() {
-    if (Path.empty())
-      return;
-    if (DIR *D = ::opendir(Path.c_str())) {
-      while (dirent *E = ::readdir(D)) {
-        std::string N = E->d_name;
-        if (N != "." && N != "..")
-          ::unlink((Path + "/" + N).c_str());
-      }
-      ::closedir(D);
-    }
-    ::rmdir(Path.c_str());
+    if (!Path.empty())
+      std::filesystem::remove_all(Path);
   }
 };
 
@@ -834,6 +825,27 @@ TEST(PersistentCacheDriver, WarmRunSettlesEverythingWithoutZ3) {
       Warm.Output, std::regex("persistent cache: [1-9][0-9]* entries loaded, "
                               "[1-9][0-9]* hits, 0 appended")))
       << Warm.Output;
+}
+
+TEST(PersistentCacheDriver, MissingParentDirectoriesAreCreated) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // A --cache-dir= two levels below an existing directory: the first run
+  // creates the whole path, so the second settles everything from disk.
+  TempProgram P(VerifyingProgram);
+  TempDir D;
+  std::vector<std::string> Base = {"verify", P.Path, BoundedPipeline,
+                                   "--cache-dir=" + D.Path + "/a/b"};
+  RunResult Cold = runDriver(Base);
+  EXPECT_EQ(Cold.Exit, 0) << Cold.Output;
+  EXPECT_EQ(Cold.Output.find("cannot create cache directory"),
+            std::string::npos)
+      << Cold.Output;
+
+  std::vector<std::string> WithStats = Base;
+  WithStats.push_back("--solver-stats");
+  RunResult Warm = runDriver(WithStats);
+  EXPECT_EQ(Warm.Exit, 0) << Warm.Output;
+  EXPECT_NE(Warm.Output.find("queries: 0,"), std::string::npos) << Warm.Output;
 }
 
 TEST(PersistentCacheDriver, GeneratedProgramsColdWarmBitIdentical) {

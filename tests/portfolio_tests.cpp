@@ -39,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
@@ -351,12 +352,31 @@ PortfolioOptions shrunkBoundedPipeline() {
   return PO;
 }
 
+/// The case studies, by name and source, plus the copies program, the
+/// one input whose passes start all four slots; empty when a case study
+/// is missing from the checkout.
+std::vector<std::pair<std::string, std::string>> schedulerInputs() {
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (const char *Name : relax::test::CaseStudies) {
+    std::optional<std::string> Source = relax::test::slurpExample(Name);
+    if (!Source)
+      return {};
+    Out.emplace_back(Name, *Source);
+  }
+  Out.emplace_back("copies program",
+                   relax::test::copiesProgram(relax::test::ManyCopies));
+  return Out;
+}
+
 TEST(PortfolioScheduler, SequentialAndWorkStealingDischargeIdentically) {
-  for (const char *Name : CaseStudies) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+  auto Inputs = schedulerInputs();
+  if (Inputs.empty())
+    GTEST_SKIP() << "case studies not found";
+  for (const auto &[Name, Source] : Inputs) {
     relax::test::ParsedProgram P = relax::test::parseProgram(Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
 
+    DischargeStats Stats;
     auto RunWith = [&](unsigned Jobs) {
       BoundedSolver Dummy;
       DiagnosticEngine Diags;
@@ -364,12 +384,71 @@ TEST(PortfolioScheduler, SequentialAndWorkStealingDischargeIdentically) {
       Verifier::Options VO;
       VO.Portfolio = shrunkBoundedPipeline();
       VO.Jobs = Jobs;
+      VO.StatsOut = Jobs == 1 ? nullptr : &Stats;
       return V.run(VO);
     };
     VerifyReport Seq = RunWith(1);
     VerifyReport Par = RunWith(4);
-    expectIdenticalReports(Seq, Par, Name);
+    expectIdenticalReports(Seq, Par, Name.c_str());
+    if (&Name == &Inputs.back().first)
+      EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{4, 4}));
   }
+}
+
+TEST(PortfolioScheduler, SlotsFollowThePendingObligations) {
+  // --jobs=N caps the slots: a pass with P obligations pending after the
+  // prepare stage starts min(N, 1 + (P - 1) / ObligationsPerSlot) slots,
+  // none when P = 0. Without a simplify prefix there is no prepare stage,
+  // so every obligation of a pass is pending: 3 * K + 2 of them in each
+  // pass of the copies program (8, 11, 17 and 26 at K = 2, 3, 5, 8).
+  auto Slots = [](unsigned Jobs, size_t Pending) -> unsigned {
+    return Pending == 0 ? 0
+                        : static_cast<unsigned>(std::min<size_t>(
+                              Jobs, 1 + (Pending - 1) / ObligationsPerSlot));
+  };
+  for (unsigned K : {0u, 2u, 3u, 5u, 7u, 8u, 12u}) {
+    relax::test::ParsedProgram P =
+        relax::test::parseProgram(relax::test::copiesProgram(K));
+    ASSERT_TRUE(P.ok()) << P.diagnostics();
+    for (unsigned Jobs : {1u, 2u, 3u, 4u, 6u}) {
+      BoundedSolver Dummy;
+      DiagnosticEngine Diags;
+      Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
+      Verifier::Options VO;
+      VO.Portfolio = shrunkBoundedPipeline();
+      VO.Portfolio->Tiers = {TierKind::Bounded};
+      VO.Jobs = Jobs;
+      DischargeStats Stats;
+      VO.StatsOut = &Stats;
+      VerifyReport R = V.run(VO);
+      EXPECT_TRUE(R.verified()) << "K=" << K;
+      size_t Original = R.Original.Outcomes.size();
+      size_t Relaxed = R.Relaxed.Outcomes.size();
+      EXPECT_EQ(Original, 3 * K + 2) << "K=" << K;
+      EXPECT_EQ(Relaxed, 3 * K + 2) << "K=" << K;
+      EXPECT_EQ(Stats.PassSlots,
+                (std::vector<unsigned>{Slots(Jobs, Original),
+                                       Slots(Jobs, Relaxed)}))
+          << "K=" << K << " --jobs=" << Jobs;
+    }
+  }
+
+  // A pass the prepare stage settles whole starts no slot: the simplify
+  // tier settles the |-o postcondition `true`, and the |-r one is the
+  // same query, a shared-cache hit.
+  relax::test::ParsedProgram P =
+      relax::test::parseProgram("int x;\n{ skip; }\n");
+  ASSERT_TRUE(P.ok()) << P.diagnostics();
+  BoundedSolver Dummy;
+  DiagnosticEngine Diags;
+  Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
+  Verifier::Options VO;
+  VO.Portfolio = shrunkBoundedPipeline();
+  VO.Jobs = 4;
+  DischargeStats Stats;
+  VO.StatsOut = &Stats;
+  EXPECT_TRUE(V.run(VO).verified());
+  EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{0, 0}));
 }
 
 TEST(PortfolioScheduler, PipelineVerdictsMatchPlainZ3OnCaseStudies) {
@@ -757,9 +836,12 @@ TEST(RescueOrder, CaseStudiesSpendNoBoundedCandidates) {
 TEST(RescueOrder, WorkerBackendsCountEachQueryOnceAcrossPasses) {
   // One scheduler runs both passes at Jobs = 4 and keeps its worker
   // backends between them; their statistics must still count every
-  // query once. The Z3-free pipeline keeps this running without Z3.
-  for (const char *Name : relax::test::CaseStudies) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+  // query once. The Z3-free pipeline keeps this running without Z3. The
+  // copies program is the input whose passes start all four slots.
+  auto Inputs = schedulerInputs();
+  if (Inputs.empty())
+    GTEST_SKIP() << "case studies not found";
+  for (const auto &[Name, Source] : Inputs) {
     relax::test::ParsedProgram P = relax::test::parseProgram(Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
     BoundedSolver Dummy;
@@ -782,6 +864,8 @@ TEST(RescueOrder, WorkerBackendsCountEachQueryOnceAcrossPasses) {
     EXPECT_LE(PS.Tiers[2].Settled + PS.Tiers[2].GaveUp, PS.Tiers[0].GaveUp)
         << Name;
     EXPECT_EQ(Stats.EscalatedObligations, 0u) << Name;
+    if (&Name == &Inputs.back().first)
+      EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{4, 4}));
   }
 }
 

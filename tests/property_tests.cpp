@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "TestUtil.h"
 
 #include "GenProgram.h"
@@ -149,13 +150,14 @@ void expectIdenticalReports(const VerifyReport &A, const VerifyReport &B,
 }
 
 VerifyReport runPortfolio(relax::test::ParsedProgram &P, PortfolioOptions PO,
-                          unsigned Jobs) {
+                          unsigned Jobs, DischargeStats *Stats = nullptr) {
   BoundedSolver Dummy;
   DiagnosticEngine Diags;
   Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
   Verifier::Options VO;
   VO.Portfolio = std::move(PO);
   VO.Jobs = Jobs;
+  VO.StatsOut = Stats;
   return V.run(VO);
 }
 
@@ -169,6 +171,21 @@ TEST(PropertySchedules, VerdictsIndependentOfJobs) {
     VerifyReport Seq = runPortfolio(P, boundedPipeline(), 1);
     VerifyReport Par = runPortfolio(P, boundedPipeline(), 4);
     expectIdenticalReports(Seq, Par, Seed, "--jobs=1 vs --jobs=4");
+  }
+  // The generated programs' passes are small; the copies programs start
+  // two, three and four slots per pass.
+  for (unsigned K : {3u, 6u, relax::test::ManyCopies}) {
+    relax::test::ParsedProgram P =
+        relax::test::parseProgram(relax::test::copiesProgram(K));
+    ASSERT_TRUE(P.ok()) << P.diagnostics();
+    VerifyReport Seq = runPortfolio(P, boundedPipeline(), 1);
+    DischargeStats Stats;
+    VerifyReport Par = runPortfolio(P, boundedPipeline(), 4, &Stats);
+    expectIdenticalReports(Seq, Par, K, "copies --jobs=1 vs --jobs=4");
+    size_t Slots = 1 + (3 * K) / ObligationsPerSlot; // 3 * K + 1 pending
+    EXPECT_EQ(Stats.PassSlots,
+              (std::vector<unsigned>(2, std::min<size_t>(4, Slots))))
+        << "K=" << K;
   }
 }
 

@@ -23,7 +23,9 @@
 //    report, diagnostics and exit status runVerifyJob returns, a pool
 //    only chooses where the final tier runs, and a cache written by the
 //    CLI warms the daemon and vice versa (one fingerprint);
-//  * hygiene: no daemon leaves its Unix socket file behind.
+//  * hygiene: no daemon leaves its Unix socket file behind, and SIGTERM
+//    or SIGINT drain the daemon: the request in flight is answered, the
+//    daemon exits 0 and removes its socket.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +48,7 @@
 #include <thread>
 
 #include <dirent.h>
+#include <signal.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -769,6 +772,46 @@ TEST(ServeDaemon, MaxRequestMsCapsARequestWithoutADeadline) {
   EXPECT_EQ(Served.Diagnostics, Local.Err);
   EXPECT_NE(Served.Report.find("deadline"), std::string::npos)
       << Served.Report;
+}
+
+TEST(ServeDaemon, StopSignalDrainsTheRequestInFlight) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  // `kill <daemon>` must not cut a client off: SIGTERM (and SIGINT) stop
+  // accepting, let the request in flight finish and answer, exit 0, and
+  // remove the Unix socket. Water under the bounded pipeline without a
+  // quantifier-step budget runs until its 3-second deadline, so the
+  // signal lands while it is in flight.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
+  for (int Sig : {SIGTERM, SIGINT}) {
+    Daemon D;
+    ASSERT_TRUE(D.Ready);
+    auto C = connectSocket(D.Addr, 10'000);
+    ASSERT_TRUE(C.ok()) << C.message();
+    // A first answer on this connection: the daemon has accepted it.
+    ASSERT_TRUE((*C)->send(serializeVerifyRequest(boundedRequest(
+                               "quick.rlx", "int x;\n{ x = 1; assert x == 1; }\n")))
+                    .ok());
+    ASSERT_TRUE((*C)->recvMs(60'000).ok());
+
+    VerifyWireRequest Slow = boundedRequest("water.rlx", Source);
+    Slow.BoundedSteps = 0;
+    Slow.TimeoutMs = 3'000;
+    ASSERT_TRUE((*C)->send(serializeVerifyRequest(Slow)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    ASSERT_EQ(::kill(static_cast<pid_t>(D.Proc.pid()), Sig), 0);
+
+    FrameRead F = (*C)->recvMs(120'000);
+    ASSERT_TRUE(F.ok()) << "signal " << Sig << ": " << F.Message;
+    auto R = parseVerifyResponse(F.Payload);
+    ASSERT_TRUE(R.ok()) << R.message();
+    EXPECT_FALSE(R->IsError) << R->Error;
+    EXPECT_EQ(R->ExitStatus, 3) << R->Report;
+    // Its deadline expired 3 s in, long after the signal: it was in flight.
+    EXPECT_NE(R->Report.find("deadline"), std::string::npos) << R->Report;
+    EXPECT_EQ(D.Proc.waitForExit(), 0) << "signal " << Sig;
+    EXPECT_NE(::access(D.Bind.c_str() + std::strlen("unix:"), F_OK), 0)
+        << "signal " << Sig << " left the socket " << D.Bind;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "TestUtil.h"
 
 #include "solver/BoundedSolver.h"
@@ -180,11 +181,11 @@ TEST(Report, TimingIsPopulated) {
   EXPECT_GT(R.Original.TotalMillis, 0.0);
   EXPECT_GT(R.Relaxed.TotalMillis, 0.0);
 
-  // A pass's time is its wall time. Under four jobs the obligations'
-  // own times overlap (each slot builds its Z3 context on its first
-  // query), so their sum would exceed the run's wall time.
-  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
-  ParsedProgram P = parseProgram(Source);
+  // A pass's time is its wall time. On four slots the obligations' own
+  // times overlap (each slot builds its Z3 context on its first query),
+  // so their sum would exceed the run's wall time. The copies program
+  // holds enough obligations in each pass to start all four.
+  ParsedProgram P = parseProgram(copiesProgram(ManyCopies));
   ASSERT_TRUE(P.ok()) << P.diagnostics();
   BoundedSolver Unused;
   Verifier V(*P.Ctx, *P.Prog, Unused, P.Diags);
@@ -195,12 +196,15 @@ TEST(Report, TimingIsPopulated) {
   VO.SmtFactory = [&P] {
     return std::make_unique<Z3Solver>(P.Ctx->symbols());
   };
+  DischargeStats Stats;
+  VO.StatsOut = &Stats;
   auto Start = std::chrono::steady_clock::now();
   VerifyReport W = V.run(VO);
   double WallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
   EXPECT_TRUE(W.verified());
+  EXPECT_EQ(Stats.PassSlots, (std::vector<unsigned>{4, 4}));
   EXPECT_GT(W.Original.TotalMillis, 0.0);
   EXPECT_GT(W.Relaxed.TotalMillis, 0.0);
   EXPECT_LE(W.Original.TotalMillis + W.Relaxed.TotalMillis, WallMs);
