@@ -91,8 +91,7 @@ const std::vector<Flag<VerifyWireRequest>> &relax::verifyFlags() {
       {"--pipeline", "<tier,...>",
        "tiered portfolio discharge for `verify`\n(tiers: simplify, bounded, "
        "z3; e.g.\n--pipeline=simplify,bounded,z3). A\nbounded tier before "
-       "z3 runs behind it:\nit rescues z3's unknowns and supplies\nfailed "
-       "obligations' counterexamples",
+       "z3 runs behind it:\nit rescues z3's unknowns",
        [](const FlagArg &A, R &O) {
          Result<std::vector<TierKind>> Tiers = parsePipelineSpec(A.value());
          if (!Tiers.ok())

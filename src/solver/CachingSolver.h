@@ -37,8 +37,8 @@
 namespace relax {
 
 /// A settled verdict as the result caches keep it. A `sat` may carry a
-/// witness: the model a model query returned for the query, which a
-/// failed validity obligation prints as its counterexample.
+/// witness: the model the query returned with it, which a failed
+/// validity obligation prints as its counterexample.
 struct CachedVerdict {
   SatResult R = SatResult::Unknown;
   std::optional<Model> Witness;

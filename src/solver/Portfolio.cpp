@@ -275,14 +275,8 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
   // The trail covers one checkRange call; the scheduler concatenates
   // stage trails itself. Queries are counted once per logical query.
   LastTrail.clear();
-  // Model re-queries for counterexample details run with stats paused
-  // (see ScopedStatsPause) so they do not double-count.
-  auto Count = [&](uint64_t &C) {
-    if (!StatsPaused)
-      ++C;
-  };
   if (From == 0)
-    Count(Stats.Queries);
+    ++Stats.Queries;
 
   auto AppendTrail = [&](size_t I, const std::string &Why) {
     if (!LastTrail.empty())
@@ -291,13 +285,12 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
   };
 
   // A non-final bounded tier whose successor is in range runs behind that
-  // successor, as a rescue, unless the caller wants a model (see the file
-  // comment): positions Rescue and Rescue + 1 swap tiers.
+  // successor, as a rescue (see the file comment): positions Rescue and
+  // Rescue + 1 swap tiers.
   size_t Rescue = N;
-  if (!ModelOut)
-    for (size_t I = From; I + 1 < To; ++I)
-      if (Opts.Tiers[I] == TierKind::Bounded)
-        Rescue = I;
+  for (size_t I = From; I + 1 < To; ++I)
+    if (Opts.Tiers[I] == TierKind::Bounded)
+      Rescue = I;
   // The final tier's Unknown or error: the verdict, unless a rescue tier
   // still to run finds a witness.
   std::optional<Result<SatResult>> Final;
@@ -323,14 +316,14 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
       bool Settled = false;
       Result<SatResult> R = runSimplifyTier(I, Formulas, ModelOut, Settled);
       if (Settled) {
-        Count(Stats.Tiers[I].Settled);
+        ++Stats.Tiers[I].Settled;
         LastSettled = true;
         LastSettledBy = TierNames[I];
         return R;
       }
-      Count(Stats.Tiers[I].GaveUp);
+      ++Stats.Tiers[I].GaveUp;
       if (!EndsChain)
-        Count(Stats.Escalations);
+        ++Stats.Escalations;
       AppendTrail(I, "did not fold to a constant");
       continue;
     }
@@ -376,14 +369,14 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
       if (I + 1 == N)
         Final = R; // nothing after the final tier but a rescue
       else
-        Count(Stats.Tiers[I].GaveUp);
+        ++Stats.Tiers[I].GaveUp;
       if (EndsChain)
         break;
-      Count(Stats.Escalations);
+      ++Stats.Escalations;
       continue;
     }
     if (*R != SatResult::Unknown) {
-      Count(Stats.Tiers[I].Settled);
+      ++Stats.Tiers[I].Settled;
       LastSettled = true;
       // The shard tier reports which worker-side tier settled
       // ("shard:z3"); the worker's own give-up trail is appended so
@@ -431,9 +424,9 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
     if (Opts.Tiers[I] == TierKind::Shard && !UsedFallback)
       if (std::string WTrail = Active->giveUpTrail(); !WTrail.empty())
         Why = "worker trail: " + WTrail;
-    Count(Stats.Tiers[I].GaveUp);
+    ++Stats.Tiers[I].GaveUp;
     if (BudgetTrip)
-      Count(Stats.Tiers[I].BudgetTrips);
+      ++Stats.Tiers[I].BudgetTrips;
     AppendTrail(I, Why);
     // The final tier's Unknown is the portfolio's verdict. A deadline
     // gave-up reports "deadline" so it is never cached or pinned; a
@@ -447,7 +440,7 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
     FinalDeadlined |= TierDeadlined;
     if (EndsChain)
       break;
-    Count(Stats.Escalations);
+    ++Stats.Escalations;
   }
   if (!Final)
     return SatResult::Unknown; // unsettled within [From, To)

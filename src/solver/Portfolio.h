@@ -35,18 +35,18 @@
 ///     degrades to that in-process tail (so `--shards=0` and a pool-less
 ///     test config mean "same pipeline, no processes").
 ///
-/// A non-final `bounded` tier is a rescue and witness tier behind the
-/// decision tier that follows it (`z3`, `bounded-full` or `shard`). A
-/// bounded search can settle only by exhibiting a witness, so in front
-/// of a decision tier it spends its whole budget on every valid
-/// obligation (an Unsat query) for nothing. A verdict query therefore
-/// runs the decision tier first and reaches the bounded tier only when
-/// that tier answers Unknown; a bounded Sat still settles it. A model
-/// query (checkSatWithModel, or checkRange with a model) runs the bounded
-/// tier first, so a failed obligation's counterexample is the search's
-/// canonical first-in-domain-order witness whenever it finds one. The
-/// order cannot change a verdict: a bounded Sat is a concrete witness,
-/// so it cannot exist for a query the decision tier proves Unsat.
+/// A non-final `bounded` tier is a rescue tier behind the decision tier
+/// that follows it (`z3`, `bounded-full` or `shard`). A bounded search
+/// can settle only by exhibiting a witness, so in front of a decision
+/// tier it spends its whole budget on every valid obligation (an Unsat
+/// query) for nothing. Every query therefore runs the decision tier
+/// first and reaches the bounded tier only when that tier answers
+/// Unknown; a bounded Sat still settles it. A query that asks for a model
+/// (checkSatWithModel, or checkRange with one) gets the model of the
+/// tier that settled it, so a failed obligation's counterexample comes
+/// from the query that refuted it. The order cannot change a verdict: a
+/// bounded Sat is a concrete witness, so it cannot exist for a query the
+/// decision tier proves Unsat.
 ///
 /// Tier ordering invariants (checked at construction): the chain is
 /// non-empty, `simplify` may only appear first, no tier kind repeats,
@@ -172,10 +172,10 @@ public:
   /// Runs only tiers [\p From, \p To) — the scheduler's staging interface.
   /// Returns the first settling tier's verdict, or Unknown when every
   /// tier in the range gave up (query unsettled if To < tierCount()).
-  /// \p Vars/\p ModelOut as in checkSatWithModel; pass nullptr to skip
-  /// model extraction. A non-final bounded tier runs behind its successor
-  /// when both are in range and no model is wanted (see the file
-  /// comment); `checkRange(I, I + 1)` always runs tier I alone.
+  /// \p Vars/\p ModelOut as in checkSatWithModel; a null \p ModelOut
+  /// skips model extraction. A non-final bounded tier runs behind its
+  /// successor when both are in range (see the file comment);
+  /// `checkRange(I, I + 1)` runs tier I alone.
   Result<SatResult> checkRange(size_t From, size_t To,
                                const std::vector<const BoolExpr *> &Formulas,
                                const VarRefSet *Vars, Model *ModelOut);
@@ -202,23 +202,6 @@ public:
   std::string giveUpTrail() const override { return LastTrail; }
 
   const PortfolioStats &stats() const { return Stats; }
-
-  /// Suspends statistics collection while alive. Used for the
-  /// counterexample-model re-query a failed validity obligation
-  /// triggers: it re-runs the tier chain, and counting it again would
-  /// inflate the per-tier settled counts and the query total.
-  class ScopedStatsPause {
-  public:
-    explicit ScopedStatsPause(PortfolioSolver &P) : P(P) {
-      P.StatsPaused = true;
-    }
-    ~ScopedStatsPause() { P.StatsPaused = false; }
-    ScopedStatsPause(const ScopedStatsPause &) = delete;
-    ScopedStatsPause &operator=(const ScopedStatsPause &) = delete;
-
-  private:
-    PortfolioSolver &P;
-  };
 
   /// Cumulative bounded-tier work counters (all bounded tiers summed).
   uint64_t boundedCandidates() const;
@@ -253,7 +236,6 @@ private:
   /// Smt tier degraded to).
   std::vector<const char *> TierNames;
   PortfolioStats Stats;
-  bool StatsPaused = false;
 
   /// In-process fallback tail for a pool-backed shard tier: the solver
   /// the workers themselves run (same ShardWorkerPipeline, same bounded

@@ -39,13 +39,12 @@
 /// Callers additionally filter deadline verdicts before insert, mirroring
 /// the in-memory cache's rule.
 ///
-/// A `sat` may carry its witness: the model the model query returned
-/// when the entry was made, which a failed validity obligation prints as
-/// its counterexample. A hit then settles that obligation with no
-/// backend, printing what the computation that filled the entry printed.
-/// A `sat` without one (a satisfiability obligation's, or one whose model
-/// query did not answer `sat`) is a miss for a lookup that wants a
-/// witness; the recomputed entry supersedes it.
+/// A `sat` may carry its witness: the model the query returned when the
+/// entry was made, which a failed validity obligation prints as its
+/// counterexample. A hit then settles that obligation with no backend,
+/// printing what the computation that filled the entry printed. A `sat`
+/// without one (a satisfiability obligation's) is a miss for a lookup
+/// that wants a witness; the recomputed entry supersedes it.
 ///
 /// ## File format and corruption tolerance
 ///

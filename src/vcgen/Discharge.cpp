@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <deque>
 #include <thread>
@@ -61,7 +62,8 @@ double millisSince(Clock::time_point Start) {
 
 /// Maps a verdict \p R for \p Out's condition onto a discharge status
 /// and detail. Out.Condition must already be set. A failed validity
-/// obligation shows \p Witness as its counterexample.
+/// obligation shows \p Witness, the model of its `sat`, as its
+/// counterexample.
 void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
                   const std::optional<Model> &Witness, const Interner &Syms) {
   if (!R.ok()) {
@@ -75,9 +77,9 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
       Out.Status = VCStatus::Proved;
       break;
     case SatResult::Sat:
+      assert(Witness && "a refutation carries the model of its sat");
       Out.Status = VCStatus::Failed;
-      Out.Detail = Witness ? "counterexample: " + formatModel(Syms, *Witness)
-                           : "counterexample exists";
+      Out.Detail = "counterexample: " + formatModel(Syms, *Witness);
       break;
     case SatResult::Unknown:
       Out.Status = VCStatus::Unknown;
@@ -99,31 +101,6 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
     Out.Detail = "solver returned unknown";
     break;
   }
-}
-
-/// The counterexample of a failed validity obligation: a concrete
-/// witness state (pair) falsifying it, from a model query on \p S, or
-/// nullopt when that query does not answer `sat`. A portfolio runs its
-/// tiers from \p From on, with its bounded tier in front of the decision
-/// tier, so the counterexample is the search's canonical witness
-/// whenever it finds one.
-std::optional<Model> counterexample(const VC &Condition,
-                                    const std::vector<const BoolExpr *> &F,
-                                    Solver &S, size_t From) {
-  VarRefSet Vars = freeVars(Condition.Formula);
-  Model M;
-  Result<SatResult> R = SatResult::Unknown;
-  if (auto *P = dynamic_cast<PortfolioSolver *>(&S)) {
-    // The model query re-runs the tier chain; pause the stats so it does
-    // not double-count queries / per-tier settlements.
-    PortfolioSolver::ScopedStatsPause Pause(*P);
-    R = P->checkRange(From, P->tierCount(), F, &Vars, &M);
-  } else {
-    R = S.checkSatWithModel(F, Vars, M);
-  }
-  if (R.ok() && *R == SatResult::Sat)
-    return M;
-  return std::nullopt;
 }
 
 void appendTrail(std::string &Trail, const std::string &More) {
@@ -232,8 +209,9 @@ namespace {
 /// or else by running \p S on \p Query: a portfolio runs its tiers
 /// [From, To), any other solver runs whole. Returns false, with only
 /// Out.Trail set, when those tiers hand the query on to tiers after \p To.
-/// A computed final verdict enters \p Shared with its counterexample, so
-/// no cache hit ever queries a backend.
+/// A validity obligation's query asks for the model of a `sat` answer,
+/// its counterexample. A computed final verdict enters \p Shared with
+/// that model, so no cache hit ever queries a backend.
 bool settle(VCOutcome &Out, const BoolExpr *Query, Solver &S, size_t From,
             size_t To, const Interner &Syms, SharedSolverCache *Shared,
             bool Lookup) {
@@ -246,27 +224,31 @@ bool settle(VCOutcome &Out, const BoolExpr *Query, Solver &S, size_t From,
       return true;
     }
 
+  VarRefSet Vars;
+  if (Validity)
+    Vars = freeVars(Out.Condition.Formula);
+  Model M;
+  Model *Want = Validity ? &M : nullptr;
   auto *P = dynamic_cast<PortfolioSolver *>(&S);
-  Result<SatResult> R = P ? P->checkRange(From, To, Formulas, nullptr, nullptr)
-                          : S.checkSat(Formulas);
+  Result<SatResult> R = P      ? P->checkRange(From, To, Formulas, &Vars, Want)
+                        : Want ? S.checkSatWithModel(Formulas, Vars, M)
+                               : S.checkSat(Formulas);
   if (R.ok())
     Out.Trail = S.giveUpTrail();
   if (P && To != P->tierCount() && R.ok() && !P->lastSettled())
     return false;
   if (R.ok())
     Out.SettledBy = S.settledBy();
-  // Read before the counterexample query, which would overwrite them.
   Out.BoundedConflicts = S.lastQueryBoundedConflicts();
-  bool Deadlined = S.lastQueryDeadlined();
   std::optional<Model> Witness;
   if (Validity && R.ok() && *R == SatResult::Sat)
-    Witness = counterexample(Out.Condition, Formulas, S, From);
+    Witness = std::move(M);
   // Deadline gave-ups are time-dependent, never cacheable: a later run
   // of the same query with time left must not be served "unknown".
+  bool Deadlined = S.lastQueryDeadlined();
   if (Shared && R.ok() && !Deadlined)
     Witness = Shared->insert(Formulas, CachedVerdict{*R, std::move(Witness)});
   applyVerdict(Out, R, Witness, Syms);
-  // An Unknown ran no counterexample query, so Deadlined is this query's.
   if (Out.Status == VCStatus::Unknown && Deadlined)
     Out.Detail = "gave up: deadline expired";
   return true;

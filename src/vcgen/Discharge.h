@@ -38,14 +38,15 @@
 /// their own runs dry. Slot 0 runs on the submitting thread with the
 /// main solver: the scheduler's portfolio, or the caller's solver
 /// (alone, on one slot) when no portfolio is configured. A one-slot pass
-/// spawns no thread, which is the `Jobs = 1` path whatever the cap. A
-/// failed validity obligation's counterexample query runs right after
-/// its verdict query, on the same solver, and its model enters the
-/// shared cache with the verdict, so a cache hit never queries a
-/// backend: at one job the backend sees each query the cache has not
-/// seen in VC order, each failed one followed by its model query. Each slot's solver lives as long as the scheduler, so both
-/// judgment passes share it (and its Z3 context). `TotalMillis` is the
-/// pass's wall time; each outcome's `Millis` its own.
+/// spawns no thread, which is the `Jobs = 1` path whatever the cap. An
+/// obligation makes one backend query. A validity obligation's query
+/// asks for the model of a `sat` answer, which is its counterexample and
+/// enters the shared cache with the verdict, so a cache hit never
+/// queries a backend: at one job the backend sees each query the cache
+/// has not seen once, in VC order. Each slot's solver lives as long as
+/// the scheduler, so both judgment passes share it (and its Z3 context).
+/// `TotalMillis` is the pass's wall time; each outcome's `Millis` its
+/// own.
 ///
 /// ## The verdict-identity rule
 ///

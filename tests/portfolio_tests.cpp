@@ -18,12 +18,12 @@
 //    same portfolio through the same shared dischargeVC path;
 //  * the rescue order: with the bounded tier behind the decision tier,
 //    every verdict equals the cheapest-first order's, a failed
-//    obligation's counterexample is the bounded witness whenever the
-//    search finds one, and the case studies cost the search nothing.
+//    obligation prints the model its own query returned, that model
+//    replays against the query, and neither the case studies nor their
+//    mutants cost the search anything.
 //  * one discharge path: at one job the backend sees every uncached
-//    query in VC order, each failed obligation's counterexample re-query
-//    in its turn, whether it is the caller's solver, a one-tier
-//    pipeline, or behind a simplify prefix.
+//    query once, in VC order, whether it is the caller's solver, a
+//    one-tier pipeline, or behind a simplify prefix.
 //
 //===----------------------------------------------------------------------===//
 
@@ -638,23 +638,18 @@ TEST(OneDischargePath, BackendSeesEveryQueryInVCOrderAtOneJob) {
   Printer Print(Ctx.symbols());
   std::vector<std::string> CallerDetails;
   for (const char *Spec : {"", "z3", "simplify,z3"}) {
-    // Each query the cache has not seen, in VC order, a failed one
-    // followed by its counterexample query; a repeat is a cache hit that
-    // carries that counterexample and queries nothing. E behind the
-    // simplify prefix never reaches the backend: the prefix settles it
-    // and its counterexample alike.
+    // Each query the cache has not seen, once, in VC order: a validity
+    // query asks for its model, which is a failed one's counterexample.
+    // A repeat is a cache hit that carries that counterexample and
+    // queries nothing. E behind the simplify prefix never reaches the
+    // backend: the prefix settles it and its counterexample alike.
     bool Simplify = std::strncmp(Spec, "simplify", 8) == 0;
     std::vector<std::string> Want;
     std::set<const BoolExpr *> Seen;
     for (const std::vector<const BoolExpr *> &Pass : Passes)
-      for (const BoolExpr *F : Pass) {
-        if ((F == E && Simplify) || !Seen.insert(F).second)
-          continue;
-        std::string Query = Print.print(Ctx.notExpr(F)) + ";";
-        Want.push_back("check " + Query);
-        if (F != B)
-          Want.push_back("model " + Query);
-      }
+      for (const BoolExpr *F : Pass)
+        if ((F != E || !Simplify) && Seen.insert(F).second)
+          Want.push_back("model " + Print.print(Ctx.notExpr(F)) + ";");
 
     std::vector<std::string> Log;
     RecordingSolver Caller(Ctx, Log);
@@ -746,88 +741,97 @@ const BoolExpr *eliminateOnePoint(AstContext &Ctx, const BoolExpr *B) {
   return Ctx.exists(E->var(), E->tag(), E->varKind(), Body);
 }
 
-TEST(RescueOrder, ChangesNoVerdictAndNoBoundedWitness) {
+TEST(RescueOrder, ChangesNoVerdictAndEveryCounterexampleReplays) {
   RELAXC_SKIP_WITHOUT_Z3();
   auto Corpus = relax::test::mixedCorpus();
   if (!Corpus)
     GTEST_SKIP() << "case studies not found";
 
-  size_t Witnessed = 0, Modeled = 0;
+  size_t Failed = 0;
   for (const auto &[Name, Source] : *Corpus) {
     relax::test::ParsedProgram P = relax::test::parseProgram(Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
     const Interner &Syms = P.Ctx->symbols();
     auto Z3 = [&Syms] { return std::make_unique<Z3Solver>(Syms); };
+    // New discharges each obligation; Twin asks the same queries in the
+    // same order, so its Z3 history, and so its models, equal New's.
     PortfolioSolver New(*P.Ctx, PortfolioOptions(), Z3);
+    PortfolioSolver Twin(*P.Ctx, PortfolioOptions(), Z3);
     PortfolioSolver Old(*P.Ctx, PortfolioOptions(), Z3);
     for (const auto &[C, Q] : passQueries(P)) {
       std::string Tag = Name + " " + C.Rule + " #" + std::to_string(C.Id);
       std::vector<const BoolExpr *> F{Q};
       // The old order, one tier at a time: simplify, bounded, z3.
       Result<SatResult> OldR = SatResult::Unknown;
-      size_t Tier = 0;
-      for (; Tier != Old.tierCount(); ++Tier) {
+      for (size_t Tier = 0; Tier != Old.tierCount(); ++Tier) {
         OldR = Old.checkRange(Tier, Tier + 1, F, nullptr, nullptr);
         if (!OldR.ok() || Old.lastSettled())
           break;
       }
-      Result<SatResult> NewR = New.checkSat(F);
-      ASSERT_TRUE(OldR.ok() && NewR.ok()) << Tag;
-      EXPECT_EQ(*NewR, *OldR) << Tag;
-      if (C.Kind != VCKind::Validity || *NewR != SatResult::Sat)
-        continue;
-
-      // A failed obligation: its counterexample re-query.
+      bool Validity = C.Kind == VCKind::Validity;
       VarRefSet Vars = freeVars(C.Formula);
       Model Cex;
-      auto CexR = New.checkSatWithModel(F, Vars, Cex);
-      ASSERT_TRUE(CexR.ok() && *CexR == SatResult::Sat) << Tag;
-      if (Tier == 0) {
-        // Folded to true: any assignment falsifies the obligation.
-        EXPECT_TRUE(Cex.Ints.empty() && Cex.Arrays.empty()) << Tag;
+      Result<SatResult> NewR = Validity ? Twin.checkSatWithModel(F, Vars, Cex)
+                                        : Twin.checkSat(F);
+      VCOutcome Out = dischargeVC(C, Q, New, Syms, nullptr);
+      ASSERT_TRUE(OldR.ok() && NewR.ok()) << Tag;
+      EXPECT_EQ(*NewR, *OldR) << Tag;
+      if (!Validity || *NewR != SatResult::Sat)
         continue;
-      }
-      Model Witness;
-      auto WR = Old.checkRange(1, 2, F, &Vars, &Witness);
-      ASSERT_TRUE(WR.ok()) << Tag;
-      if (*WR == SatResult::Sat) {
-        EXPECT_EQ(formatModel(Syms, Cex), formatModel(Syms, Witness)) << Tag;
-        EXPECT_EQ(dischargeVC(C, Q, New, Syms, nullptr).Detail,
-                  "counterexample: " + formatModel(Syms, Witness))
-            << Tag;
-        ++Witnessed;
-      } else {
-        EXPECT_TRUE(evalFormula(eliminateOnePoint(*P.Ctx, Q), Cex))
-            << Tag << ": " << formatModel(Syms, Cex);
-        ++Modeled;
-      }
+
+      // A failed obligation prints the model its own query returned, and
+      // that model falsifies the obligation.
+      ++Failed;
+      EXPECT_EQ(Out.Status, VCStatus::Failed) << Tag;
+      EXPECT_EQ(Out.Detail, "counterexample: " + formatModel(Syms, Cex))
+          << Tag;
+      EXPECT_TRUE(evalFormula(eliminateOnePoint(*P.Ctx, Q), Cex))
+          << Tag << ": " << formatModel(Syms, Cex);
     }
   }
-  // Both counterexample sources occur on this corpus.
-  EXPECT_GT(Witnessed, 0u);
-  EXPECT_GT(Modeled, 0u);
+  EXPECT_GT(Failed, 0u);
 }
 
 TEST(RescueOrder, CaseStudiesSpendNoBoundedCandidates) {
+  // Neither the case studies nor their mutants reach the bounded tier:
+  // Z3 settles every obligation the simplify tier leaves, and a failed
+  // one's counterexample is the model of that same Z3 query. A mutant
+  // fails as many obligations as under the plain Z3 backend.
   RELAXC_SKIP_WITHOUT_Z3();
-  for (const char *Name : relax::test::CaseStudies) {
-    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
-    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+  std::vector<std::pair<std::string, std::optional<std::string>>> Inputs;
+  for (const char *Name : relax::test::CaseStudies)
+    Inputs.emplace_back(Name, relax::test::slurpExample(Name));
+  for (const relax::test::Mutation &M : relax::test::ExampleMutants)
+    Inputs.emplace_back(relax::test::mutantName(M),
+                        relax::test::mutantSource(M));
+  for (size_t I = 0; I != Inputs.size(); ++I) {
+    const auto &[Name, Source] = Inputs[I];
+    bool Mutant = I >= std::size(relax::test::CaseStudies);
+    if (!Source)
+      GTEST_SKIP() << Name << " not found";
+    relax::test::ParsedProgram P = relax::test::parseProgram(*Source);
     ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+    auto Z3 = [&P] { return std::make_unique<Z3Solver>(P.Ctx->symbols()); };
+    auto Failed = [](const VerifyReport &R) {
+      return R.Original.count(VCStatus::Failed) +
+             R.Relaxed.count(VCStatus::Failed);
+    };
+    DiagnosticEngine Diags;
+    std::unique_ptr<Solver> Plain = Z3();
+    size_t PlainFailed = Failed(Verifier(*P.Ctx, *P.Prog, *Plain, Diags).run());
+    EXPECT_EQ(PlainFailed > 0, Mutant) << Name;
     for (unsigned Jobs : {1u, 4u}) {
       BoundedSolver Dummy;
-      DiagnosticEngine Diags;
       Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
       Verifier::Options VO;
       VO.Portfolio = PortfolioOptions(); // simplify,bounded,z3
-      VO.SmtFactory = [&P] {
-        return std::make_unique<Z3Solver>(P.Ctx->symbols());
-      };
+      VO.SmtFactory = Z3;
       VO.Jobs = Jobs;
       DischargeStats Stats;
       VO.StatsOut = &Stats;
       VerifyReport R = V.run(VO);
-      EXPECT_TRUE(R.verified()) << Name;
+      EXPECT_EQ(R.verified(), !Mutant) << Name;
+      EXPECT_EQ(Failed(R), PlainFailed) << Name << " --jobs=" << Jobs;
       EXPECT_EQ(Stats.BoundedCandidates, 0u) << Name << " --jobs=" << Jobs;
     }
   }
