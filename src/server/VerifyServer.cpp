@@ -468,7 +468,8 @@ std::string relax::verifyJobFingerprint(const VerifyWireRequest &R) {
 
 VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
                                     PersistentCache *PCache,
-                                    DischargePool *Pool) {
+                                    DischargePool *Pool,
+                                    Z3ContextPool *Contexts) {
   VerifyJobResult Job;
   auto Usage = [&](std::string Msg) {
     Job.IsError = true;
@@ -505,7 +506,8 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
   }
 
   // One fresh AstContext per session — see the file comment in
-  // VerifyServer.h for why warm contexts would break report identity.
+  // VerifyServer.h for why a warm AstContext would break report
+  // identity (a warm Z3 context does not).
   auto CtxOwner = std::make_unique<AstContext>();
   AstContext &Ctx = *CtxOwner;
   SourceManager SM;
@@ -537,8 +539,9 @@ VerifyJobResult relax::runVerifyJob(const VerifyWireRequest &Req,
   VO.StatsOut = &Stats;
   VO.Portfolio = std::move(*Port);
   if (RELAXC_HAVE_Z3)
-    VO.SmtFactory = [&Ctx] {
-      return std::make_unique<Z3Solver>(Ctx.symbols());
+    VO.SmtFactory = [&Ctx, Contexts] {
+      return std::make_unique<Z3Solver>(Ctx.symbols(), Z3SolverOptions(),
+                                        Contexts);
     };
   VO.PCache = PCache;
 
@@ -571,6 +574,7 @@ VerifyServer::create(VerifyServerOptions O) {
   std::unique_ptr<VerifyServer> S(new VerifyServer());
   S->Opts = std::move(O);
   S->Listener = std::move(*L);
+  S->Contexts = std::make_unique<Z3ContextPool>(S->Opts.MaxConnections);
   return R(std::move(S));
 }
 
@@ -622,7 +626,7 @@ VerifyWireResponse VerifyServer::handleVerify(std::string_view Payload) {
       (Req->TimeoutMs < 0 || Req->TimeoutMs > Opts.MaxRequestTimeoutMs))
     Req->TimeoutMs = Opts.MaxRequestTimeoutMs;
   PersistentCache *PC = cacheFor(verifyJobFingerprint(*Req));
-  VerifyWireResponse Resp = runVerifyJob(*Req, PC);
+  VerifyWireResponse Resp = runVerifyJob(*Req, PC, nullptr, Contexts.get());
   if (PC && !Opts.CacheDir.empty()) {
     if (Status S = PC->flush(); !S.ok())
       std::fprintf(stderr,

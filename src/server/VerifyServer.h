@@ -16,7 +16,8 @@
 /// `runVerifyJob` is the one path from a configuration to a report — the
 /// local `verify` command (with or without a worker pool and a persistent
 /// cache), the daemon, and the benchmark harness all run it, so a served
-/// report equals a local one by construction. The portfolio options, the
+/// report has a local run's verdicts, statuses and exit code by
+/// construction (see below for its text). The portfolio options, the
 /// cache fingerprint and the exit code are each derived from the
 /// configuration in exactly one place. Every job runs a portfolio:
 /// without a pipeline, the one tier `--solver=` names.
@@ -32,15 +33,23 @@
 /// not name a literal `shard` tier, and `--serve-max-request-ms` clamps
 /// its deadline.
 ///
-/// Warm state is chosen to keep verdicts bit-identical to a standalone
-/// run: each session gets a FRESH AstContext (VC generation through a
-/// reused context would drift the Interner's fresh counters — x'1
-/// becomes x'2 on the second run — breaking both report identity and
-/// persistent-cache keys), while the daemon's per-configuration
-/// PersistentCache persists across requests (its keys are printed
-/// formulas, portable across contexts). Backpressure is a bounded
-/// connection count: a request past it is refused with a *retryable*
-/// error response instead of queueing unboundedly.
+/// The daemon's warm state is its per-configuration verdict cache and
+/// its pooled Z3 contexts; each session still gets a FRESH AstContext
+/// (VC generation through a reused context would drift the Interner's
+/// fresh counters — x'1 becomes x'2 on the second run — breaking both
+/// report identity and persistent-cache keys). The PersistentCache
+/// persists across requests (its keys are printed formulas, portable
+/// across contexts). The Z3ContextPool keeps at most MaxConnections
+/// idle contexts; a request's Z3 backends lease one on their first
+/// query instead of building one, and hand it back with no memo or
+/// assertion of the request left in it. What stays equal to a local
+/// run: every verdict, every obligation's status, the exit code, and
+/// the report's bytes wherever it prints no counterexample. What may
+/// not: a counterexample's text, because Z3's models depend on the
+/// context's history (a leased context's, or the cache entry's first
+/// computation). Backpressure is a bounded connection count: a request
+/// past it is refused with a *retryable* error response instead of
+/// queueing unboundedly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +58,7 @@
 
 #include "solver/Portfolio.h"
 #include "solver/ShardPool.h"
+#include "solver/Z3Solver.h"
 #include "support/IntMath.h"
 #include "support/PersistentCache.h"
 #include "support/Transport.h"
@@ -210,11 +220,15 @@ struct VerifyJobResult : VerifyWireResponse {
 /// cache (the caller loads and flushes it). \p Pool may be null; when
 /// set, the pipeline's final bounded or z3 tier becomes a `shard` tier
 /// whose workers on the pool run the tier it replaced — verdicts and
-/// fingerprint are those of the pool-less run. A build without Z3
-/// refuses a job that names no pipeline and the `z3` solver.
+/// fingerprint are those of the pool-less run. \p Contexts may be null;
+/// when set, every Z3 backend of the job leases its context there
+/// instead of building one — verdicts, statuses and exit codes are
+/// those of the pool-less run, a counterexample may differ. A build
+/// without Z3 refuses a job that names no pipeline and the `z3` solver.
 VerifyJobResult runVerifyJob(const VerifyWireRequest &R,
                              PersistentCache *PCache,
-                             DischargePool *Pool = nullptr);
+                             DischargePool *Pool = nullptr,
+                             Z3ContextPool *Contexts = nullptr);
 
 //===----------------------------------------------------------------------===//
 // The daemon
@@ -264,6 +278,8 @@ private:
   unsigned Active = 0;
   std::mutex CacheM;
   std::map<std::string, std::unique_ptr<PersistentCache>> Caches;
+  /// Every request's Z3 contexts; at most MaxConnections idle.
+  std::unique_ptr<Z3ContextPool> Contexts;
 };
 
 } // namespace relax

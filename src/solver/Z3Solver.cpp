@@ -251,13 +251,20 @@ std::optional<int64_t> evalInt(z3::model &M, const z3::expr &E) {
 
 } // namespace
 
+/// A z3::context, pooled or private to one Z3Solver.
+struct Z3ContextPool::Context {
+  z3::context C;
+  Context() { Built.fetch_add(1, std::memory_order_relaxed); }
+  static inline std::atomic<uint64_t> Built{0};
+};
+
 struct Z3Solver::Impl {
   // One context + translator + incremental solver from this Z3Solver's
-  // first query to its destruction: constructing a z3::context (~12 ms)
-  // and a fresh z3::solver used to dominate small-query discharge time,
-  // while a push/pop scope on a persistent solver costs microseconds
-  // (bench/solver_ablation measures the difference). The persistent
-  // context also lets translated terms be memoized across queries.
+  // first query to its destruction: a fresh z3::solver per query used
+  // to dominate small-query discharge time, while a push/pop scope on a
+  // persistent solver costs microseconds (bench/solver_ablation measures
+  // the difference). The persistent context also lets translated terms
+  // be memoized across queries.
   //
   // The solver is Z3's incremental SMT core (`simple`), which is what the
   // default solver runs every push/pop query on anyway; the default one
@@ -265,15 +272,18 @@ struct Z3Solver::Impl {
   // under 2 ms for the core). Its timeout is the context's `timeout`,
   // written before every check: that write costs well under a
   // microsecond, where setting a solver's params costs ~2 ms.
-  z3::context C;
+  //
+  // The context, built or leased; ~Z3Solver ends it.
+  std::unique_ptr<Z3ContextPool::Context> Owned;
+  z3::context &C;
   Translator T;
   std::optional<z3::solver> S;
+  /// A query threw: the context's state is unknown, so it is not handed
+  /// back to a pool.
+  bool Threw = false;
 
-  explicit Impl(const Interner &Syms) : T(C, Syms) {
-    ContextsBuilt.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  static inline std::atomic<uint64_t> ContextsBuilt{0};
+  Impl(std::unique_ptr<Z3ContextPool::Context> Ctx, const Interner &Syms)
+      : Owned(std::move(Ctx)), C(Owned->C), T(C, Syms) {}
 
   z3::solver &solver() {
     if (!S)
@@ -283,7 +293,10 @@ struct Z3Solver::Impl {
 
   /// After a z3::exception the solver's scope stack is unknown; drop it so
   /// the next query starts from a fresh one.
-  void resetSolver() { S.reset(); }
+  void resetSolver() {
+    S.reset();
+    Threw = true;
+  }
 };
 
 namespace {
@@ -339,15 +352,59 @@ std::string quotePrimedSymbols(const std::string &Script) {
 
 } // namespace
 
-Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts)
-    : Syms(Syms), Opts(Opts) {}
-Z3Solver::~Z3Solver() = default;
+Z3ContextPool::Z3ContextPool(size_t MaxIdle) : MaxIdle(MaxIdle) {}
+Z3ContextPool::~Z3ContextPool() = default;
 
-uint64_t Z3Solver::contextsBuilt() { return Impl::ContextsBuilt.load(); }
+size_t Z3ContextPool::idle() const {
+  std::lock_guard<std::mutex> L(M);
+  return Free.size();
+}
+
+std::unique_ptr<Z3ContextPool::Context> Z3ContextPool::lease() {
+  {
+    std::lock_guard<std::mutex> L(M);
+    if (!Free.empty()) {
+      std::unique_ptr<Context> C = std::move(Free.back());
+      Free.pop_back();
+      return C;
+    }
+  }
+  return std::make_unique<Context>();
+}
+
+void Z3ContextPool::giveBack(std::unique_ptr<Context> C) {
+  // Past the cap, C is destroyed with the parameter, after the lock is
+  // released.
+  std::lock_guard<std::mutex> L(M);
+  if (Free.size() < MaxIdle)
+    Free.push_back(std::move(C));
+}
+
+Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts,
+                   Z3ContextPool *Pool)
+    : Syms(Syms), Opts(Opts), Pool(Pool) {}
+
+Z3Solver::~Z3Solver() {
+  if (!P)
+    return;
+  // Tear the translator and the solver down first; only then may the
+  // context go back to the pool.
+  std::unique_ptr<Z3ContextPool::Context> Ctx = std::move(P->Owned);
+  bool Reusable = Pool && !P->Threw;
+  P.reset();
+  if (Reusable)
+    Pool->giveBack(std::move(Ctx));
+}
+
+uint64_t Z3Solver::contextsBuilt() {
+  return Z3ContextPool::Context::Built.load();
+}
 
 Z3Solver::Impl &Z3Solver::impl() {
   if (!P)
-    P = std::make_unique<Impl>(Syms);
+    P = std::make_unique<Impl>(
+        Pool ? Pool->lease() : std::make_unique<Z3ContextPool::Context>(),
+        Syms);
   return *P;
 }
 
@@ -366,6 +423,8 @@ Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &Formulas) {
       S.add(Axiom);
     return quotePrimedSymbols(S.to_smt2());
   } catch (const z3::exception &E) {
+    if (P)
+      P->Threw = true;
     return Result<std::string>::error(std::string("z3 error: ") + E.msg());
   }
 }
@@ -476,9 +535,15 @@ const char *NoZ3Message =
 } // namespace
 
 struct Z3Solver::Impl {};
+struct Z3ContextPool::Context {};
 
-Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts)
-    : Syms(Syms), Opts(Opts) {}
+Z3ContextPool::Z3ContextPool(size_t MaxIdle) : MaxIdle(MaxIdle) {}
+Z3ContextPool::~Z3ContextPool() = default;
+size_t Z3ContextPool::idle() const { return 0; }
+
+Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts,
+                   Z3ContextPool *Pool)
+    : Syms(Syms), Opts(Opts), Pool(Pool) {}
 Z3Solver::~Z3Solver() = default;
 
 uint64_t Z3Solver::contextsBuilt() { return 0; }

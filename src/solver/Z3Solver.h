@@ -28,6 +28,8 @@
 #include "solver/Solver.h"
 
 #include <memory>
+#include <mutex>
+#include <vector>
 
 /// Set by the build system; defaults to "available" for builds that do not
 /// go through CMake. When 0, Z3Solver compiles to a stub whose every query
@@ -48,23 +50,65 @@ struct Z3SolverOptions {
   int64_t MaxExtractedArrayLen = 4096;
 };
 
+/// A mutex-guarded free list of z3::contexts that outlive the solvers
+/// that use them, so a long-lived process (the `--serve` daemon) pays for
+/// a context once, not once per request. A Z3Solver built with a pool
+/// leases a context on its first query, building one only when the list
+/// is empty, and hands it back when it is destroyed: after its
+/// translation memos and its z3::solver are gone, so nothing keyed by
+/// one AstContext's nodes and no assertion outlives the solver. A
+/// context whose query threw a z3::exception is destroyed instead. The
+/// list keeps at most MaxIdle contexts; a context handed back past that
+/// is destroyed.
+///
+/// Z3's models depend on the context's history, so a counterexample
+/// found on a leased context can differ from a fresh context's; its
+/// verdict cannot.
+class Z3ContextPool {
+public:
+  explicit Z3ContextPool(size_t MaxIdle);
+  ~Z3ContextPool();
+  Z3ContextPool(const Z3ContextPool &) = delete;
+  Z3ContextPool &operator=(const Z3ContextPool &) = delete;
+
+  /// The contexts in the free list now.
+  size_t idle() const;
+
+  struct Context; ///< a z3::context; hides z3++.h
+
+private:
+  friend class Z3Solver;
+  std::unique_ptr<Context> lease();
+  void giveBack(std::unique_ptr<Context> C);
+
+  const size_t MaxIdle;
+  mutable std::mutex M;
+  std::vector<std::unique_ptr<Context>> Free;
+};
+
 /// Decision procedure backed by the native Z3 API.
 ///
 /// Holds a reference to the interner that produced the formulas' symbols
 /// (variable names are mangled into Z3 constant names).
 ///
-/// One z3::context lives from the solver's first query (or SMT-LIB dump)
-/// to its destruction, with translation memos keyed by hash-consed node
-/// identity; consequently an instance must only be fed formulas from one
-/// live AstContext, and is not safe for concurrent use — the parallel
-/// verifier builds one instance per worker. Building the context costs
-/// about 12 ms, so a solver that is never queried never builds one.
-/// Queries run in push/pop scopes on Z3's incremental SMT core, under a
-/// timeout written to the context before each check.
+/// One z3::context serves the solver from its first query (or SMT-LIB
+/// dump) to its destruction, with translation memos keyed by hash-consed
+/// node identity; consequently an instance must only be fed formulas
+/// from one live AstContext, and is not safe for concurrent use — the
+/// parallel verifier builds one instance per worker. Without a pool the
+/// solver builds that context and tears it down: the first context of a
+/// process costs 9–17 ms to build, a later one 1–2 ms, and tearing one
+/// down up to 1.5 ms, so a solver that is never queried never builds
+/// one. With a pool it leases a context, warm from earlier solvers, and
+/// hands it back (see Z3ContextPool). Queries run in push/pop scopes on
+/// Z3's incremental SMT core, under a timeout written to the context
+/// before each check.
 class Z3Solver : public Solver {
 public:
+  /// \p Pool, when set, supplies the context and outlives the solver.
   explicit Z3Solver(const Interner &Syms,
-                    Z3SolverOptions Opts = Z3SolverOptions());
+                    Z3SolverOptions Opts = Z3SolverOptions(),
+                    Z3ContextPool *Pool = nullptr);
   ~Z3Solver() override;
 
   const char *name() const override { return "z3"; }
@@ -85,16 +129,17 @@ public:
 
   bool lastQueryDeadlined() const override { return LastDeadlined; }
 
-  /// How many z3::contexts Z3Solvers have built in this process so far
-  /// (always 0 without Z3).
+  /// How many z3::contexts Z3Solvers have built in this process so far,
+  /// leased ones counted once (always 0 without Z3).
   static uint64_t contextsBuilt();
 
 private:
   struct Impl; // hides z3++.h from users of this header
-  /// Builds the context on first use.
+  /// Builds or leases the context on first use.
   Impl &impl();
   const Interner &Syms;
   Z3SolverOptions Opts;
+  Z3ContextPool *Pool;
   std::unique_ptr<Impl> P;
   /// The most recent query gave up on the installed deadline (expired on
   /// entry, or z3 answered unknown after its capped per-query timeout).

@@ -32,12 +32,14 @@
 /// the cap, slot k starts only when the pass has more than
 /// k * `ObligationsPerSlot` obligations pending after the prepare stage,
 /// so a pass with P pending runs on min(Jobs, ceil(P / ObligationsPerSlot))
-/// slots and builds no backend (no Z3 context, ≈12 ms) that its share of
-/// the work cannot repay. Slots are seeded round-robin, pull obligation
-/// indices from their own deques, and steal from a victim's deque when
-/// their own runs dry. Slot 0 runs on the submitting thread with the
-/// main solver: the scheduler's portfolio, or the caller's solver
-/// (alone, on one slot) when no portfolio is configured. A one-slot pass
+/// slots and builds no backend that its share of the work cannot repay
+/// (a Z3 context: 9–17 ms to build a process's first, 1–2 ms a later
+/// one, up to 1.5 ms to tear one down, and ≈17 MB while it lives).
+/// Slots are seeded round-robin, pull obligation indices from their own
+/// deques, and steal from a victim's deque when their own runs dry.
+/// Slot 0 runs on the submitting thread with the main solver: the
+/// scheduler's portfolio, or the caller's solver (alone, on one slot)
+/// when no portfolio is configured. A one-slot pass
 /// spawns no thread, which is the `Jobs = 1` path whatever the cap. An
 /// obligation makes one backend query. A validity obligation's query
 /// asks for the model of a `sat` answer, which is its counterexample and
@@ -226,10 +228,14 @@ struct DischargeStats {
 /// The obligations one discharge slot must have in prospect before the
 /// scheduler starts it: slot k of a pass starts only when more than
 /// k * ObligationsPerSlot obligations are pending. Measured on a 4-vCPU
-/// host (the table is in ROADMAP.md, the runs in BENCH_e2e.json): below
-/// it a second Z3 context costs more than it saves, and above it failing
-/// obligations' witness searches stop overlapping.
-inline constexpr size_t ObligationsPerSlot = 8;
+/// host (the `b_table` of BENCH_e2e.json; summary in ROADMAP.md). A
+/// pass of up to 16 pending obligations, which is every pass of the case
+/// studies and their mutants, gains less from a second slot than that
+/// slot's Z3 context costs: at four jobs, 16 took a quarter less CPU and
+/// a ninth less wall than 8 on those 15 programs, as much as one job.
+/// The K-copy programs' larger passes ran up to 10 ms slower than at 8,
+/// and 20 and 24 lost more on them.
+inline constexpr size_t ObligationsPerSlot = 16;
 
 /// The work-stealing obligation scheduler (see the file comment). One
 /// instance serves both judgment passes of a verification run, sharing

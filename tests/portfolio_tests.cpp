@@ -28,6 +28,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "Corpus.h"
+#include "Replay.h"
 #include "TestUtil.h"
 
 #include "solver/FormulaEval.h"
@@ -400,13 +401,20 @@ TEST(PortfolioScheduler, SlotsFollowThePendingObligations) {
   // prepare stage starts min(N, 1 + (P - 1) / ObligationsPerSlot) slots,
   // none when P = 0. Without a simplify prefix there is no prepare stage,
   // so every obligation of a pass is pending: 3 * K + 2 of them in each
-  // pass of the copies program (8, 11, 17 and 26 at K = 2, 3, 5, 8).
+  // pass of the copies program. The copies sizes put the passes at and
+  // just past multiples of ObligationsPerSlot, so four jobs start one,
+  // two, three and four slots.
   auto Slots = [](unsigned Jobs, size_t Pending) -> unsigned {
     return Pending == 0 ? 0
                         : static_cast<unsigned>(std::min<size_t>(
                               Jobs, 1 + (Pending - 1) / ObligationsPerSlot));
   };
-  for (unsigned K : {0u, 2u, 3u, 5u, 7u, 8u, 12u}) {
+  // The fewest copies whose passes hold more than P obligations.
+  auto CopiesPast = [](size_t P) { return static_cast<unsigned>((P + 1) / 3); };
+  const size_t B = ObligationsPerSlot;
+  for (unsigned K : {0u, CopiesPast(B) - 1, CopiesPast(B), CopiesPast(2 * B),
+                     CopiesPast(3 * B) - 1, CopiesPast(3 * B),
+                     CopiesPast(4 * B) + 1}) {
     relax::test::ParsedProgram P =
         relax::test::parseProgram(relax::test::copiesProgram(K));
     ASSERT_TRUE(P.ok()) << P.diagnostics();
@@ -494,25 +502,6 @@ TEST(PortfolioScheduler, PipelineVerdictsMatchPlainZ3OnCaseStudies) {
   }
 }
 
-/// Every obligation of both judgment passes of \p P, in report order,
-/// paired with its solver query.
-std::vector<std::pair<VC, const BoolExpr *>>
-passQueries(relax::test::ParsedProgram &P) {
-  std::vector<std::pair<VC, const BoolExpr *>> Out;
-  DiagnosticEngine Diags;
-  std::optional<SemaInfo> Info = Sema(*P.Prog, Diags).run();
-  EXPECT_TRUE(Info.has_value()) << Diags.render();
-  if (!Info)
-    return Out;
-  for (JudgmentKind Pass : {JudgmentKind::Original, JudgmentKind::Relaxed}) {
-    VCSet Set = Verifier::passVCs(*P.Ctx, *P.Prog, *Info, Pass, Diags,
-                                  VCGenOptions());
-    for (const VC &C : Set.VCs)
-      Out.emplace_back(C, vcQuery(*P.Ctx, C));
-  }
-  return Out;
-}
-
 TEST(PortfolioScheduler, QuantifiedCorpusDischargesWithBudgetTrips) {
   // water.rlx carries quantified relational VCs (havoc/relax freshening
   // introduces existentials): at full domains the bounded tier would
@@ -522,7 +511,8 @@ TEST(PortfolioScheduler, QuantifiedCorpusDischargesWithBudgetTrips) {
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
   relax::test::ParsedProgram P = relax::test::parseProgram(Source);
   ASSERT_TRUE(P.ok()) << P.diagnostics();
-  std::vector<std::pair<VC, const BoolExpr *>> Queries = passQueries(P);
+  std::vector<std::pair<VC, const BoolExpr *>> Queries =
+      relax::test::passQueries(P);
   ASSERT_FALSE(Queries.empty());
 
   PortfolioOptions PO; // simplify,bounded,z3
@@ -685,62 +675,6 @@ TEST(OneDischargePath, BackendSeesEveryQueryInVCOrderAtOneJob) {
 // The bounded tier behind the decision tier
 //===----------------------------------------------------------------------===//
 
-/// An e with `x == e` or `e == x` among the conjuncts of \p B (looking
-/// through nested existentials that neither rebind x nor bind a
-/// variable of e), x not free in e; null if there is none.
-const Expr *definitionOf(const BoolExpr *B, const VarRef &X) {
-  if (const auto *L = dyn_cast<LogicalExpr>(B)) {
-    if (L->op() != LogicalOp::And)
-      return nullptr;
-    const Expr *D = definitionOf(L->lhs(), X);
-    return D ? D : definitionOf(L->rhs(), X);
-  }
-  if (const auto *E = dyn_cast<ExistsExpr>(B)) {
-    VarRef Bound{E->var(), E->tag(), E->varKind()};
-    if (Bound == X)
-      return nullptr;
-    const Expr *D = definitionOf(E->body(), X);
-    return D && !freeVars(D).count(Bound) ? D : nullptr;
-  }
-  const auto *C = dyn_cast<CmpExpr>(B);
-  if (!C || C->op() != CmpOp::Eq)
-    return nullptr;
-  auto IsX = [&](const Expr *E) {
-    const auto *V = dyn_cast<VarExpr>(E);
-    return V && V->name() == X.Name && V->tag() == X.Tag;
-  };
-  if (IsX(C->lhs()) && !freeVars(C->rhs()).count(X))
-    return C->rhs();
-  if (IsX(C->rhs()) && !freeVars(C->lhs()).count(X))
-    return C->lhs();
-  return nullptr;
-}
-
-/// Rewrites every `exists x . B` whose body defines x (definitionOf) to
-/// B[x := e]. The rewrite is an equivalence over Z, and it removes the
-/// existentials havoc and relax freshening introduce, whose witnesses
-/// may lie outside evalFormula's quantifier domain and whose nesting
-/// makes its enumeration exponential.
-const BoolExpr *eliminateOnePoint(AstContext &Ctx, const BoolExpr *B) {
-  if (const auto *N = dyn_cast<NotExpr>(B))
-    return Ctx.notExpr(eliminateOnePoint(Ctx, N->sub()));
-  if (const auto *L = dyn_cast<LogicalExpr>(B))
-    return Ctx.logical(L->op(), eliminateOnePoint(Ctx, L->lhs()),
-                       eliminateOnePoint(Ctx, L->rhs()));
-  const auto *E = dyn_cast<ExistsExpr>(B);
-  if (!E)
-    return B;
-  const BoolExpr *Body = eliminateOnePoint(Ctx, E->body());
-  if (E->varKind() == VarKind::Int)
-    if (const Expr *D =
-            definitionOf(Body, VarRef{E->var(), E->tag(), VarKind::Int})) {
-      Subst S;
-      S.mapVar(E->var(), E->tag(), D);
-      return substitute(Ctx, Body, S);
-    }
-  return Ctx.exists(E->var(), E->tag(), E->varKind(), Body);
-}
-
 TEST(RescueOrder, ChangesNoVerdictAndEveryCounterexampleReplays) {
   RELAXC_SKIP_WITHOUT_Z3();
   auto Corpus = relax::test::mixedCorpus();
@@ -758,7 +692,7 @@ TEST(RescueOrder, ChangesNoVerdictAndEveryCounterexampleReplays) {
     PortfolioSolver New(*P.Ctx, PortfolioOptions(), Z3);
     PortfolioSolver Twin(*P.Ctx, PortfolioOptions(), Z3);
     PortfolioSolver Old(*P.Ctx, PortfolioOptions(), Z3);
-    for (const auto &[C, Q] : passQueries(P)) {
+    for (const auto &[C, Q] : relax::test::passQueries(P)) {
       std::string Tag = Name + " " + C.Rule + " #" + std::to_string(C.Id);
       std::vector<const BoolExpr *> F{Q};
       // The old order, one tier at a time: simplify, bounded, z3.
@@ -785,7 +719,8 @@ TEST(RescueOrder, ChangesNoVerdictAndEveryCounterexampleReplays) {
       EXPECT_EQ(Out.Status, VCStatus::Failed) << Tag;
       EXPECT_EQ(Out.Detail, "counterexample: " + formatModel(Syms, Cex))
           << Tag;
-      EXPECT_TRUE(evalFormula(eliminateOnePoint(*P.Ctx, Q), Cex))
+      EXPECT_TRUE(
+          evalFormula(relax::test::eliminateOnePoint(*P.Ctx, Q), Cex))
           << Tag << ": " << formatModel(Syms, Cex);
     }
   }

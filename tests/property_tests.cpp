@@ -172,9 +172,11 @@ TEST(PropertySchedules, VerdictsIndependentOfJobs) {
     VerifyReport Par = runPortfolio(P, boundedPipeline(), 4);
     expectIdenticalReports(Seq, Par, Seed, "--jobs=1 vs --jobs=4");
   }
-  // The generated programs' passes are small; the copies programs start
-  // two, three and four slots per pass.
-  for (unsigned K : {3u, 6u, relax::test::ManyCopies}) {
+  // The generated programs' passes are small; the copies programs, with
+  // 3 * K + 1 obligations pending per pass, start two, three and four
+  // slots per pass.
+  const unsigned B = ObligationsPerSlot;
+  for (unsigned K : {(B + 2) / 3, (2 * B + 2) / 3, relax::test::ManyCopies}) {
     relax::test::ParsedProgram P =
         relax::test::parseProgram(relax::test::copiesProgram(K));
     ASSERT_TRUE(P.ok()) << P.diagnostics();

@@ -31,14 +31,17 @@
 
 #include "Corpus.h"
 #include "GenProgram.h"
+#include "Replay.h"
 #include "TestUtil.h"
 
 #include "server/VerifyServer.h"
+#include "solver/FormulaEval.h"
 #include "support/Subprocess.h"
 #include "support/Transport.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -1030,6 +1033,230 @@ TEST(CliMatchesSession, CliAndDaemonShareOneCacheFingerprint) {
         << "the CLI missed the daemon's cache:\n"
         << Second.Out;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The daemon's Z3 contexts
+//===----------------------------------------------------------------------===//
+
+/// Every obligation's status, |-o pass then |-r pass.
+std::vector<VCStatus> statuses(const VerifyReport &R) {
+  std::vector<VCStatus> Out;
+  for (const JudgmentReport *J : {&R.Original, &R.Relaxed})
+    for (const VCOutcome &O : J->Outcomes)
+      Out.push_back(O.Status);
+  return Out;
+}
+
+/// \p Report with each counterexample's text masked: Z3's models depend
+/// on the context's history, so a leased context may print another
+/// counterexample than a fresh one.
+std::string maskCounterexamples(const std::string &Report) {
+  static const std::regex Cex("counterexample: [^\n]*");
+  return std::regex_replace(Report, Cex, "counterexample: …");
+}
+
+/// The two configurations the pool pins run: the default one, and the
+/// portfolio at four jobs.
+VerifyWireRequest corpusRequest(const std::string &Name,
+                                const std::string &Source, bool Portfolio) {
+  VerifyWireRequest R;
+  R.FileName = Name;
+  R.Source = Source;
+  if (Portfolio) {
+    R.Pipeline = "simplify,bounded,z3";
+    R.Jobs = 4;
+  }
+  return R;
+}
+
+TEST(ContextPool, MixedCorpusKeepsEveryVerdictForwardAndReversed) {
+  RELAXC_SKIP_WITHOUT_Z3();
+  auto Corpus = relax::test::mixedCorpus();
+  if (!Corpus)
+    GTEST_SKIP() << "case studies not found";
+  const size_t N = Corpus->size();
+  const size_t CaseStudyCount = std::size(relax::test::CaseStudies);
+
+  struct Reference {
+    int Exit;
+    std::string Report;
+    std::vector<VCStatus> Statuses;
+  };
+  std::vector<Reference> Refs[2];
+  uint64_t MostContexts = 0; // the most any one pool-less request built
+  for (bool Portfolio : {false, true})
+    for (const auto &[Name, Source] : *Corpus) {
+      uint64_t Before = Z3Solver::contextsBuilt();
+      VerifyJobResult J =
+          runVerifyJob(corpusRequest(Name, Source, Portfolio), nullptr);
+      MostContexts =
+          std::max(MostContexts, Z3Solver::contextsBuilt() - Before);
+      Refs[Portfolio].push_back(
+          {J.ExitStatus, J.Report, statuses(J.Verdicts)});
+    }
+  ASSERT_GT(MostContexts, 0u);
+
+  // One pool serves the whole sequence: the corpus forward, then
+  // reversed, under each configuration.
+  Z3ContextPool Pool(4);
+  uint64_t Before = Z3Solver::contextsBuilt();
+  for (bool Portfolio : {false, true})
+    for (bool Reversed : {false, true})
+      for (size_t K = 0; K != N; ++K) {
+        size_t I = Reversed ? N - 1 - K : K;
+        const auto &[Name, Source] = (*Corpus)[I];
+        const Reference &Ref = Refs[Portfolio][I];
+        std::string Tag = Name + (Portfolio ? " [portfolio --jobs=4]" : "") +
+                          (Reversed ? " (reversed)" : "");
+        VerifyJobResult J = runVerifyJob(corpusRequest(Name, Source, Portfolio),
+                                         nullptr, nullptr, &Pool);
+        ASSERT_FALSE(J.IsError) << Tag << ": " << J.Error;
+        EXPECT_EQ(J.ExitStatus, Ref.Exit) << Tag;
+        EXPECT_EQ(statuses(J.Verdicts), Ref.Statuses) << Tag;
+        EXPECT_EQ(maskCounterexamples(J.Report),
+                  maskCounterexamples(Ref.Report))
+            << Tag;
+        if (I < CaseStudyCount)
+          EXPECT_EQ(J.Report, Ref.Report) << Tag;
+      }
+  EXPECT_LE(Z3Solver::contextsBuilt() - Before, MostContexts)
+      << "a request built a context the pool held";
+  EXPECT_LE(Pool.idle(), 4u);
+}
+
+TEST(ContextPool, WarmContextCounterexamplesReplay) {
+  // A context that has served the 50 generated programs still answers
+  // each refuted obligation of the mutants with a model of its query.
+  RELAXC_SKIP_WITHOUT_Z3();
+  auto Corpus = relax::test::mixedCorpus();
+  if (!Corpus)
+    GTEST_SKIP() << "case studies not found";
+  const size_t Programs = std::size(relax::test::CaseStudies) +
+                          std::size(relax::test::ExampleMutants);
+  ASSERT_GT(Corpus->size(), Programs);
+  Z3ContextPool Pool(1);
+  for (size_t I = Programs; I != Corpus->size(); ++I) {
+    const auto &[Name, Source] = (*Corpus)[I];
+    VerifyJobResult J = runVerifyJob(corpusRequest(Name, Source, false),
+                                     nullptr, nullptr, &Pool);
+    ASSERT_FALSE(J.IsError) << Name << ": " << J.Error;
+  }
+  ASSERT_EQ(Pool.idle(), 1u);
+
+  uint64_t Built = Z3Solver::contextsBuilt();
+  size_t Failed = 0;
+  for (size_t I = std::size(relax::test::CaseStudies); I != Programs; ++I) {
+    const auto &[Name, Source] = (*Corpus)[I];
+    relax::test::ParsedProgram P = relax::test::parseProgram(Source);
+    ASSERT_TRUE(P.ok()) << Name << ": " << P.diagnostics();
+    const Interner &Syms = P.Ctx->symbols();
+    Z3Solver Leased(Syms, Z3SolverOptions(), &Pool);
+    for (const auto &[C, Q] : relax::test::passQueries(P)) {
+      if (C.Kind != VCKind::Validity)
+        continue;
+      std::string Tag = Name + " " + C.Rule + " #" + std::to_string(C.Id);
+      Model Cex;
+      Result<SatResult> R = Leased.checkSatWithModel({Q}, freeVars(C.Formula),
+                                                     Cex);
+      ASSERT_TRUE(R.ok()) << Tag << ": " << R.message();
+      if (*R != SatResult::Sat)
+        continue;
+      ++Failed;
+      EXPECT_TRUE(
+          evalFormula(relax::test::eliminateOnePoint(*P.Ctx, Q), Cex))
+          << Tag << ": " << formatModel(Syms, Cex);
+    }
+  }
+  EXPECT_GT(Failed, 0u);
+  EXPECT_EQ(Z3Solver::contextsBuilt(), Built)
+      << "a mutant's solver built a context instead of leasing the warm one";
+}
+
+TEST(ContextPool, ConcurrentRequestsShareACappedPool) {
+  // Four threads run distinct programs at --jobs=4 against one pool that
+  // keeps two idle contexts. The copies programs start four slots per
+  // pass, so up to sixteen contexts are leased at once.
+  RELAXC_SKIP_WITHOUT_Z3();
+  auto Corpus = relax::test::mixedCorpus();
+  if (!Corpus)
+    GTEST_SKIP() << "case studies not found";
+  const size_t Threads = 4;
+  const size_t Programs = std::size(relax::test::CaseStudies) +
+                          std::size(relax::test::ExampleMutants);
+  std::vector<std::vector<VerifyWireRequest>> Work(Threads);
+  for (size_t I = 0; I != Programs; ++I) {
+    VerifyWireRequest R =
+        corpusRequest((*Corpus)[I].first, (*Corpus)[I].second, false);
+    R.Jobs = 4;
+    Work[I % Threads].push_back(R);
+  }
+  for (size_t T = 0; T != Threads; ++T) {
+    VerifyWireRequest R = corpusRequest(
+        "copies",
+        relax::test::copiesProgram(relax::test::ManyCopies +
+                                   static_cast<unsigned>(T)),
+        false);
+    R.Jobs = 4;
+    Work[T].push_back(R);
+  }
+
+  std::vector<std::vector<VerifyJobResult>> Local(Threads), Pooled(Threads);
+  for (size_t T = 0; T != Threads; ++T)
+    for (const VerifyWireRequest &R : Work[T])
+      Local[T].push_back(runVerifyJob(R, nullptr));
+
+  Z3ContextPool Pool(2);
+  std::vector<std::thread> Clients;
+  for (size_t T = 0; T != Threads; ++T)
+    Clients.emplace_back([&, T] {
+      for (const VerifyWireRequest &R : Work[T])
+        Pooled[T].push_back(runVerifyJob(R, nullptr, nullptr, &Pool));
+    });
+  for (std::thread &C : Clients)
+    C.join();
+
+  for (size_t T = 0; T != Threads; ++T)
+    for (size_t I = 0; I != Work[T].size(); ++I) {
+      const std::string &Tag = Work[T][I].FileName;
+      const VerifyJobResult &A = Local[T][I], &B = Pooled[T][I];
+      ASSERT_FALSE(B.IsError) << Tag << ": " << B.Error;
+      EXPECT_EQ(B.ExitStatus, A.ExitStatus) << Tag;
+      EXPECT_EQ(statuses(B.Verdicts), statuses(A.Verdicts)) << Tag;
+    }
+  EXPECT_LE(Pool.idle(), 2u);
+}
+
+TEST(ServeDaemon, MutantsServedAfterTheCaseStudiesKeepTheLocalReport) {
+  // A live daemon leases every request's contexts from its pool. After
+  // the case studies, the mutants, sent twice, still exit 1 and print the
+  // local report; only the counterexamples' text may differ.
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_Z3();
+  Daemon D;
+  ASSERT_TRUE(D.Ready);
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    expectServedMatchesLocal(D.Addr, corpusRequest(Name, Source, false),
+                             Name);
+  }
+  for (int Round = 0; Round != 2; ++Round)
+    for (const relax::test::Mutation &M : relax::test::ExampleMutants) {
+      std::optional<std::string> Source = relax::test::mutantSource(M);
+      ASSERT_TRUE(Source.has_value());
+      std::string Name = relax::test::mutantName(M);
+      std::string Tag = Name + " (round " + std::to_string(Round + 1) + ")";
+      VerifyWireRequest R = corpusRequest(Name, *Source, false);
+      VerifyWireResponse Local = runVerifyJob(R, nullptr);
+      VerifyWireResponse Served = sendVerify(D.Addr, R);
+      ASSERT_FALSE(Served.IsError) << Tag << ": " << Served.Error;
+      EXPECT_EQ(Local.ExitStatus, 1) << Tag;
+      EXPECT_EQ(Served.ExitStatus, 1) << Tag;
+      EXPECT_EQ(maskCounterexamples(Served.Report),
+                maskCounterexamples(Local.Report))
+          << Tag;
+      EXPECT_EQ(Served.Diagnostics, Local.Diagnostics) << Tag;
+    }
 }
 
 } // namespace
