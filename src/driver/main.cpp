@@ -25,6 +25,7 @@
 #include "solver/ShardPool.h"
 #include "solver/Z3Solver.h"
 #include "support/FaultInjection.h"
+#include "support/HugePageHeap.h"
 #include "support/IntMath.h"
 #include "support/PersistentCache.h"
 #include "support/Subprocess.h"
@@ -858,6 +859,9 @@ int runDumpVCs(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // First, before anything allocates: the first Z3 context's tables land
+  // on huge pages (support/HugePageHeap.h).
+  reserveHugePageHeap();
   // A peer vanishing mid-write (a dead shard worker, a closed pool) must
   // surface as a diagnosed EPIPE from the framing layer, not kill the
   // process. The pool ignores SIGPIPE again at creation (belt and

@@ -390,6 +390,9 @@ std::string renderSolverStats(const std::vector<TierKind> &Tiers,
   for (size_t I = 0; I != S.PassSlots.size() && I != 2; ++I)
     appendf(Out, "%s %s %u", I ? "," : ", slots", Passes[I], S.PassSlots[I]);
   Out += "\n";
+  const SolverContextStats &C = S.Portfolio.Contexts;
+  appendf(Out, "  z3 contexts: %llu built in %.1f ms, %llu leased\n",
+          U(C.Built), C.BuildMillis, U(C.Leased));
   appendf(Out, "  pass times: |-o %.1f ms, |-r %.1f ms\n",
           Report.Original.TotalMillis, Report.Relaxed.TotalMillis);
   return Out;

@@ -122,6 +122,7 @@ void PortfolioStats::merge(const PortfolioStats &O) {
   }
   Queries += O.Queries;
   Escalations += O.Escalations;
+  Contexts.merge(O.Contexts);
 }
 
 PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
@@ -483,6 +484,16 @@ uint64_t PortfolioSolver::boundedQuantSteps() const {
   if (ShardFallbackBounded)
     N += ShardFallbackBounded->quantStepsEvaluated();
   return N;
+}
+
+PortfolioStats PortfolioSolver::stats() const {
+  PortfolioStats S = Stats;
+  for (const std::unique_ptr<Solver> &B : Backends)
+    if (B)
+      S.Contexts.merge(B->contextStats());
+  if (ShardFallback)
+    S.Contexts.merge(ShardFallback->contextStats());
+  return S;
 }
 
 BoundedSearchStats PortfolioSolver::boundedSearchStats() const {

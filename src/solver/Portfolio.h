@@ -145,6 +145,9 @@ struct PortfolioStats {
   std::vector<TierStat> Tiers; ///< parallel to the pipeline
   uint64_t Queries = 0;
   uint64_t Escalations = 0; ///< tier hand-offs (non-final give-ups)
+  /// The contexts the tiers' backends built or leased (the z3 tier's, and
+  /// a shard tier's in-process fallback's).
+  SolverContextStats Contexts;
 
   void merge(const PortfolioStats &O);
 };
@@ -201,7 +204,8 @@ public:
   /// bounded: quantifier-step budget tripped".
   std::string giveUpTrail() const override { return LastTrail; }
 
-  const PortfolioStats &stats() const { return Stats; }
+  /// The counters so far, with the backends' contexts read live.
+  PortfolioStats stats() const;
 
   /// Cumulative bounded-tier work counters (all bounded tiers summed).
   uint64_t boundedCandidates() const;

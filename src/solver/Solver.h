@@ -77,6 +77,21 @@ struct Model {
 /// Renders a model for diagnostics: `x<o> = 3, A<r> = [1, 2]`.
 std::string formatModel(const Interner &Syms, const Model &M);
 
+/// The solver contexts a backend got for its queries: built by the
+/// backend itself, or leased warm from a pool. Only the Z3 backend has
+/// one; the portfolio sums its tiers' (`--solver-stats`).
+struct SolverContextStats {
+  uint64_t Built = 0;
+  uint64_t Leased = 0;
+  double BuildMillis = 0; ///< wall time spent building the Built ones
+
+  void merge(const SolverContextStats &O) {
+    Built += O.Built;
+    Leased += O.Leased;
+    BuildMillis += O.BuildMillis;
+  }
+};
+
 /// Abstract decision procedure over the assertion logic.
 class Solver {
 public:
@@ -130,6 +145,10 @@ public:
   /// tiers the query touched. Purely observational — surfaced per
   /// obligation by `--explain`.
   virtual uint64_t lastQueryBoundedConflicts() const { return 0; }
+
+  /// The context this backend built or leased so far (statistics; none
+  /// for backends without one).
+  virtual SolverContextStats contextStats() const { return {}; }
 
   //===--------------------------------------------------------------------===//
   // Derived helpers

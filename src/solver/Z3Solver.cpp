@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <set>
@@ -361,15 +362,12 @@ size_t Z3ContextPool::idle() const {
 }
 
 std::unique_ptr<Z3ContextPool::Context> Z3ContextPool::lease() {
-  {
-    std::lock_guard<std::mutex> L(M);
-    if (!Free.empty()) {
-      std::unique_ptr<Context> C = std::move(Free.back());
-      Free.pop_back();
-      return C;
-    }
-  }
-  return std::make_unique<Context>();
+  std::lock_guard<std::mutex> L(M);
+  if (Free.empty())
+    return nullptr;
+  std::unique_ptr<Context> C = std::move(Free.back());
+  Free.pop_back();
+  return C;
 }
 
 void Z3ContextPool::giveBack(std::unique_ptr<Context> C) {
@@ -401,10 +399,22 @@ uint64_t Z3Solver::contextsBuilt() {
 }
 
 Z3Solver::Impl &Z3Solver::impl() {
-  if (!P)
-    P = std::make_unique<Impl>(
-        Pool ? Pool->lease() : std::make_unique<Z3ContextPool::Context>(),
-        Syms);
+  if (P)
+    return *P;
+  std::unique_ptr<Z3ContextPool::Context> Ctx;
+  if (Pool)
+    Ctx = Pool->lease();
+  if (Ctx) {
+    Contexts.Leased = 1;
+  } else {
+    auto Start = std::chrono::steady_clock::now();
+    Ctx = std::make_unique<Z3ContextPool::Context>();
+    Contexts.Built = 1;
+    Contexts.BuildMillis = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - Start)
+                               .count();
+  }
+  P = std::make_unique<Impl>(std::move(Ctx), Syms);
   return *P;
 }
 

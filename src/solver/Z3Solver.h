@@ -78,6 +78,7 @@ public:
 
 private:
   friend class Z3Solver;
+  /// An idle context, or null when none is.
   std::unique_ptr<Context> lease();
   void giveBack(std::unique_ptr<Context> C);
 
@@ -96,13 +97,17 @@ private:
 /// node identity; consequently an instance must only be fed formulas
 /// from one live AstContext, and is not safe for concurrent use — the
 /// parallel verifier builds one instance per worker. Without a pool the
-/// solver builds that context and tears it down: the first context of a
-/// process costs 9–17 ms to build, a later one 1–2 ms, and tearing one
-/// down up to 1.5 ms, so a solver that is never queried never builds
-/// one. With a pool it leases a context, warm from earlier solvers, and
-/// hands it back (see Z3ContextPool). Queries run in push/pop scopes on
-/// Z3's incremental SMT core, under a timeout written to the context
-/// before each check.
+/// solver builds that context and tears it down, so a solver that is
+/// never queried never builds one. A process's first context costs
+/// 4–6 ms to build on the main thread, whose heap `main` advises onto
+/// huge pages (support/HugePageHeap.h), and 9–11 ms without that
+/// advice, as on any other thread (a scheduler slot k >= 1 builds in a
+/// glibc thread arena, which the advice does not reach); a later one
+/// costs 1–2 ms, and tearing one down up to 1.5 ms. With a pool it leases a
+/// context, warm from earlier solvers, and hands it back (see
+/// Z3ContextPool). contextStats() says which it did. Queries run in
+/// push/pop scopes on Z3's incremental SMT core, under a timeout
+/// written to the context before each check.
 class Z3Solver : public Solver {
 public:
   /// \p Pool, when set, supplies the context and outlives the solver.
@@ -129,6 +134,10 @@ public:
 
   bool lastQueryDeadlined() const override { return LastDeadlined; }
 
+  /// Whether the solver built its context (and in how long) or leased
+  /// it; all zero before its first query.
+  SolverContextStats contextStats() const override { return Contexts; }
+
   /// How many z3::contexts Z3Solvers have built in this process so far,
   /// leased ones counted once (always 0 without Z3).
   static uint64_t contextsBuilt();
@@ -141,6 +150,7 @@ private:
   Z3SolverOptions Opts;
   Z3ContextPool *Pool;
   std::unique_ptr<Impl> P;
+  SolverContextStats Contexts;
   /// The most recent query gave up on the installed deadline (expired on
   /// entry, or z3 answered unknown after its capped per-query timeout).
   bool LastDeadlined = false;

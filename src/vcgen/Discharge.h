@@ -33,8 +33,14 @@
 /// k * `ObligationsPerSlot` obligations pending after the prepare stage,
 /// so a pass with P pending runs on min(Jobs, ceil(P / ObligationsPerSlot))
 /// slots and builds no backend that its share of the work cannot repay
-/// (a Z3 context: 9–17 ms to build a process's first, 1–2 ms a later
-/// one, up to 1.5 ms to tear one down, and ≈17 MB while it lives).
+/// (a Z3 context: a process's first takes 4–6 ms to build on the main
+/// thread, on the huge pages `main` reserves (support/HugePageHeap.h),
+/// and 9–11 ms without them; 1–2 ms a later one, up to 1.5 ms to tear
+/// one down, and ≈17 MB while it lives). Slot k >= 1 builds its
+/// context on its own thread, in a glibc thread arena the huge pages do
+/// not reach, so it still pays the unadvised cost (≈20 ms each for the
+/// three built side by side at K = 32 copies and four jobs):
+/// ObligationsPerSlot stays 16.
 /// Slots are seeded round-robin, pull obligation indices from their own
 /// deques, and steal from a victim's deque when their own runs dry.
 /// Slot 0 runs on the submitting thread with the main solver: the

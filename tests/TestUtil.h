@@ -12,14 +12,19 @@
 #include "parser/Parser.h"
 #include "solver/CachingSolver.h"
 #include "solver/Z3Solver.h"
+#include "support/HugePageHeap.h"
 #include "vcgen/Verifier.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace relax {
 namespace test {
@@ -98,6 +103,63 @@ inline std::string driverPath() {
 /// vacuously. Both are wrong — such tests must skip instead.
 inline bool haveZ3() { return RELAXC_HAVE_Z3 != 0; }
 
+/// Why a pin of the huge-page heap (support/HugePageHeap.h) cannot run
+/// here, or empty when it can: the build gives no advice (not glibc, or
+/// a sanitizer build), or the host's transparent huge pages are `never`
+/// or absent. Only reads the host's THP mode.
+inline std::string hugePageSkipReason() {
+  if (!hugePageHeapBuilt())
+    return "this build gives no huge-page advice (not glibc, or a "
+           "sanitizer build)";
+  std::ifstream In("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string Mode;
+  if (!std::getline(In, Mode))
+    return "the host has no transparent huge pages";
+  if (Mode.find("[never]") != std::string::npos)
+    return "the host's transparent huge pages are off ([never])";
+  return std::string();
+}
+
+/// One mapping of a /proc/<pid>/smaps file.
+struct Mapping {
+  uintptr_t Begin = 0, End = 0;
+  std::string Name; ///< "[heap]", a path, or empty
+  std::string VmFlags; ///< e.g. " rd wr mr mw me ac hg" (leading space)
+
+  bool hasFlag(const std::string &F) const {
+    return (VmFlags + " ").find(" " + F + " ") != std::string::npos;
+  }
+};
+
+/// The mappings of \p SmapsPath, in address order.
+inline std::vector<Mapping> readSmaps(const std::string &SmapsPath) {
+  std::vector<Mapping> Out;
+  std::ifstream In(SmapsPath);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    if (Line.rfind("VmFlags:", 0) == 0) {
+      if (!Out.empty())
+        Out.back().VmFlags = Line.substr(8);
+      continue;
+    }
+    // A mapping's header: "<begin>-<end> <perms> <offset> <dev> <inode>
+    // [<name>]"; every other line is "<Field>: <value>".
+    std::istringstream Fields(Line);
+    std::string Range, Perms, Offset, Dev, Inode, Name;
+    Fields >> Range >> Perms >> Offset >> Dev >> Inode;
+    size_t Dash = Range.find('-');
+    if (Dash == std::string::npos || Range.find(':') != std::string::npos)
+      continue;
+    std::getline(Fields >> std::ws, Name);
+    Mapping M;
+    M.Begin = std::stoull(Range.substr(0, Dash), nullptr, 16);
+    M.End = std::stoull(Range.substr(Dash + 1), nullptr, 16);
+    M.Name = Name;
+    Out.push_back(M);
+  }
+  return Out;
+}
+
 } // namespace test
 } // namespace relax
 
@@ -108,6 +170,15 @@ inline bool haveZ3() { return RELAXC_HAVE_Z3 != 0; }
   do {                                                                         \
     if (!relax::test::haveZ3())                                                \
       GTEST_SKIP() << "Z3 backend not built (RELAXC_ENABLE_Z3=OFF)";           \
+  } while (0)
+
+/// Skips the current test when the huge-page heap cannot be observed
+/// here (see hugePageSkipReason).
+#define RELAXC_SKIP_WITHOUT_HUGE_PAGES()                                       \
+  do {                                                                         \
+    std::string Why_ = relax::test::hugePageSkipReason();                      \
+    if (!Why_.empty())                                                         \
+      GTEST_SKIP() << Why_;                                                    \
   } while (0)
 
 /// Skips the current test when the driver binary is unavailable (it is

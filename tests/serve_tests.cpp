@@ -1259,4 +1259,70 @@ TEST(ServeDaemon, MutantsServedAfterTheCaseStudiesKeepTheLocalReport) {
     }
 }
 
+//===----------------------------------------------------------------------===//
+// Where a run's Z3 contexts come from
+//===----------------------------------------------------------------------===//
+
+/// The `z3 contexts:` line of a --solver-stats block, or empty.
+std::string contextsLine(const std::string &Report) {
+  std::smatch M;
+  static const std::regex Line("  z3 contexts: [^\n]*");
+  return std::regex_search(Report, M, Line) ? M.str() : std::string();
+}
+
+/// The line of a run whose one Z3 solver built its context.
+const std::regex BuiltOne("  z3 contexts: 1 built in [0-9]+\\.[0-9] ms, "
+                          "0 leased");
+
+TEST(ContextStats, ColdCliBuildsOneContextAndLeasesNone) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_Z3();
+  CliRun Cli = runCli(
+      {"verify", relax::test::examplePath("swish.rlx"), "--solver-stats"});
+  ASSERT_EQ(Cli.Exit, 0) << Cli.Out << Cli.Err;
+  EXPECT_TRUE(std::regex_match(contextsLine(Cli.Out), BuiltOne)) << Cli.Out;
+}
+
+TEST(ContextStats, WarmedDaemonBuildsNoContextOnACacheMiss) {
+  // The first request builds the daemon's context and hands it back to
+  // the pool; the next one misses the verdict cache and leases it.
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_Z3();
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Swish, "swish.rlx");
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Water, "water.rlx");
+  Daemon D;
+  ASSERT_TRUE(D.Ready);
+  VerifyWireRequest Warm = corpusRequest("swish.rlx", Swish, false);
+  Warm.SolverStats = true;
+  VerifyWireResponse First = sendVerify(D.Addr, Warm);
+  ASSERT_FALSE(First.IsError) << First.Error;
+  EXPECT_TRUE(std::regex_match(contextsLine(First.Report), BuiltOne))
+      << First.Report;
+  VerifyWireRequest Miss = corpusRequest("water.rlx", Water, false);
+  Miss.SolverStats = true;
+  VerifyWireResponse Second = sendVerify(D.Addr, Miss);
+  ASSERT_FALSE(Second.IsError) << Second.Error;
+  EXPECT_EQ(Second.ExitStatus, 0) << Second.Report;
+  EXPECT_EQ(contextsLine(Second.Report),
+            "  z3 contexts: 0 built in 0.0 ms, 1 leased")
+      << Second.Report;
+}
+
+TEST(ServeDaemon, HeapIsAdvisedForHugePages) {
+  // main() reserves the heap before anything else, in every mode: the
+  // daemon's [heap] carries the huge-page advice.
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_HUGE_PAGES();
+  Daemon D;
+  ASSERT_TRUE(D.Ready);
+  std::string Smaps = "/proc/" + std::to_string(D.Proc.pid()) + "/smaps";
+  std::vector<relax::test::Mapping> Maps = relax::test::readSmaps(Smaps);
+  ASSERT_FALSE(Maps.empty()) << "cannot read " << Smaps;
+  EXPECT_TRUE(std::any_of(Maps.begin(), Maps.end(),
+                          [](const relax::test::Mapping &M) {
+                            return M.Name == "[heap]" && M.hasFlag("hg");
+                          }))
+      << "no [heap] mapping of the daemon carries VmFlags hg";
+}
+
 } // namespace

@@ -5,9 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "support/Arena.h"
 #include "support/Diagnostics.h"
 #include "support/Hashing.h"
+#include "support/HugePageHeap.h"
 #include "support/Interner.h"
 #include "support/Random.h"
 #include "support/SourceManager.h"
@@ -15,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 
 using namespace relax;
@@ -265,4 +271,52 @@ TEST(Hashing, CombineIsOrderSensitive) {
   uint64_t A = hashCombine(hashCombine(0, 1), 2);
   uint64_t B = hashCombine(hashCombine(0, 2), 1);
   EXPECT_NE(A, B);
+}
+
+//===----------------------------------------------------------------------===//
+// HugePageHeap
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The bytes of one of the two hash tables Z3_mk_context_rc mallocs.
+constexpr size_t Z3TableBytes = 8519688;
+
+/// Runs in a forked child: reserves the heap twice, mallocs and writes a
+/// Z3-table-sized block, and exits 0 when the block's middle byte lies in
+/// a mapping advised for huge pages. The middle, not the first byte: the
+/// block may start below the reserve's first 2 MiB boundary.
+[[noreturn]] void mallocZ3TableAndExit() {
+  reserveHugePageHeap();
+  reserveHugePageHeap(); // a second call is harmless
+  auto *Block = static_cast<unsigned char *>(std::malloc(Z3TableBytes));
+  if (!Block) {
+    std::fprintf(stderr, "malloc failed\n");
+    std::_Exit(1);
+  }
+  std::memset(Block, 0x5a, Z3TableBytes);
+  uintptr_t Middle = reinterpret_cast<uintptr_t>(Block) + Z3TableBytes / 2;
+  for (const relax::test::Mapping &M :
+       relax::test::readSmaps("/proc/self/smaps")) {
+    if (Middle < M.Begin || Middle >= M.End)
+      continue;
+    if (M.hasFlag("hg"))
+      std::_Exit(0);
+    std::fprintf(stderr, "the block's middle lies in %s (VmFlags:%s)\n",
+                 M.Name.empty() ? "an anonymous mapping" : M.Name.c_str(),
+                 M.VmFlags.c_str());
+    std::_Exit(1);
+  }
+  std::fprintf(stderr, "no mapping holds the block's middle\n");
+  std::_Exit(1);
+}
+
+} // namespace
+
+TEST(HugePageHeap, AZ3TableLandsInAHugePageAdvisedMapping) {
+  RELAXC_SKIP_WITHOUT_HUGE_PAGES();
+  // In a forked child, so this suite's own heap is left alone. The kernel
+  // may still back the mapping with small pages, so the pin is the
+  // advice (VmFlags `hg`), not AnonHugePages.
+  EXPECT_EXIT(mallocZ3TableAndExit(), ::testing::ExitedWithCode(0), "");
 }
